@@ -170,7 +170,7 @@ def run_open_loop(
         )
         deadline = time.monotonic() + POISON_DEADLINE_SECONDS if poison else None
         try:
-            _home, _shard, _job, future = pool.submit_check(spec, deadline=deadline)
+            _order, future = pool.submit_check(spec, deadline=deadline)
         except protocol.ServiceError as error:
             # Backpressure at the door (queue full): an explicit rejection,
             # not a latency sample.

@@ -405,6 +405,7 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    """``repro serve`` and ``repro cluster serve-node`` (a named service)."""
     from repro.service import serve
 
     # None means "use the per-shard defaults documented in repro.service.shards"
@@ -428,6 +429,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         quota_burst=args.quota_burst,
         metrics_port=args.metrics_port,
         trace_stream=sys.stderr if args.trace else None,
+        node_name=args.name,
         **bounds,
     )
     return 0
@@ -441,25 +443,31 @@ def _client_source(token: str):
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
-    from repro.service import ProtocolError, ServiceClient, ServiceError
+    """``repro client`` (NDJSON to a node) and ``repro cluster client`` (HTTP)."""
+    from repro.service import ProtocolError, ServiceError
 
+    if args.cluster:
+        from repro.cluster import ClusterClient as Client
+
+        server, start = "gateway", "repro cluster serve-gateway"
+    else:
+        from repro.service import ServiceClient as Client
+
+        server, start = "service", "repro serve"
     try:
-        with ServiceClient(args.host, args.port) as client:
+        with Client(args.host, args.port) as client:
             return _run_client_op(client, args)
-    except (ServiceError, ProtocolError) as error:
+    except (ServiceError, ProtocolError, FileNotFoundError) as error:
         # ServiceError: the server rejected the request (its code says why).
-        # ProtocolError: the peer is not speaking NDJSON or vanished
-        # mid-request.  Both are input/environment errors in CLI terms.
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as error:
-        # A missing local process file, not a network problem.
+        # ProtocolError: the peer is not speaking the protocol or vanished
+        # mid-request.  FileNotFoundError: a missing local process file, not
+        # a network problem.  All are input/environment errors in CLI terms.
         print(f"error: {error}", file=sys.stderr)
         return EXIT_ERROR
     except ConnectionRefusedError:
         print(
-            f"error: no service listening on {args.host}:{args.port} "
-            f"(start one with `repro serve`)",
+            f"error: no {server} listening on {args.host}:{args.port} "
+            f"(start one with `{start}`)",
             file=sys.stderr,
         )
         return EXIT_ERROR
@@ -472,11 +480,21 @@ def _cmd_client(args: argparse.Namespace) -> int:
 def _run_client_op(client, args: argparse.Namespace) -> int:
     if args.client_op == "ping":
         info = client.ping()
-        print(f"service {info['version']} up, {info['shards']} shard(s)")
+        if "healthy_nodes" in info:
+            print(
+                f"cluster up: {info['healthy_nodes']}/{len(info['nodes'])} node(s) healthy, "
+                f"replication factor {info['replication_factor']}"
+            )
+        else:
+            print(f"service {info['version']} up, {info['shards']} shard(s)")
         return 0
+    if args.client_op == "health":
+        health = client.healthz()
+        for node, up in sorted(health.get("nodes", {}).items()):
+            print(f"  {node}: {'healthy' if up else 'DOWN'}")
+        return 0 if health.get("ok") else EXIT_ERROR
     if args.client_op == "store":
-        digest = client.store(load_process(args.process))
-        print(digest)
+        print(client.store(load_process(args.process)))
         return 0
     if args.client_op == "check":
         verdict = client.check(
@@ -489,9 +507,10 @@ def _run_client_op(client, args: argparse.Namespace) -> int:
             **_notion_params(args),
         )
         answer = "equivalent" if verdict["equivalent"] else "NOT equivalent"
+        node = f"node {verdict['node']}, " if "node" in verdict else ""
         print(
             f"{args.first} and {args.second} are {answer} under {verdict['notion']} "
-            f"equivalence (shard {verdict['shard']})"
+            f"equivalence ({node}shard {verdict['shard']})"
         )
         if args.explain and verdict.get("witness"):
             print(f"  witness: {verdict['witness']}")
@@ -510,27 +529,54 @@ def _run_client_op(client, args: argparse.Namespace) -> int:
         return 0
     if args.client_op == "stats":
         stats = client.stats()
-        server = stats["server"]
-        print(
-            f"service {server['version']}: {server['shards']} shard(s), "
-            f"{server['requests']} request(s), {server['connections']} connection(s), "
-            f"{server['revivals']} worker revival(s), {server.get('steals', 0)} steal(s), "
-            f"{server.get('overloads', 0)} overload refusal(s)"
-        )
-        store = server["store"]
-        print(
-            f"  store: {store['on_disk']} process(es) on disk, "
-            f"{store['cached']}/{store['max_cached']} cached in memory"
-        )
-        for shard in stats["shards"]:
-            engine = shard["engine"]
-            print(
-                f"  shard {shard['shard']} (pid {shard['pid']}): {shard['checks']} check(s), "
-                f"{engine['processes']} process(es) / {engine['verdicts']} verdict(s) cached, "
-                f"{engine['hits']} hit(s) / {engine['misses']} miss(es)"
-            )
+        if "coordinator" in stats:
+            _print_cluster_stats(stats)
+        else:
+            _print_service_stats(stats)
         return 0
     raise ValueError(f"unhandled client op {args.client_op!r}")  # pragma: no cover
+
+
+def _print_service_stats(stats: dict) -> None:
+    server = stats["server"]
+    print(
+        f"service {server['version']}: {server['shards']} shard(s), "
+        f"{server['requests']} request(s), {server['connections']} connection(s), "
+        f"{server['revivals']} worker revival(s), {server.get('steals', 0)} steal(s), "
+        f"{server.get('overloads', 0)} overload refusal(s)"
+    )
+    store = server["store"]
+    print(
+        f"  store: {store['on_disk']} process(es) on disk, "
+        f"{store['cached']}/{store['max_cached']} cached in memory"
+    )
+    for shard in stats["shards"]:
+        engine = shard["engine"]
+        print(
+            f"  shard {shard['shard']} (pid {shard['pid']}): {shard['checks']} check(s), "
+            f"{engine['processes']} process(es) / {engine['verdicts']} verdict(s) cached, "
+            f"{engine['hits']} hit(s) / {engine['misses']} miss(es)"
+        )
+
+
+def _print_cluster_stats(stats: dict) -> None:
+    coord = stats["coordinator"]
+    print(
+        f"cluster: {coord['healthy_nodes']}/{coord['nodes']} node(s) healthy, "
+        f"rf={coord['replication_factor']}, {coord['failovers']} failover(s), "
+        f"{coord['steals']} steal(s), {coord['replications']} replication(s) "
+        f"({coord['replication_failures']} failed), "
+        f"artifacts {coord['artifact_hits']} hit(s) / {coord['artifact_misses']} miss(es)"
+    )
+    for node in stats["nodes"]:
+        if "error" in node:
+            print(f"  node {node['node']}: UNREACHABLE ({node['error']})")
+            continue
+        server = node["server"]
+        print(
+            f"  node {node['node']}: {server['shards']} shard(s), "
+            f"{server['requests']} request(s), {server['revivals']} revival(s)"
+        )
 
 
 def _parse_node_spec(token: str) -> tuple[str, tuple[str, int]]:
@@ -543,30 +589,6 @@ def _parse_node_spec(token: str) -> tuple[str, tuple[str, int]]:
         return name, (host, int(port))
     except ValueError:
         raise ValueError(f"--node wants a numeric port, got {token!r}") from None
-
-
-def _cmd_cluster_serve_node(args: argparse.Namespace) -> int:
-    from repro.service import serve
-
-    bounds = {
-        name: value
-        for name, value in (
-            ("max_processes", args.max_processes),
-            ("max_verdicts", args.max_verdicts),
-        )
-        if value is not None
-    }
-    serve(
-        args.host,
-        args.port,
-        store_root=args.store,
-        num_shards=args.shards,
-        max_queue=args.max_queue,
-        steal_threshold=args.steal_threshold,
-        node_name=args.name,
-        **bounds,
-    )
-    return 0
 
 
 def _cmd_cluster_serve_gateway(args: argparse.Namespace) -> int:
@@ -585,100 +607,6 @@ def _cmd_cluster_serve_gateway(args: argparse.Namespace) -> int:
         probe_interval=args.probe_interval,
     )
     return 0
-
-
-def _cmd_cluster_client(args: argparse.Namespace) -> int:
-    from repro.cluster import ClusterClient
-    from repro.service import ProtocolError, ServiceError
-
-    try:
-        with ClusterClient(args.host, args.port) as client:
-            return _run_cluster_client_op(client, args)
-    except (ServiceError, ProtocolError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_ERROR
-    except ConnectionRefusedError:
-        print(
-            f"error: no gateway listening on {args.host}:{args.port} "
-            f"(start one with `repro cluster serve-gateway`)",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
-    except OSError as error:
-        print(f"error: cannot talk to {args.host}:{args.port}: {error}", file=sys.stderr)
-        return EXIT_ERROR
-
-
-def _run_cluster_client_op(client, args: argparse.Namespace) -> int:
-    if args.cluster_op == "ping":
-        info = client.ping()
-        nodes = info.get("nodes", {})
-        print(
-            f"cluster up: {info['healthy_nodes']}/{len(nodes)} node(s) healthy, "
-            f"replication factor {info['replication_factor']}"
-        )
-        return 0
-    if args.cluster_op == "health":
-        health = client.healthz()
-        for node, up in sorted(health.get("nodes", {}).items()):
-            print(f"  {node}: {'healthy' if up else 'DOWN'}")
-        return 0 if health.get("ok") else EXIT_ERROR
-    if args.cluster_op == "store":
-        result = client.store(load_process(args.process))
-        replicas = ",".join(result.get("replicas", []))
-        print(f"{result['digest']} (replicas: {replicas})")
-        return 0
-    if args.cluster_op == "check":
-        verdict = client.check(
-            _client_source(args.first),
-            _client_source(args.second),
-            args.notion,
-            witness=args.explain,
-            reduction=args.reduction,
-            deadline_ms=args.deadline_ms,
-            **_notion_params(args),
-        )
-        answer = "equivalent" if verdict["equivalent"] else "NOT equivalent"
-        print(
-            f"{args.first} and {args.second} are {answer} under {verdict['notion']} "
-            f"equivalence (node {verdict.get('node', '?')}, shard {verdict['shard']})"
-        )
-        if args.explain and verdict.get("witness"):
-            print(f"  witness: {verdict['witness']}")
-        return 0 if verdict["equivalent"] else EXIT_INEQUIVALENT
-    if args.cluster_op == "minimize":
-        minimal = client.minimize(_client_source(args.process), args.notion)
-        save_process(minimal, args.output)
-        print(f"minimised to {minimal.num_states} states; written to {args.output}")
-        return 0
-    if args.cluster_op == "classify":
-        for name in client.classify(_client_source(args.process)):
-            print(f"  {name}")
-        return 0
-    if args.cluster_op == "stats":
-        stats = client.stats()
-        coord = stats["coordinator"]
-        print(
-            f"cluster: {coord['healthy_nodes']}/{coord['nodes']} node(s) healthy, "
-            f"rf={coord['replication_factor']}, {coord['failovers']} failover(s), "
-            f"{coord['steals']} steal(s), {coord['replications']} replication(s) "
-            f"({coord['replication_failures']} failed), "
-            f"artifacts {coord['artifact_hits']} hit(s) / {coord['artifact_misses']} miss(es)"
-        )
-        for node in stats["nodes"]:
-            if "error" in node:
-                print(f"  node {node['node']}: UNREACHABLE ({node['error']})")
-                continue
-            server = node["server"]
-            print(
-                f"  node {node['node']}: {server['shards']} shard(s), "
-                f"{server['requests']} request(s), {server['revivals']} revival(s)"
-            )
-        return 0
-    raise ValueError(f"unhandled cluster op {args.cluster_op!r}")  # pragma: no cover
 
 
 def _add_verdict_flags(command: argparse.ArgumentParser) -> None:
@@ -703,6 +631,91 @@ def _add_reduction_flag(command: argparse.ArgumentParser) -> None:
             "the requested check are applied"
         ),
     )
+
+
+def _add_serve_flags(command: argparse.ArgumentParser) -> None:
+    """The flags ``repro serve`` and ``repro cluster serve-node`` share."""
+    from repro.service.protocol import DEFAULT_PORT
+
+    command.add_argument("--host", default="127.0.0.1")
+    command.add_argument("--port", type=int, default=DEFAULT_PORT)
+    command.add_argument(
+        "--shards", type=int, default=None, help="worker processes (default: one per CPU)"
+    )
+    command.add_argument(
+        "--store",
+        default=None,
+        help="directory of the content-addressed process store (default: private temp dir)",
+    )
+    command.add_argument(
+        "--max-processes",
+        type=int,
+        default=None,
+        help="per-shard engine process-cache bound (default: the engine's)",
+    )
+    command.add_argument(
+        "--max-verdicts",
+        type=int,
+        default=None,
+        help="per-shard engine verdict-cache bound (default: the engine's)",
+    )
+    command.add_argument(
+        "--max-queue",
+        type=int,
+        default=None,
+        help="per-shard queue bound; beyond it checks are refused with 'overloaded' "
+        "(default: unbounded)",
+    )
+    command.add_argument(
+        "--steal-threshold",
+        type=int,
+        default=None,
+        help="queue depth at which cache-cold digest checks migrate to idle shards "
+        "(default: stealing off)",
+    )
+
+
+def _add_client_ops(
+    command: argparse.ArgumentParser, default_port: int, server: str
+) -> argparse._SubParsersAction:
+    """The operations ``repro client`` and ``repro cluster client`` share."""
+    command.add_argument("--host", default="127.0.0.1")
+    command.add_argument("--port", type=int, default=default_port)
+    ops = command.add_subparsers(dest="client_op", required=True)
+
+    ops.add_parser("ping", help="liveness probe")
+
+    store = ops.add_parser("store", help="upload a process once; prints its sha256 digest")
+    store.add_argument("process", help="process file (.json or .aut)")
+
+    check = ops.add_parser(
+        "check", help=f"decide an equivalence on {server} (files or sha256: digests)"
+    )
+    check.add_argument("first", help="process file or sha256:... digest")
+    check.add_argument("second", help="process file or sha256:... digest")
+    check.add_argument("--notion", choices=list(available_notions()), default="observational")
+    check.add_argument("--k", type=int, default=1, help="level for k-observational")
+    check.add_argument(
+        "--explain", action="store_true", help="request and print a witness on inequivalence"
+    )
+    check.add_argument(
+        "--deadline-ms",
+        type=float,
+        default=None,
+        help="abort the check past this many milliseconds (error: deadline_exceeded)",
+    )
+    _add_reduction_flag(check)
+
+    minimize = ops.add_parser("minimize", help=f"minimise on {server}")
+    minimize.add_argument("process", help="process file or sha256:... digest")
+    minimize.add_argument("output")
+    minimize.add_argument("--notion", choices=["strong", "observational"], default="observational")
+
+    classify = ops.add_parser("classify", help=f"classify on {server}")
+    classify.add_argument("process", help="process file or sha256:... digest")
+
+    ops.add_parser("stats", help="server totals and per-shard (or per-node) statistics")
+    return ops
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -919,42 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd = commands.add_parser(
         "serve", help="run the sharded equivalence service (line-delimited JSON over TCP)"
     )
-    serve_cmd.add_argument("--host", default="127.0.0.1")
-    serve_cmd.add_argument("--port", type=int, default=DEFAULT_PORT)
-    serve_cmd.add_argument(
-        "--shards", type=int, default=None, help="worker processes (default: one per CPU)"
-    )
-    serve_cmd.add_argument(
-        "--store",
-        default=None,
-        help="directory of the content-addressed process store (default: private temp dir)",
-    )
-    serve_cmd.add_argument(
-        "--max-processes",
-        type=int,
-        default=None,
-        help="per-shard engine process-cache bound (default: the engine's)",
-    )
-    serve_cmd.add_argument(
-        "--max-verdicts",
-        type=int,
-        default=None,
-        help="per-shard engine verdict-cache bound (default: the engine's)",
-    )
-    serve_cmd.add_argument(
-        "--max-queue",
-        type=int,
-        default=None,
-        help="per-shard queue bound; beyond it checks are refused with 'overloaded' "
-        "(default: unbounded)",
-    )
-    serve_cmd.add_argument(
-        "--steal-threshold",
-        type=int,
-        default=None,
-        help="queue depth at which cache-cold digest checks migrate to idle shards "
-        "(default: stealing off)",
-    )
+    _add_serve_flags(serve_cmd)
     serve_cmd.add_argument(
         "--quota-rps",
         type=float,
@@ -980,57 +958,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="log one JSON trace record per request to stderr",
     )
-    serve_cmd.set_defaults(handler=_cmd_serve)
+    serve_cmd.set_defaults(handler=_cmd_serve, name=None)
 
     client_cmd = commands.add_parser(
         "client", help="talk to a running service (see `repro serve`)"
     )
-    client_cmd.add_argument("--host", default="127.0.0.1")
-    client_cmd.add_argument("--port", type=int, default=DEFAULT_PORT)
-    client_ops = client_cmd.add_subparsers(dest="client_op", required=True)
-
-    client_ops.add_parser("ping", help="liveness probe")
-
-    client_store = client_ops.add_parser(
-        "store", help="upload a process once; prints its sha256 digest"
-    )
-    client_store.add_argument("process", help="process file (.json or .aut)")
-
-    client_check = client_ops.add_parser(
-        "check", help="decide an equivalence on the service (files or sha256: digests)"
-    )
-    client_check.add_argument("first", help="process file or sha256:... digest")
-    client_check.add_argument("second", help="process file or sha256:... digest")
-    client_check.add_argument(
-        "--notion", choices=list(available_notions()), default="observational"
-    )
-    client_check.add_argument("--k", type=int, default=1, help="level for k-observational")
-    client_check.add_argument(
-        "--explain", action="store_true", help="request and print a witness on inequivalence"
-    )
-    client_check.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="abort the check past this many milliseconds (error: deadline_exceeded)",
-    )
-    _add_reduction_flag(client_check)
-
-    client_minimize = client_ops.add_parser("minimize", help="minimise on the service")
-    client_minimize.add_argument("process", help="process file or sha256:... digest")
-    client_minimize.add_argument("output")
-    client_minimize.add_argument(
-        "--notion", choices=["strong", "observational"], default="observational"
-    )
-
-    client_classify = client_ops.add_parser("classify", help="classify on the service")
-    client_classify.add_argument("process", help="process file or sha256:... digest")
-
-    client_ops.add_parser("stats", help="server totals and per-shard cache statistics")
-
+    client_ops = _add_client_ops(client_cmd, DEFAULT_PORT, "the service")
     client_ops.add_parser("metrics", help="dump the server's metrics snapshot as JSON")
-
-    client_cmd.set_defaults(handler=_cmd_client)
+    client_cmd.set_defaults(handler=_cmd_client, cluster=False)
 
     # Same lazy-import discipline as serve/client: the parser only needs the
     # gateway's default port constant, which the cluster package defines
@@ -1046,19 +981,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-node", help="run one cluster node (an equivalence service with a node name)"
     )
     node_cmd.add_argument("--name", required=True, help="node id (labels stats and metrics)")
-    node_cmd.add_argument("--host", default="127.0.0.1")
-    node_cmd.add_argument("--port", type=int, default=DEFAULT_PORT)
-    node_cmd.add_argument(
-        "--shards", type=int, default=None, help="worker processes (default: one per CPU)"
+    _add_serve_flags(node_cmd)
+    node_cmd.set_defaults(
+        handler=_cmd_serve, quota_rps=None, quota_burst=None, metrics_port=None, trace=False
     )
-    node_cmd.add_argument(
-        "--store", default=None, help="node-local process store directory (default: temp dir)"
-    )
-    node_cmd.add_argument("--max-processes", type=int, default=None)
-    node_cmd.add_argument("--max-verdicts", type=int, default=None)
-    node_cmd.add_argument("--max-queue", type=int, default=None)
-    node_cmd.add_argument("--steal-threshold", type=int, default=None)
-    node_cmd.set_defaults(handler=_cmd_cluster_serve_node)
 
     gateway_cmd = cluster_ops.add_parser(
         "serve-gateway", help="run the HTTP gateway + coordinator over running nodes"
@@ -1099,48 +1025,9 @@ def build_parser() -> argparse.ArgumentParser:
     ccli_cmd = cluster_ops.add_parser(
         "client", help="talk to a running gateway (see `repro cluster serve-gateway`)"
     )
-    ccli_cmd.add_argument("--host", default="127.0.0.1")
-    ccli_cmd.add_argument("--port", type=int, default=DEFAULT_GATEWAY_PORT)
-    ccli_ops = ccli_cmd.add_subparsers(dest="cluster_op", required=True)
-
-    ccli_ops.add_parser("ping", help="coordinator liveness and membership")
+    ccli_ops = _add_client_ops(ccli_cmd, DEFAULT_GATEWAY_PORT, "the cluster")
     ccli_ops.add_parser("health", help="per-node health (exit 2 when no node is healthy)")
-
-    ccli_store = ccli_ops.add_parser(
-        "store", help="upload + replicate a process; prints digest and replicas"
-    )
-    ccli_store.add_argument("process", help="process file (.json or .aut)")
-
-    ccli_check = ccli_ops.add_parser(
-        "check", help="decide an equivalence through the cluster"
-    )
-    ccli_check.add_argument("first", help="process file or sha256:... digest")
-    ccli_check.add_argument("second", help="process file or sha256:... digest")
-    ccli_check.add_argument(
-        "--notion", choices=list(available_notions()), default="observational"
-    )
-    ccli_check.add_argument("--k", type=int, default=1, help="level for k-observational")
-    ccli_check.add_argument(
-        "--explain", action="store_true", help="request and print a witness on inequivalence"
-    )
-    ccli_check.add_argument("--deadline-ms", type=float, default=None)
-    _add_reduction_flag(ccli_check)
-
-    ccli_minimize = ccli_ops.add_parser(
-        "minimize", help="minimise through the cluster (artifact-cache first)"
-    )
-    ccli_minimize.add_argument("process", help="process file or sha256:... digest")
-    ccli_minimize.add_argument("output")
-    ccli_minimize.add_argument(
-        "--notion", choices=["strong", "observational"], default="observational"
-    )
-
-    ccli_classify = ccli_ops.add_parser("classify", help="classify through the cluster")
-    ccli_classify.add_argument("process", help="process file or sha256:... digest")
-
-    ccli_ops.add_parser("stats", help="coordinator counters plus per-node totals")
-
-    ccli_cmd.set_defaults(handler=_cmd_cluster_client)
+    ccli_cmd.set_defaults(handler=_cmd_client, cluster=True)
 
     return parser
 

@@ -1,12 +1,12 @@
 """The distributed checking fabric: coordinator, gateway, replicated store.
 
 This package scales :mod:`repro.service` from one node to many.  Each node
-is an unmodified :class:`~repro.service.server.EquivalenceServer`; the
-cluster layer adds the pieces that only make sense above a single node:
+is an unmodified :class:`~repro.service.server.EquivalenceServer`, and the
+cluster reuses the service's placement policy
+(:mod:`repro.service.placement`: consistent-hash ring, steal rule, failover
+order), ``check_many`` fan-out, HTTP responder and client; it adds the
+pieces that only make sense above a single node:
 
-* :mod:`repro.cluster.ring` -- :class:`HashRing`, consistent-hash placement
-  so digest affinity survives node churn (the cross-node analogue of the
-  shard pool's ``digest mod num_shards``);
 * :mod:`repro.cluster.store` -- :class:`ClusterStore`, the coordinator's
   persistent process store plus ``(digest, notion)``-keyed minimisation
   artifacts, which is what lets a quotient computed on a dead node still be
@@ -16,10 +16,10 @@ cluster layer adds the pieces that only make sense above a single node:
   replication, health probes, retry-with-failover and cross-node
   work-stealing;
 * :mod:`repro.cluster.gateway` -- :class:`ClusterGateway` /
-  :func:`serve_gateway`, the stdlib-asyncio HTTP/JSON front door with
-  ``/healthz`` and a node-labelled Prometheus ``/metrics``;
-* :mod:`repro.cluster.client` -- :class:`ClusterClient`, the synchronous
-  HTTP client mirroring :class:`~repro.service.client.ServiceClient`.
+  :func:`serve_gateway`, the HTTP/JSON front door with ``/healthz`` and a
+  node-labelled Prometheus ``/metrics``;
+* :mod:`repro.cluster.client` -- :class:`ClusterClient`,
+  :class:`~repro.service.client.ServiceClient` over the gateway's HTTP.
 
 Quick start (three terminals + one)::
 
@@ -30,12 +30,11 @@ Quick start (three terminals + one)::
 
     >>> from repro.cluster import ClusterClient            # doctest: +SKIP
     >>> client = ClusterClient(port=8320)                  # doctest: +SKIP
-    >>> digest = client.store(my_process)["digest"]        # doctest: +SKIP
+    >>> digest = client.store(my_process)                  # doctest: +SKIP
     >>> client.check(digest, other_process)["equivalent"]  # doctest: +SKIP
 """
 
-import importlib
-from typing import Any
+from repro.service import lazy_exports
 
 #: The gateway's default HTTP port -- one above the node RPC port, mirroring
 #: how the two listeners pair up in a local deployment.  Defined here (not
@@ -53,11 +52,11 @@ __all__ = [
     "serve_gateway",
 ]
 
-#: Exported name -> defining submodule, resolved lazily (PEP 562) so the CLI
+#: Exported name -> defining submodule, resolved lazily so the CLI
 #: parser can read ``DEFAULT_GATEWAY_PORT`` without importing asyncio server
 #: machinery.
 _EXPORTS = {
-    "HashRing": "repro.cluster.ring",
+    "HashRing": "repro.service.placement",
     "ClusterStore": "repro.cluster.store",
     "ClusterCoordinator": "repro.cluster.coordinator",
     "ClusterGateway": "repro.cluster.gateway",
@@ -65,15 +64,4 @@ _EXPORTS = {
     "ClusterClient": "repro.cluster.client",
 }
 
-
-def __getattr__(name: str) -> Any:
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache: next access skips this hook
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

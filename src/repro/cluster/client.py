@@ -1,13 +1,14 @@
 """Synchronous HTTP client for the cluster gateway.
 
-:class:`ClusterClient` mirrors :class:`~repro.service.client.ServiceClient`
-method-for-method but speaks the gateway's HTTP/JSON dialect instead of raw
-NDJSON, so anything written against the TCP client ports to the cluster by
-swapping the constructor.  Error envelopes (``{"ok": false, "error":
+:class:`ClusterClient` is :class:`~repro.service.client.ServiceClient` over
+the gateway's HTTP/JSON dialect instead of raw NDJSON: every RPC method is
+inherited, so anything written against the TCP client ports to the cluster
+by swapping the constructor.  Error envelopes (``{"ok": false, "error":
 {...}}``) are rehydrated into the same :class:`~repro.service.protocol.
 ServiceError` values the TCP client raises, and ``overloaded`` answers are
-retried on the shared :class:`~repro.service.retry.RetryPolicy` backoff
-schedule, honouring the server's ``retry_after_ms`` hint.
+retried on the same :class:`~repro.service.retry.RetryPolicy` schedule.  The
+only additions are the gateway's two HTTP probe reads, :meth:`healthz` and
+:meth:`metrics_text`.
 
 Stdlib only (``http.client``); connections are kept alive across requests
 and transparently reopened after a drop.
@@ -19,25 +20,16 @@ import http.client
 import json
 from typing import Any
 
-from repro.core.fsp import FSP
 from repro.service import protocol
+from repro.service.client import ServiceClient
 from repro.service.retry import DEFAULT_RETRIES, RetryPolicy
-from repro.utils.serialization import from_dict
 
 from repro.cluster import DEFAULT_GATEWAY_PORT
 
 __all__ = ["ClusterClient"]
 
 
-def _overload_hint(error: Exception):
-    """Retry predicate for :meth:`RetryPolicy.run` (overloaded answers only)."""
-    if isinstance(error, protocol.ServiceError) and error.code == protocol.OVERLOADED:
-        hint = (error.data or {}).get("retry_after_ms")
-        return float(hint) if isinstance(hint, (int, float)) else None
-    return False
-
-
-class ClusterClient:
+class ClusterClient(ServiceClient):
     """Talk to a :class:`~repro.cluster.gateway.ClusterGateway` over HTTP."""
 
     def __init__(
@@ -49,27 +41,25 @@ class ClusterClient:
         overload_retries: int = DEFAULT_RETRIES,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self._connection: http.client.HTTPConnection | None = None
-        self._retry = retry_policy if retry_policy is not None else RetryPolicy(overload_retries)
+        super().__init__(
+            host, port, timeout, overload_retries=overload_retries, retry_policy=retry_policy
+        )
 
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
+    def _open(self) -> None:
+        self._connection: http.client.HTTPConnection | None = None  # opened on first use
+
     def close(self) -> None:
         if self._connection is not None:
             self._connection.close()
             self._connection = None
 
-    def __enter__(self) -> "ClusterClient":
-        return self
+    def _request_once(self, op: str, params: dict[str, Any] | None = None) -> Any:
+        return self._http("POST", f"/v1/{op}", params or {})
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _request_once(self, method: str, path: str, body: dict[str, Any] | None) -> Any:
+    def _http(self, method: str, path: str, body: dict[str, Any] | None) -> Any:
         payload = json.dumps(body).encode("utf-8") if body is not None else None
         headers = {"Content-Type": "application/json"} if payload is not None else {}
         for attempt in (0, 1):  # one transparent reconnect after a dropped keep-alive
@@ -101,122 +91,15 @@ class ClusterClient:
             return document
         if not isinstance(document, dict) or "ok" not in document:
             raise protocol.ProtocolError(f"malformed gateway envelope on {path}")
-        if document["ok"]:
-            return document.get("result", {})
-        error = document.get("error") or {}
-        raise protocol.ServiceError(
-            str(error.get("code", protocol.INTERNAL)),
-            str(error.get("message", "gateway error")),
-            error.get("data") if isinstance(error.get("data"), dict) else {},
-        )
-
-    def _rpc(self, op: str, params: dict[str, Any] | None = None) -> Any:
-        return self._retry.run(
-            lambda: self._request_once("POST", f"/v1/{op}", params or {}),
-            is_overloaded=_overload_hint,
-        )
+        return protocol.response_result(document)
 
     # ------------------------------------------------------------------
-    # operations (mirror ServiceClient)
+    # the HTTP-only reads
     # ------------------------------------------------------------------
-    def ping(self) -> dict[str, Any]:
-        return self._rpc("ping")
-
     def healthz(self) -> dict[str, Any]:
         """The gateway's health document (does not raise on 503)."""
-        return self._request_once("GET", "/healthz", None)
+        return self._http("GET", "/healthz", None)
 
     def metrics_text(self) -> str:
         """The gateway's Prometheus exposition text."""
-        return self._request_once("GET", "/metrics", None)
-
-    def store(self, process: FSP | dict) -> dict[str, Any]:
-        """Upload + replicate one process; returns digest and replica list."""
-        ref = protocol.process_ref(process)
-        return self._rpc("store", {"process": ref["process"]})
-
-    def check(
-        self,
-        left,
-        right,
-        notion: str = "observational",
-        *,
-        align: bool = True,
-        witness: bool = False,
-        on_the_fly: bool | None = None,
-        reduction: str | None = None,
-        deadline_ms: float | None = None,
-        **params: Any,
-    ) -> dict[str, Any]:
-        """Decide one equivalence through the cluster (ServiceClient shape)."""
-        body: dict[str, Any] = {
-            "left": protocol.process_ref(left),
-            "right": protocol.process_ref(right),
-            "notion": notion,
-            "align": align,
-            "witness": witness,
-            "params": params,
-        }
-        if on_the_fly is not None:
-            body["on_the_fly"] = on_the_fly
-        if reduction is not None:
-            body["reduction"] = reduction
-        if deadline_ms is not None:
-            body["deadline_ms"] = deadline_ms
-        return self._rpc("check", body)
-
-    def check_many(
-        self,
-        checks: list[tuple | dict],
-        *,
-        notion: str = "observational",
-        align: bool = True,
-        witness: bool = False,
-        reduction: str | None = None,
-        deadline_ms: float | None = None,
-    ) -> dict[str, Any]:
-        """Run a manifest of checks cluster-wide (ServiceClient entry shapes)."""
-        encoded = []
-        for index, item in enumerate(checks):
-            if isinstance(item, dict):
-                entry = dict(item)
-                entry["left"] = protocol.process_ref(entry["left"])
-                entry["right"] = protocol.process_ref(entry["right"])
-            elif isinstance(item, (tuple, list)) and len(item) in (2, 3):
-                entry = {
-                    "left": protocol.process_ref(item[0]),
-                    "right": protocol.process_ref(item[1]),
-                }
-                if len(item) == 3:
-                    entry["notion"] = item[2]
-            else:
-                raise ValueError(f"check #{index} must be (left, right[, notion]) or a mapping")
-            encoded.append(entry)
-        body: dict[str, Any] = {
-            "checks": encoded,
-            "notion": notion,
-            "align": align,
-            "witness": witness,
-        }
-        if reduction is not None:
-            body["reduction"] = reduction
-        if deadline_ms is not None:
-            body["deadline_ms"] = deadline_ms
-        return self._rpc("check_many", body)
-
-    def minimize(self, process, notion: str = "observational") -> FSP:
-        """The quotient under strong/observational equivalence, cluster-served."""
-        return from_dict(self.minimize_info(process, notion)["process"])
-
-    def minimize_info(self, process, notion: str = "observational") -> dict[str, Any]:
-        """Minimise, returning the raw result document (sizes, cache flags)."""
-        return self._rpc(
-            "minimize", {"process": protocol.process_ref(process), "notion": notion}
-        )
-
-    def classify(self, process) -> list[str]:
-        """The model classes of a process, as strings (ServiceClient shape)."""
-        return self._rpc("classify", {"process": protocol.process_ref(process)})["classes"]
-
-    def stats(self) -> dict[str, Any]:
-        return self._rpc("stats")
+        return self._http("GET", "/metrics", None)

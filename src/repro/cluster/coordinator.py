@@ -1,13 +1,14 @@
 """The cluster coordinator: digest-affinity routing across remote nodes.
 
-A :class:`ClusterCoordinator` owns one :class:`~repro.cluster.ring.HashRing`
-of equivalence-service nodes (each node is a full
+A :class:`ClusterCoordinator` places every operation on a ring of
+equivalence-service nodes (each node is a full
 :class:`~repro.service.server.EquivalenceServer` -- shards, deadlines,
-backpressure and all) and routes every operation the way the shard pool
-routes checks inside one node, generalised one level up:
+backpressure and all) with the same :class:`~repro.service.placement.
+Placement` policy the shard pool applies to shards inside one node, one
+level up:
 
 * **Affinity.**  A check routes by the same key the shard layer uses
-  (:func:`repro.service.shards.routing_key_of`), walked clockwise on the
+  (:func:`repro.service.placement.routing_key_of`), walked clockwise on the
   ring.  All checks touching one stored process land on one node, whose
   shard pool then routes them onto one worker -- two levels of the same
   digest stickiness, so the per-worker engine caches stay hot end to end.
@@ -31,7 +32,8 @@ routes checks inside one node, generalised one level up:
   cache-cold check whose primary already has that many requests in flight
   dispatches to the least-loaded *replica* instead -- replicas hold the
   digest by construction, so stealing never trades a cache miss for an
-  ``unknown_digest``.  Hot keys stay home, mirroring the shard pool's rule.
+  ``unknown_digest``.  Hot keys stay home: the shard pool's rule, over
+  in-flight counts instead of queue depths.
 
 The coordinator is asyncio-native (the gateway embeds it in its event
 loop); telemetry is exposed as plain counters the gateway folds into its
@@ -41,26 +43,19 @@ Prometheus registry.
 from __future__ import annotations
 
 import asyncio
-import time
-from collections import OrderedDict
 from typing import Any
 
-from repro.cluster.ring import HashRing
 from repro.cluster.store import ClusterStore
 from repro.core.errors import InvalidProcessError
-from repro.service import protocol
-from repro.service.shards import routing_key_of
+from repro.service import batch, protocol
+from repro.service.placement import Placement, routing_key_of
 from repro.utils.serialization import content_digest, to_dict
 
-__all__ = ["ClusterCoordinator", "NodeLink", "NodeState"]
+__all__ = ["COUNTERS", "ClusterCoordinator", "NodeLink", "NodeState"]
 
 #: Replication factor when the caller does not pick one: the primary plus
 #: one replica tolerates one node loss without losing any stored process.
 DEFAULT_REPLICATION = 2
-
-#: Per-node LRU of recently dispatched routing keys (the coordinator-side
-#: cache-warmth proxy work-stealing consults; mirrors the shard pool's).
-RECENT_KEYS_PER_NODE = 256
 
 #: Seconds between background health probes.
 DEFAULT_PROBE_INTERVAL = 1.0
@@ -68,6 +63,18 @@ DEFAULT_PROBE_INTERVAL = 1.0
 #: Per-probe timeout: a node that cannot answer ``ping`` this fast is
 #: treated as down (generous against fork pauses, tight against hangs).
 PROBE_TIMEOUT = 5.0
+
+#: The coordinator's counters and what they count: ``stats`` reports each,
+#: and the gateway exports each as ``repro_cluster_<name>_total``.
+COUNTERS = {
+    "failovers": "requests retried on another node",
+    "steals": "checks stolen from a busy primary",
+    "repairs": "digest read-repairs pushed to nodes",
+    "replications": "replica uploads accepted",
+    "replication_failures": "replica uploads that failed",
+    "artifact_hits": "minimize served from artifacts",
+    "artifact_misses": "minimize artifact lookups that missed",
+}
 
 #: ``retry_after_ms`` hint attached when no healthy node can serve a key.
 NO_NODE_RETRY_MS = 500
@@ -141,20 +148,17 @@ class NodeLink:
                 line = await reader.readline()
                 if not line:
                     raise ConnectionError("node closed the connection")
-                try:
-                    response_id, result = protocol.parse_response(line)
-                    outcome: Any = ("ok", response_id, result)
-                except protocol.ServiceError as error:
-                    # parse_response raises the structured error but loses
-                    # the frame id; recover it so the right future fails.
-                    response_id = protocol.decode_frame(line).get("id")
-                    outcome = ("error", response_id, error)
-                future = self._pending.pop(response_id, None)
+                document = protocol.decode_frame(line)
+                request_id = document.get("id")
+                future = self._pending.get(request_id)
                 if future is not None and not future.done():
-                    if outcome[0] == "ok":
-                        future.set_result(outcome[2])
-                    else:
-                        future.set_exception(outcome[2])
+                    # A malformed answer raises ProtocolError out of this
+                    # loop with the future still pending, so it fails too.
+                    try:
+                        future.set_result(protocol.response_result(document))
+                    except protocol.ServiceError as error:
+                        future.set_exception(error)
+                self._pending.pop(request_id, None)
         except asyncio.CancelledError:
             raise
         except Exception as error:
@@ -230,15 +234,6 @@ class NodeState:
         self.healthy = True
         self.inflight = 0
         self.checks_sent = 0
-        self.recent: OrderedDict[str, None] = OrderedDict()
-
-    def remember(self, key: str | None) -> None:
-        if key is None:
-            return
-        self.recent[key] = None
-        self.recent.move_to_end(key)
-        while len(self.recent) > RECENT_KEYS_PER_NODE:
-            self.recent.popitem(last=False)
 
     def __repr__(self) -> str:
         return (
@@ -286,22 +281,22 @@ class ClusterCoordinator:
             raise ValueError("a cluster needs at least one node")
         if replication_factor < 1:
             raise ValueError("replication_factor must be positive")
-        if steal_threshold is not None and steal_threshold < 1:
-            raise ValueError("steal_threshold must be positive (or None to disable)")
         self.nodes: dict[str, NodeState] = {
             node_id: NodeState(node_id, host, port)
             for node_id, (host, port) in sorted(nodes.items())
         }
-        self.ring = HashRing(self.nodes)
-        self.replication_factor = min(replication_factor, len(self.nodes))
-        self.steal_threshold = steal_threshold
+        #: Ring placement over the node ids: a key's failover order is its
+        #: replica set, and stealing only moves a check between replicas.
+        self.placement = Placement(
+            self.nodes, replicas=replication_factor, steal_threshold=steal_threshold
+        )
+        self.replication_factor = self.placement.replicas
         self.store = store
         self.request_timeout = request_timeout
         self.probe_interval = probe_interval
         self._probe_task: asyncio.Task | None = None
-        # telemetry (gateway renders these)
+        # telemetry (see COUNTERS; the placement counts steals)
         self.failovers = 0
-        self.steals = 0
         self.repairs = 0
         self.replications = 0
         self.replication_failures = 0
@@ -361,22 +356,20 @@ class ClusterCoordinator:
         """The current health map (no probing; see :meth:`probe_once`)."""
         return {node_id: node.healthy for node_id, node in self.nodes.items()}
 
-    def healthy_nodes(self) -> list[NodeState]:
-        return [node for node in self.nodes.values() if node.healthy]
-
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
+    @property
+    def steals(self) -> int:
+        """How many checks left their primary for a less loaded replica."""
+        return self.placement.steals
+
+    def _unhealthy(self) -> frozenset[str]:
+        return frozenset(node_id for node_id, node in self.nodes.items() if not node.healthy)
+
     def replicas_for(self, key: str | None) -> list[NodeState]:
         """The replica set (primary first) for one routing key, healthy only."""
-        unhealthy = frozenset(
-            node_id for node_id, node in self.nodes.items() if not node.healthy
-        )
-        owners = self.ring.replicas_for(
-            key if key is not None else "unroutable", self.replication_factor,
-            exclude=unhealthy,
-        )
-        return [self.nodes[node_id] for node_id in owners]
+        return [self.nodes[node_id] for node_id in self.placement.owners(key, self._unhealthy())]
 
     def _no_nodes(self) -> protocol.ServiceError:
         return protocol.ServiceError(
@@ -388,32 +381,16 @@ class ClusterCoordinator:
     def plan_check(self, spec: dict[str, Any]) -> list[NodeState]:
         """The dispatch order for one check: steal target first, then failover.
 
-        The primary leads unless work-stealing applies: a store-referenced,
-        cache-cold spec whose primary is at or past ``steal_threshold``
-        in-flight requests moves to the least-loaded replica (replicas hold
-        the digest by construction).  The returned list is the failover
-        order -- callers walk it until a node answers.
+        The placement's steal rule runs against in-flight request counts;
+        the returned list is the failover order -- callers walk it until a
+        node answers.
         """
-        key = routing_key_of(spec)
-        candidates = self.replicas_for(key)
-        if not candidates:
+        order = self.placement.plan(
+            spec, lambda node_id: self.nodes[node_id].inflight, exclude=self._unhealthy()
+        )
+        if not order:
             raise self._no_nodes()
-        primary = candidates[0]
-        left = spec.get("left")
-        store_referenced = isinstance(left, dict) and isinstance(left.get("digest"), str)
-        if (
-            self.steal_threshold is not None
-            and store_referenced
-            and len(candidates) > 1
-            and primary.inflight >= self.steal_threshold
-            and (key is None or key not in primary.recent)
-        ):
-            target = min(candidates[1:], key=lambda node: node.inflight)
-            if target.inflight < primary.inflight:
-                candidates = [target] + [n for n in candidates if n is not target]
-                self.steals += 1
-        candidates[0].remember(key)
-        return candidates
+        return [self.nodes[node_id] for node_id in order]
 
     async def _dispatch(
         self,
@@ -473,6 +450,13 @@ class ClusterCoordinator:
             {"nodes_tried": len(candidates)},
         )
 
+    async def _dispatch_for(self, ref: Any, op: str, params: dict[str, Any]) -> dict[str, Any]:
+        """Route a one-process request to the process's replicas (failover order)."""
+        candidates = self.replicas_for(routing_key_of({"left": ref}))
+        if not candidates:
+            raise self._no_nodes()
+        return await self._dispatch(candidates, op, params)
+
     async def _repair_missing(self, node: NodeState, params: dict[str, Any]) -> int:
         """Push digest-referenced processes the node lacks; returns the count.
 
@@ -520,46 +504,7 @@ class ClusterCoordinator:
 
     async def check_many(self, params: dict[str, Any]) -> dict[str, Any]:
         """Fan a manifest across the cluster; per-check errors stay inline."""
-        checks = params.get("checks")
-        if not isinstance(checks, list):
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "check_many needs a 'checks' list of check objects"
-            )
-        defaults = {
-            key: params[key]
-            for key in ("notion", "align", "witness", "on_the_fly", "reduction", "deadline_ms")
-            if key in params
-        }
-
-        async def one(item: Any) -> dict[str, Any]:
-            if not isinstance(item, dict):
-                return {
-                    "error": {
-                        "code": protocol.BAD_REQUEST,
-                        "message": "each check must be an object",
-                    }
-                }
-            merged = {**defaults, **item}
-            try:
-                return await self.check(merged)
-            except protocol.ServiceError as error:
-                inline: dict[str, Any] = {"code": error.code, "message": error.message}
-                if error.data:
-                    inline["data"] = error.data
-                return {"error": inline}
-
-        results = list(await asyncio.gather(*(one(item) for item in checks)))
-        equivalent = sum(1 for r in results if r.get("equivalent") is True)
-        failed = sum(1 for r in results if "error" in r)
-        return {
-            "results": results,
-            "summary": {
-                "checks": len(results),
-                "equivalent": equivalent,
-                "inequivalent": len(results) - equivalent - failed,
-                "failed": failed,
-            },
-        }
+        return await batch.check_many(params, self.check)
 
     async def store_process(self, params: dict[str, Any]) -> dict[str, Any]:
         """Replicate one upload to the digest's replica set.
@@ -570,11 +515,7 @@ class ClusterCoordinator:
         persists its own copy too, so re-replication after a node loss has
         a durable source.
         """
-        ref = params.get("process")
-        if ref is None:
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "store needs a 'process' (inline serialised FSP)"
-            )
+        ref = protocol.process_param(params, "store")
         fsp = protocol.resolve_ref({"process": ref})
         digest = content_digest(fsp)
         if self.store is not None:
@@ -621,11 +562,7 @@ class ClusterCoordinator:
         and the quotient process is re-stored to the replica set so later
         checks can reference it by digest anywhere.
         """
-        ref = params.get("process")
-        if ref is None:
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "minimize needs a 'process' reference"
-            )
+        ref = protocol.process_param(params, "minimize")
         notion = str(params.get("notion", "observational"))
         digest: str | None = None
         if isinstance(ref, dict):
@@ -644,11 +581,7 @@ class ClusterCoordinator:
                 self.artifact_hits += 1
                 return {**cached, "from_artifact_cache": True}
             self.artifact_misses += 1
-        spec = {"left": ref}
-        candidates = self.replicas_for(routing_key_of(spec))
-        if not candidates:
-            raise self._no_nodes()
-        result = await self._dispatch(candidates, "minimize", params)
+        result = await self._dispatch_for(ref, "minimize", params)
         if self.store is not None and isinstance(digest, str):
             document = {k: v for k, v in result.items() if k != "from_artifact_cache"}
             try:
@@ -665,15 +598,8 @@ class ClusterCoordinator:
         return result
 
     async def classify(self, params: dict[str, Any]) -> dict[str, Any]:
-        ref = params.get("process")
-        if ref is None:
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "classify needs a 'process' reference"
-            )
-        candidates = self.replicas_for(routing_key_of({"left": ref}))
-        if not candidates:
-            raise self._no_nodes()
-        return await self._dispatch(candidates, "classify", params)
+        ref = protocol.process_param(params, "classify")
+        return await self._dispatch_for(ref, "classify", params)
 
     async def stats(self) -> dict[str, Any]:
         """Coordinator counters plus whatever each live node reports."""
@@ -696,29 +622,10 @@ class ClusterCoordinator:
                 "nodes": len(self.nodes),
                 "healthy_nodes": sum(1 for n in self.nodes.values() if n.healthy),
                 "replication_factor": self.replication_factor,
-                "steal_threshold": self.steal_threshold,
-                "failovers": self.failovers,
-                "steals": self.steals,
-                "repairs": self.repairs,
-                "replications": self.replications,
-                "replication_failures": self.replication_failures,
-                "artifact_hits": self.artifact_hits,
-                "artifact_misses": self.artifact_misses,
+                "steal_threshold": self.placement.steal_threshold,
+                **{name: getattr(self, name) for name in COUNTERS},
                 "inflight": {n.node_id: n.inflight for n in self.nodes.values()},
                 "store": self.store.cache_info() if self.store is not None else None,
             },
             "nodes": list(per_node),
         }
-
-    async def wait_healthy(self, *, timeout: float = 30.0, minimum: int = 1) -> None:
-        """Block until at least ``minimum`` nodes answer probes (for tests/CLI)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            health = await self.probe_once()
-            if sum(health.values()) >= minimum:
-                return
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"only {sum(health.values())}/{minimum} nodes healthy after {timeout:g}s"
-                )
-            await asyncio.sleep(0.2)

@@ -1,11 +1,11 @@
 """The HTTP/JSON gateway: the cluster's front door.
 
 A :class:`ClusterGateway` wraps one :class:`~repro.cluster.coordinator.
-ClusterCoordinator` in a small hand-rolled HTTP/1.1 server (stdlib asyncio
-only, same discipline as the rest of the service stack).  HTTP is the
-boundary where non-Python clients, load balancers and scrapers live; the
-wire RPCs map one-to-one onto POST routes and the two conventional probe
-endpoints are GETs:
+ClusterCoordinator` in the service's HTTP/1.1 responder
+(:mod:`repro.service.httpd`: stdlib asyncio, bounded reads, ``400`` on
+malformed requests).  HTTP is the boundary where non-Python clients, load
+balancers and scrapers live; the wire RPCs map one-to-one onto POST routes
+and the two conventional probe endpoints are GETs:
 
 ====================  =======================================================
 ``POST /v1/check``    one equivalence check (body = check params)
@@ -15,6 +15,7 @@ endpoints are GETs:
 ``POST /v1/store``       upload + replicate one process
 ``POST /v1/stats``       coordinator + per-node stats
 ``POST /v1/ping``        coordinator liveness detail
+``POST /v1/metrics``     the gateway registry as JSON (the ``metrics`` RPC)
 ``GET  /healthz``        200 when >= 1 node is healthy, else 503
 ``GET  /metrics``        Prometheus text (gateway + node-labelled engine series)
 ====================  =======================================================
@@ -26,6 +27,10 @@ HTTP statuses (``overloaded`` -> 429 with ``Retry-After``, ``unknown_digest``
 meaningful statuses and :class:`~repro.cluster.client.ClusterClient` can
 reconstruct the exact :class:`~repro.service.protocol.ServiceError`.
 
+Request metrics are labelled by route; every path that is not one of the
+routes above shares the one label :data:`UNKNOWN_ROUTE`, so hostile or
+mistyped paths cannot grow the series count.
+
 ``/metrics`` satisfies the per-node namespacing contract: engine counters
 fetched from each node's ``stats`` op (which the nodes label via
 ``Engine.export_stats(node=...)``) are re-exported as gauges labelled
@@ -36,19 +41,16 @@ engine in the cluster.
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import Any
 
-from repro.cluster.coordinator import ClusterCoordinator
-from repro.service import protocol
+from repro.cluster.coordinator import COUNTERS, ClusterCoordinator
+from repro.service import httpd, protocol
 from repro.service.metrics import MetricsRegistry
+from repro.service.server import run_until_interrupted
 
 from repro.cluster import DEFAULT_GATEWAY_PORT
 
 __all__ = ["DEFAULT_GATEWAY_PORT", "ClusterGateway", "serve_gateway"]
-
-#: Largest accepted request body; same ceiling as one NDJSON frame.
-MAX_BODY_BYTES = protocol.MAX_FRAME_BYTES
 
 #: HTTP status for each service error code.
 _STATUS_FOR_CODE = {
@@ -62,10 +64,11 @@ _STATUS_FOR_CODE = {
     protocol.INTERNAL: 500,
 }
 
-_POST_OPS = ("check", "check_many", "minimize", "classify", "store", "stats", "ping")
+_POST_OPS = ("check", "check_many", "minimize", "classify", "store", "stats", "ping", "metrics")
 
-#: Node stats fetch for /metrics must not stall a scrape behind a sick node.
-METRICS_STATS_TIMEOUT = 5.0
+#: The ``route`` label of every request to a path that is no known route.
+UNKNOWN_ROUTE = "unknown"
+_ROUTES = frozenset({"/healthz", "/metrics", *(f"/v1/{op}" for op in _POST_OPS)})
 
 
 class ClusterGateway:
@@ -99,29 +102,9 @@ class ClusterGateway:
             node_healthy.labels(node_id).set_function(
                 lambda node=node: 1.0 if node.healthy else 0.0
             )
-        for name, help_text, attr in (
-            ("repro_cluster_failovers_total", "requests retried on another node", "failovers"),
-            ("repro_cluster_steals_total", "checks stolen from a busy primary", "steals"),
-            ("repro_cluster_repairs_total", "digest read-repairs pushed to nodes", "repairs"),
-            ("repro_cluster_replications_total", "replica uploads accepted", "replications"),
-            (
-                "repro_cluster_replication_failures_total",
-                "replica uploads that failed",
-                "replication_failures",
-            ),
-            (
-                "repro_cluster_artifact_hits_total",
-                "minimize served from artifacts",
-                "artifact_hits",
-            ),
-            (
-                "repro_cluster_artifact_misses_total",
-                "minimize artifact lookups that missed",
-                "artifact_misses",
-            ),
-        ):
-            self.registry.gauge(name, help_text).labels().set_function(
-                lambda attr=attr: float(getattr(self.coordinator, attr))
+        for name, help_text in COUNTERS.items():
+            self.registry.gauge(f"repro_cluster_{name}_total", help_text).labels().set_function(
+                lambda name=name: float(getattr(self.coordinator, name))
             )
         # Engine counters re-exported per (node, shard); refreshed on scrape.
         self._engine_series = self.registry.gauge(
@@ -135,11 +118,8 @@ class ClusterGateway:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         await self.coordinator.start()
-        self._server = await asyncio.start_server(self._handle_connection, self.host, self.port)
-        sockets = self._server.sockets or ()
-        for sock in sockets:
-            self.port = sock.getsockname()[1]
-            break
+        self._server = await httpd.start_server(self._route, self.host, self.port)
+        self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
         if self._server is not None:
@@ -156,119 +136,29 @@ class ClusterGateway:
             await self._server.serve_forever()
 
     # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, path, headers, body = request
-                status, payload, extra = await self._route(method, path, body)
-                keep_alive = headers.get("connection", "").lower() != "close"
-                await self._write_response(writer, status, payload, extra, keep_alive)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, ValueError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - peer reset
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
-        try:
-            request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
-            return None
-        if not request_line:
-            return None
-        parts = request_line.decode("latin-1").split()
-        if len(parts) != 3:
-            raise ValueError("malformed request line")
-        method, target, _version = parts
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise ValueError("request body too large")
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), target.split("?", 1)[0], headers, body
-
-    async def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Any,
-        extra_headers: dict[str, str],
-        keep_alive: bool,
-    ) -> None:
-        reason = {
-            200: "OK",
-            400: "Bad Request",
-            404: "Not Found",
-            405: "Method Not Allowed",
-            422: "Unprocessable Entity",
-            429: "Too Many Requests",
-            500: "Internal Server Error",
-            503: "Service Unavailable",
-            504: "Gateway Timeout",
-        }.get(status, "OK")
-        if isinstance(payload, str):
-            body = payload.encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            body = (json.dumps(payload) + "\n").encode("utf-8")
-            content_type = "application/json"
-        headers = [
-            f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        headers.extend(f"{name}: {value}" for name, value in extra_headers.items())
-        writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + body)
-        await writer.drain()
-
-    # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
     async def _route(
         self, method: str, path: str, body: bytes
     ) -> tuple[int, Any, dict[str, str]]:
-        route = path
+        route = path if path in _ROUTES else UNKNOWN_ROUTE
         self._requests.labels(route).inc()
         loop = asyncio.get_running_loop()
         started = loop.time()
         try:
-            if path == "/healthz":
+            if route == UNKNOWN_ROUTE:
+                return self._error(route, 404, protocol.UNKNOWN_OP, f"unknown route {path!r}")
+            if route == "/healthz":
                 if method != "GET":
                     return self._error(route, 405, protocol.BAD_REQUEST, "healthz is GET only")
                 return await self._healthz()
-            if path == "/metrics":
+            if route == "/metrics":
                 if method != "GET":
                     return self._error(route, 405, protocol.BAD_REQUEST, "metrics is GET only")
                 return 200, await self._render_metrics(), {}
-            if path.startswith("/v1/"):
-                op = path[len("/v1/") :]
-                if op not in _POST_OPS:
-                    return self._error(route, 404, protocol.UNKNOWN_OP, f"unknown route {path!r}")
-                if method != "POST":
-                    return self._error(route, 405, protocol.BAD_REQUEST, f"{path} is POST only")
-                return await self._rpc(route, op, body)
-            return self._error(route, 404, protocol.UNKNOWN_OP, f"unknown route {path!r}")
+            if method != "POST":
+                return self._error(route, 405, protocol.BAD_REQUEST, f"{path} is POST only")
+            return await self._rpc(route, route[len("/v1/") :], body)
         finally:
             self._latency.labels(route).observe(loop.time() - started)
 
@@ -281,26 +171,18 @@ class ClusterGateway:
         data: dict[str, Any] | None = None,
     ) -> tuple[int, Any, dict[str, str]]:
         self._errors.labels(route, code).inc()
-        error: dict[str, Any] = {"code": code, "message": message}
-        if data:
-            error["data"] = data
         extra: dict[str, str] = {}
         if code == protocol.OVERLOADED:
             retry_ms = (data or {}).get("retry_after_ms")
             if isinstance(retry_ms, (int, float)):
                 extra["Retry-After"] = str(max(1, round(retry_ms / 1000)))
-        return status, {"ok": False, "error": error}, extra
+        return status, httpd.envelope_error(code, message, data), extra
 
     async def _rpc(self, route: str, op: str, body: bytes) -> tuple[int, Any, dict[str, str]]:
-        if body:
-            try:
-                params = json.loads(body.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                return self._error(route, 400, protocol.BAD_REQUEST, "body is not valid JSON")
-            if not isinstance(params, dict):
-                return self._error(route, 400, protocol.BAD_REQUEST, "body must be a JSON object")
-        else:
-            params = {}
+        try:
+            params = protocol.decode_frame(body) if body else {}
+        except protocol.ProtocolError as error:
+            return self._error(route, 400, protocol.BAD_REQUEST, f"body: {error}")
         try:
             if op == "ping":
                 result = await self.coordinator.ping()
@@ -314,6 +196,9 @@ class ClusterGateway:
                 result = await self.coordinator.minimize(params)
             elif op == "classify":
                 result = await self.coordinator.classify(params)
+            elif op == "metrics":
+                await self._refresh_engine_series()
+                result = {"metrics": self.registry.snapshot()}
             else:  # store
                 result = await self.coordinator.store_process(params)
         except protocol.ServiceError as error:
@@ -339,28 +224,16 @@ class ClusterGateway:
         return self.registry.render()
 
     async def _refresh_engine_series(self) -> None:
-        async def fetch(node) -> tuple[str, dict[str, Any] | None]:
-            try:
-                return node.node_id, await node.link.request(
-                    "stats", timeout=METRICS_STATS_TIMEOUT
-                )
-            except (ConnectionError, OSError, protocol.ServiceError):
-                return node.node_id, None
-
-        results = await asyncio.gather(
-            *(fetch(node) for node in self.coordinator.nodes.values() if node.healthy)
-        )
-        for node_id, stats in results:
-            if not stats:
-                continue
-            for shard in stats.get("shards", []) or []:
+        """Re-export every live node's engine counters (from the stats op)."""
+        for node in (await self.coordinator.stats())["nodes"]:
+            for shard in node.get("shards", []) or []:
                 engine = shard.get("engine") if isinstance(shard, dict) else None
                 if not isinstance(engine, dict):
                     continue
                 shard_label = str(shard.get("shard", "?"))
                 # export_stats labels the payload with node=...; prefer the
                 # node's own label so relabelled nodes stay distinguishable.
-                node_label = str(engine.get("node") or node_id)
+                node_label = str(engine.get("node") or node["node"])
                 for stat, value in engine.items():
                     if isinstance(value, (int, float)) and not isinstance(value, bool):
                         self._engine_series.labels(node_label, shard_label, stat).set(
@@ -390,21 +263,8 @@ def serve_gateway(
         probe_interval=probe_interval,
     )
     gateway = ClusterGateway(coordinator, host=host, port=port)
-
-    async def main() -> None:
-        await gateway.start()
-        node_list = ", ".join(sorted(nodes))
-        print(
-            f"repro cluster gateway on http://{gateway.host}:{gateway.port} "
-            f"-> nodes [{node_list}] (rf={coordinator.replication_factor})",
-            flush=True,
-        )
-        try:
-            await gateway.serve_forever()
-        finally:
-            await gateway.stop()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        pass
+    run_until_interrupted(
+        gateway,
+        lambda: f"repro cluster gateway on http://{gateway.host}:{gateway.port} "
+        f"-> nodes [{', '.join(sorted(nodes))}] (rf={coordinator.replication_factor})",
+    )

@@ -29,28 +29,22 @@ never poisons the cache.
 from __future__ import annotations
 
 import json
-import os
 import re
-import tempfile
 import threading
 from pathlib import Path
 from typing import Any
 
-from repro.service.store import ProcessStore
+from repro.service.store import HEX_DIGEST, ProcessStore, digest_hex, write_atomically
 
 __all__ = ["ClusterStore"]
 
 #: Notion names double as filename components; keep them boring.
 _NOTION_RE = re.compile(r"^[a-z0-9_-]{1,64}$")
 
-_HEX_RE = re.compile(r"^[0-9a-f]{64}$")
-
 
 def _artifact_parts(digest: str, notion: str) -> tuple[str, str]:
     """Validated ``(hex, notion)`` filename parts for one artifact key."""
-    prefix, _, hex_part = digest.partition(":")
-    if prefix != "sha256" or not _HEX_RE.match(hex_part):
-        raise KeyError(f"malformed digest {digest!r}")
+    hex_part = digest_hex(digest)
     if not _NOTION_RE.match(notion):
         raise KeyError(f"notion {notion!r} is not a valid artifact key component")
     return hex_part, notion
@@ -77,7 +71,7 @@ class ClusterStore:
             hex_part, dot, notion = stem.partition(".")
             if (
                 dot
-                and _HEX_RE.match(hex_part)
+                and HEX_DIGEST.fullmatch(hex_part)
                 and _NOTION_RE.match(notion)
                 and path.parent.name == hex_part[:2]
             ):
@@ -93,18 +87,8 @@ class ClusterStore:
         """Persist one minimisation artifact (atomic, idempotent)."""
         path = self.artifact_path(digest, notion)
         if not path.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(document, handle, separators=(",", ":"), sort_keys=True)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except FileNotFoundError:
-                    pass
-                raise
+            text = json.dumps(document, separators=(",", ":"), sort_keys=True)
+            write_atomically(path, text.encode("utf-8"))
         with self._lock:
             self._artifact_index.add((digest, notion))
 

@@ -1,10 +1,13 @@
-"""A small synchronous client for the equivalence service.
+"""The synchronous client for the equivalence service and the cluster.
 
-:class:`ServiceClient` speaks the NDJSON protocol of
-:mod:`repro.service.protocol` over one TCP connection.  It is deliberately
-synchronous -- the CLI, tests and most scripts want a blocking call per
-question -- and deliberately thin: requests go out, responses come back, and
-``ok: false`` responses are raised as
+Every RPC method is written once, here, on :class:`ServiceClient`, over one
+transport hook (:meth:`ServiceClient._request_once`).  ``ServiceClient``
+speaks the NDJSON protocol of :mod:`repro.service.protocol` over one TCP
+connection to a node; :class:`~repro.cluster.client.ClusterClient` swaps in
+the gateway's HTTP/JSON transport and adds only the two HTTP probe reads.
+The client is deliberately synchronous -- the CLI, tests and most scripts
+want a blocking call per question -- and deliberately thin: requests go out,
+responses come back, and ``ok: false`` responses are raised as
 :class:`~repro.service.protocol.ServiceError` with their error code intact.
 
 The idiomatic heavy-traffic shape is *store once, check by digest*::
@@ -47,12 +50,12 @@ def _overload_hint(error: Exception) -> Any:
     """RetryPolicy predicate: retryable iff the error is ``overloaded``."""
     if isinstance(error, protocol.ServiceError) and error.code == protocol.OVERLOADED:
         hint = (error.data or {}).get("retry_after_ms")
-        return hint if isinstance(hint, (int, float)) else None
+        return float(hint) if isinstance(hint, (int, float)) else None
     return False
 
 
 class ServiceClient:
-    """One connection to a running equivalence service.
+    """One connection to a running equivalence service (NDJSON over TCP).
 
     ``overload_retries`` bounds how many times an ``overloaded`` response is
     retried (with jittered backoff honouring the server's ``retry_after_ms``)
@@ -71,16 +74,20 @@ class ServiceClient:
     ) -> None:
         self.host = host
         self.port = port
-        self._socket = socket.create_connection((host, port), timeout=timeout)
-        self._reader = self._socket.makefile("rb")
-        self._next_id = 0
+        self.timeout = timeout
         self._retry = (
             retry_policy if retry_policy is not None else RetryPolicy(overload_retries)
         )
+        self._open()
 
     # ------------------------------------------------------------------
-    # transport
+    # transport (the NDJSON one; ClusterClient overrides these three)
     # ------------------------------------------------------------------
+    def _open(self) -> None:
+        self._socket = socket.create_connection((self.host, self.port), timeout=self.timeout)
+        self._reader = self._socket.makefile("rb")
+        self._next_id = 0
+
     def request(self, op: str, params: dict[str, Any] | None = None) -> dict[str, Any]:
         """Send one request and block for its response.
 
@@ -130,11 +137,13 @@ class ServiceClient:
     # operations
     # ------------------------------------------------------------------
     def ping(self) -> dict[str, Any]:
-        """Liveness probe; returns the server's version and shard count."""
+        """Liveness probe: a node's version and shard count, or the cluster's
+        node health and replication factor."""
         return self.request("ping")
 
     def store(self, process: FSP | dict) -> str:
-        """Upload a process; returns its content digest for later references."""
+        """Upload a process (replicated, on a cluster); returns its content
+        digest for later references."""
         ref = protocol.process_ref(process)
         return self.request("store", {"process": ref["process"]})["digest"]
 
@@ -230,7 +239,8 @@ class ServiceClient:
         return self.request("check_many", params)
 
     def minimize(self, process: ProcessLike, notion: str = "observational") -> FSP:
-        """The quotient of a process under strong/observational equivalence."""
+        """The quotient of a process under strong/observational equivalence
+        (a cluster serves it from its artifact cache first)."""
         result = self.request(
             "minimize", {"process": protocol.process_ref(process), "notion": notion}
         )
@@ -241,9 +251,10 @@ class ServiceClient:
         return self.request("classify", {"process": protocol.process_ref(process)})["classes"]
 
     def stats(self) -> dict[str, Any]:
-        """Server totals plus per-shard engine/store cache statistics."""
+        """Server totals plus per-shard engine/store cache statistics (on a
+        cluster: coordinator counters plus each node's stats)."""
         return self.request("stats")
 
     def metrics(self) -> dict[str, Any]:
-        """The server's metrics registry snapshot (the ``metrics`` RPC)."""
+        """The server's (or gateway's) metrics registry snapshot."""
         return self.request("metrics")["metrics"]

@@ -150,14 +150,23 @@ def ok_response(request_id: Any, result: dict[str, Any]) -> bytes:
     return encode_frame({"id": request_id, "ok": True, "result": result})
 
 
+def error_object(code: str, message: str, data: dict[str, Any] | None = None) -> dict[str, Any]:
+    """The ``error`` member of a failed answer (``data`` only when non-empty).
+
+    One shape everywhere an error is reported: NDJSON responses, HTTP
+    envelopes and the inline slots of a ``check_many`` result.
+    """
+    error: dict[str, Any] = {"code": code, "message": message}
+    if data:
+        error["data"] = data
+    return error
+
+
 def error_response(
     request_id: Any, code: str, message: str, data: dict[str, Any] | None = None
 ) -> bytes:
     """Encode one error response line (``data`` is optional extra context)."""
-    error: dict[str, Any] = {"code": code, "message": message}
-    if data:
-        error["data"] = data
-    return encode_frame({"id": request_id, "ok": False, "error": error})
+    return encode_frame({"id": request_id, "ok": False, "error": error_object(code, message, data)})
 
 
 def parse_request(line: bytes) -> tuple[Any, str, dict[str, Any]]:
@@ -205,11 +214,24 @@ def parse_response(line: bytes) -> tuple[Any, dict[str, Any]]:
         Re-raised from an ``ok: false`` response, carrying its code.
     """
     document = decode_frame(line)
+    return document.get("id"), response_result(document)
+
+
+def response_result(document: dict[str, Any]) -> dict[str, Any]:
+    """The ``result`` of a decoded ``{"ok": ...}`` answer (NDJSON or HTTP).
+
+    Raises
+    ------
+    ProtocolError
+        If the answer is neither a success nor a structured error.
+    ServiceError
+        Re-raised from an ``ok: false`` answer, carrying its code.
+    """
     if document.get("ok") is True:
         result = document.get("result")
         if not isinstance(result, dict):
             raise ProtocolError("success response must carry a 'result' object")
-        return document.get("id"), result
+        return result
     error = document.get("error")
     if not isinstance(error, dict):
         raise ProtocolError("response is neither ok nor carries an 'error' object")
@@ -255,6 +277,20 @@ def process_ref(source) -> dict[str, Any]:
     if isinstance(source, SystemSpec):
         return {"system": spec_to_document(source)}
     raise TypeError(f"cannot encode a process reference from {type(source).__name__}")
+
+
+def process_param(params: dict[str, Any], op: str) -> Any:
+    """The ``process`` reference of a ``store``/``minimize``/``classify`` request.
+
+    Raises
+    ------
+    ServiceError
+        :data:`BAD_REQUEST` when the request carries none.
+    """
+    ref = params.get("process")
+    if ref is None:
+        raise ServiceError(BAD_REQUEST, f"{op} needs a 'process' reference")
+    return ref
 
 
 def resolve_operand(ref: Any, store=None):

@@ -9,9 +9,10 @@ pool, and streams responses back -- so thousands of idle connections cost
 almost nothing and the CPU-bound work saturates the worker processes.
 
 Requests on one connection are answered in order (clients may pipeline);
-``check_many`` fans its specs out across shards concurrently and reassembles
-the results in manifest order, reporting per-check errors inline so one bad
-spec cannot poison a 10,000-check batch.
+``check_many`` fans its specs out across shards concurrently through the
+fan-out the cluster coordinator shares (:mod:`repro.service.batch`),
+reassembling the results in manifest order and reporting per-check errors
+inline so one bad spec cannot poison a 10,000-check batch.
 
 Production posture
 ------------------
@@ -29,7 +30,8 @@ Production posture
 * **Metrics.**  One :class:`~repro.service.metrics.MetricsRegistry` counts
   requests/errors per op, times requests, queue waits and engine seconds,
   and gauges live queue depths; exported by the ``metrics`` RPC (JSON) and,
-  with ``metrics_port``, a Prometheus-text HTTP endpoint.  ``trace_stream``
+  with ``metrics_port``, a Prometheus-text HTTP endpoint (``GET /`` or
+  ``GET /metrics``, served by :mod:`repro.service.httpd`).  ``trace_stream``
   additionally logs one JSON record per request (id, op, client, shard,
   queue wait, engine time, cache provenance).
 
@@ -43,11 +45,13 @@ import asyncio
 import tempfile
 import time
 from collections import OrderedDict
+from collections.abc import Callable
 from typing import IO, Any
 
 from repro import __version__
-from repro.service import flow, protocol
+from repro.service import batch, flow, httpd, protocol
 from repro.service.metrics import MetricsRegistry, TraceLog
+from repro.service.placement import routing_key_of
 from repro.service.protocol import DEFAULT_PORT
 from repro.service.shards import (
     DEFAULT_MAX_PROCESSES,
@@ -218,8 +222,8 @@ class EquivalenceServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.metrics_port is not None:
-            self._metrics_server = await asyncio.start_server(
-                self._handle_metrics_http, self.host, self.metrics_port
+            self._metrics_server = await httpd.start_server(
+                self._metrics_http, self.host, self.metrics_port
             )
             self.metrics_port = self._metrics_server.sockets[0].getsockname()[1]
 
@@ -394,8 +398,9 @@ class EquivalenceServer:
         self._trace.record(**fields)
 
     @staticmethod
-    def _deadline_from(params: dict[str, Any]) -> float | None:
-        """``deadline_ms`` (a duration) as an absolute monotonic instant."""
+    def _deadline_from(params: dict[str, Any], started: float | None = None) -> float | None:
+        """``deadline_ms`` (a duration from ``started``, default now) as an
+        absolute monotonic instant."""
         value = params.get("deadline_ms")
         if value is None:
             return None
@@ -403,25 +408,7 @@ class EquivalenceServer:
             raise protocol.ServiceError(
                 protocol.BAD_REQUEST, "'deadline_ms' must be a positive number of milliseconds"
             )
-        return time.monotonic() + float(value) / 1000.0
-
-    async def _run_with_watchdog(self, shard: int, deadline: float | None, fn, *args) -> Any:
-        """``pool.run_async`` bounded by a server-side deadline.
-
-        Used by ops whose workers do not thread deadlines internally
-        (minimize/classify): the job itself is not cancelled, but the client
-        gets its structured timeout instead of an unbounded wait.
-        """
-        coro = self.pool.run_async(shard, fn, *args)
-        remaining = flow.remaining_seconds(deadline)
-        if remaining is None:
-            return await coro
-        try:
-            return await asyncio.wait_for(coro, timeout=max(remaining, 0.0))
-        except asyncio.TimeoutError:
-            raise protocol.ServiceError(
-                protocol.DEADLINE_EXCEEDED, "deadline expired before the worker answered"
-            ) from None
+        return (time.monotonic() if started is None else started) + float(value) / 1000.0
 
     # ------------------------------------------------------------------
     # operations
@@ -449,11 +436,7 @@ class EquivalenceServer:
         raise protocol.ServiceError(protocol.UNKNOWN_OP, f"unhandled op {op!r}")  # unreachable
 
     async def _op_store(self, params: dict[str, Any]) -> dict[str, Any]:
-        ref = params.get("process")
-        if ref is None:
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "store needs a 'process' (inline serialised FSP)"
-            )
+        ref = protocol.process_param(params, "store")
 
         def put() -> dict[str, Any]:
             # Validation, digesting and the disk write are CPU/IO work; run
@@ -470,20 +453,20 @@ class EquivalenceServer:
         return await asyncio.to_thread(put)
 
     @staticmethod
-    def _check_spec(params: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any]:
+    def _check_spec(params: dict[str, Any]) -> dict[str, Any]:
         """Normalise one check's parameters into a worker job spec."""
         spec = {
             "left": params.get("left"),
             "right": params.get("right"),
-            "notion": params.get("notion", defaults.get("notion", "observational")),
-            "align": bool(params.get("align", defaults.get("align", True))),
-            "witness": bool(params.get("witness", defaults.get("witness", False))),
+            "notion": params.get("notion", "observational"),
+            "align": bool(params.get("align", True)),
+            "witness": bool(params.get("witness", False)),
             # None means "decide by operand shape": composed-system operands
             # take the lazy route, plain processes the cached eager route.
-            "on_the_fly": params.get("on_the_fly", defaults.get("on_the_fly")),
+            "on_the_fly": params.get("on_the_fly"),
             "params": params.get("params", {}),
         }
-        reduction = params.get("reduction", defaults.get("reduction"))
+        reduction = params.get("reduction")
         if reduction is not None:
             # Validated here so a typo answers as bad_request instead of
             # silently running the unreduced route in the worker.
@@ -502,107 +485,37 @@ class EquivalenceServer:
             raise protocol.ServiceError(protocol.BAD_REQUEST, "'params' must be a JSON object")
         return spec
 
-    async def _op_check(self, params: dict[str, Any]) -> dict[str, Any]:
-        spec = self._check_spec(params, {})
-        deadline = self._deadline_from(params)
+    async def _op_check(
+        self, params: dict[str, Any], started: float | None = None
+    ) -> dict[str, Any]:
+        spec = self._check_spec(params)
+        deadline = self._deadline_from(params, started)
         result = await self.pool.run_async_check(spec, deadline=deadline)
         self._observe_check(result)
         return result
 
     async def _op_check_many(self, params: dict[str, Any]) -> dict[str, Any]:
-        checks = params.get("checks")
-        if not isinstance(checks, list):
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "check_many needs a 'checks' list of check objects"
-            )
-        defaults = {
-            "notion": params.get("notion", "observational"),
-            "align": params.get("align", True),
-            "witness": params.get("witness", False),
-            "on_the_fly": params.get("on_the_fly"),
-            "reduction": params.get("reduction"),
-        }
-        # One deadline for the whole batch: every spec gets the same
-        # absolute instant, so stragglers abort together.
-        deadline = self._deadline_from(params)
-        specs = []
-        for index, item in enumerate(checks):
-            if not isinstance(item, dict):
-                raise protocol.ServiceError(
-                    protocol.BAD_REQUEST, f"check #{index} must be an object"
-                )
-            specs.append(self._check_spec(item, defaults))
-
-        async def one(spec: dict[str, Any]) -> dict[str, Any]:
-            from concurrent.futures.process import BrokenProcessPool
-
-            try:
-                result = await self.pool.run_async_check(spec, deadline=deadline)
-                self._observe_check(result)
-                return result
-            except protocol.ServiceError as error:
-                # Per-check failure: reported inline, the batch continues.
-                inline: dict[str, Any] = {"code": error.code, "message": error.message}
-                if error.data:
-                    inline["data"] = error.data
-                return {"error": inline}
-            except BrokenProcessPool:
-                # The spec killed its worker even after the revive-and-retry:
-                # report it inline rather than poisoning the whole batch.
-                return {
-                    "error": {
-                        "code": protocol.INTERNAL,
-                        "message": "worker process crashed while serving this check",
-                    }
-                }
-            except Exception as error:
-                # Any other worker-side failure (e.g. a corrupt store entry)
-                # is also confined to its own slot of the batch.
-                return {"error": {"code": protocol.INTERNAL, "message": repr(error)}}
-
-        results = await asyncio.gather(*(one(spec) for spec in specs))
-        equivalent = sum(1 for r in results if r.get("equivalent") is True)
-        failed = sum(1 for r in results if "error" in r)
-        return {
-            "results": list(results),
-            "summary": {
-                "checks": len(results),
-                "equivalent": equivalent,
-                "inequivalent": len(results) - equivalent - failed,
-                "failed": failed,
-            },
-        }
+        # One start instant for the whole batch: a batch ``deadline_ms`` is
+        # one absolute deadline, so stragglers abort together.
+        started = time.monotonic()
+        return await batch.check_many(params, lambda check: self._op_check(check, started))
 
     async def _op_minimize(self, params: dict[str, Any]) -> dict[str, Any]:
-        ref = params.get("process")
-        if ref is None:
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "minimize needs a 'process' reference"
-            )
+        ref = protocol.process_param(params, "minimize")
         notion = params.get("notion", "observational")
-        deadline = self._deadline_from(params)
-        shard = self.pool.route_check({"left": ref})
-        return await self._run_with_watchdog(shard, deadline, _worker_minimize, ref, notion)
+        return await self._run_for(ref, params, _worker_minimize, ref, notion)
 
     async def _op_classify(self, params: dict[str, Any]) -> dict[str, Any]:
-        ref = params.get("process")
-        if ref is None:
-            raise protocol.ServiceError(
-                protocol.BAD_REQUEST, "classify needs a 'process' reference"
-            )
-        deadline = self._deadline_from(params)
-        shard = self.pool.route_check({"left": ref})
-        return await self._run_with_watchdog(shard, deadline, _worker_classify, ref)
+        ref = protocol.process_param(params, "classify")
+        return await self._run_for(ref, params, _worker_classify, ref)
+
+    async def _run_for(self, ref: Any, params: dict[str, Any], fn, *args) -> dict[str, Any]:
+        """Run a one-process job on the process's shard, bounded by the request deadline."""
+        order = self.pool.placement.owners(routing_key_of({"left": ref}))
+        return await self.pool.run_async(order, fn, *args, deadline=self._deadline_from(params))
 
     async def _op_stats(self) -> dict[str, Any]:
-        from repro.service.shards import _worker_stats
-
-        shard_stats = await asyncio.gather(
-            *(
-                self.pool.run_async(shard, _worker_stats)
-                for shard in range(self.pool.num_shards)
-            )
-        )
+        shard_stats = await self.pool.shard_stats()
         return {
             "server": {
                 "version": __version__,
@@ -617,90 +530,31 @@ class EquivalenceServer:
                 "quota_clients": len(self._buckets),
                 "store": self.store.cache_info(),
             },
-            "shards": list(shard_stats),
+            "shards": shard_stats,
         }
 
     # ------------------------------------------------------------------
     # the Prometheus scrape endpoint
     # ------------------------------------------------------------------
-    async def _handle_metrics_http(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """A deliberately minimal HTTP/1.1 responder: any GET gets the text.
-
-        This is a scrape endpoint, not a web server: one request per
-        connection, headers are read and discarded, and the response always
-        closes the connection (Prometheus handles both politely).
-        """
-        try:
-            while True:
-                line = await asyncio.wait_for(reader.readline(), timeout=5.0)
-                if not line or line in (b"\r\n", b"\n"):
-                    break
-            body = self.registry.render().encode("utf-8")
-            head = (
-                "HTTP/1.1 200 OK\r\n"
-                "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n"
-                "\r\n"
-            )
-            writer.write(head.encode("ascii") + body)
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                pass
+    async def _metrics_http(self, method: str, path: str, body: bytes) -> httpd.Response:
+        """``GET /`` and ``GET /metrics`` answer the Prometheus text; nothing else does."""
+        if path not in ("/", "/metrics"):
+            return 404, httpd.envelope_error(protocol.UNKNOWN_OP, f"unknown route {path!r}"), {}
+        if method != "GET":
+            return 405, httpd.envelope_error(protocol.BAD_REQUEST, f"{path} is GET only"), {}
+        return 200, self.registry.render(), {}
 
 
-def serve(
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_PORT,
-    *,
-    store_root: str | None = None,
-    num_shards: int | None = None,
-    max_processes: int = DEFAULT_MAX_PROCESSES,
-    max_verdicts: int = DEFAULT_MAX_VERDICTS,
-    max_queue: int | None = None,
-    steal_threshold: int | None = None,
-    quota_rps: float | None = None,
-    quota_burst: float | None = None,
-    metrics_port: int | None = None,
-    trace_stream: IO[str] | None = None,
-    node_name: str | None = None,
-) -> None:
-    """Blocking entry point used by ``repro serve`` (Ctrl-C to stop)."""
+def run_until_interrupted(server: Any, banner: Callable[[], str]) -> None:
+    """Start ``server``, print ``banner()``, serve until Ctrl-C, then stop it.
+
+    The blocking entry point behind ``repro serve``, ``repro cluster
+    serve-node`` and ``repro cluster serve-gateway``.
+    """
 
     async def main() -> None:
-        server = EquivalenceServer(
-            host,
-            port,
-            store_root=store_root,
-            num_shards=num_shards,
-            max_processes=max_processes,
-            max_verdicts=max_verdicts,
-            max_queue=max_queue,
-            steal_threshold=steal_threshold,
-            quota_rps=quota_rps,
-            quota_burst=quota_burst,
-            metrics_port=metrics_port,
-            trace_stream=trace_stream,
-            node_name=node_name,
-        )
         await server.start()
-        extras = ""
-        if server.metrics_port is not None:
-            extras = f", metrics on :{server.metrics_port}"
-        name = f" [{server.node_name}]" if server.node_name else ""
-        print(
-            f"repro service{name} on {server.host}:{server.port} "
-            f"({server.pool.num_shards} shard(s), store at {server.store.root}{extras})",
-            flush=True,
-        )
+        print(banner(), flush=True)
         try:
             await server.serve_forever()
         finally:
@@ -710,3 +564,21 @@ def serve(
         asyncio.run(main())
     except KeyboardInterrupt:
         pass
+
+
+def serve(host: str = "127.0.0.1", port: int = DEFAULT_PORT, **options: Any) -> None:
+    """Blocking entry point used by ``repro serve`` (Ctrl-C to stop).
+
+    ``options`` are :class:`EquivalenceServer`'s keyword arguments.
+    """
+    server = EquivalenceServer(host, port, **options)
+
+    def banner() -> str:
+        extras = f", metrics on :{server.metrics_port}" if server.metrics_port is not None else ""
+        name = f" [{server.node_name}]" if server.node_name else ""
+        return (
+            f"repro service{name} on {server.host}:{server.port} "
+            f"({server.pool.num_shards} shard(s), store at {server.store.root}{extras})"
+        )
+
+    run_until_interrupted(server, banner)

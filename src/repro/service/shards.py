@@ -5,12 +5,14 @@ but the engine's speed on server-style traffic comes from its *caches* --
 and a naive shared pool scatters each process's checks across workers, so
 every worker pays to compile the same artifacts.  A :class:`ShardPool`
 instead owns ``num_shards`` :class:`~concurrent.futures.ProcessPoolExecutor`
-instances of one worker process each, and routes every check by the content
-digest of its left process (:func:`repro.utils.serialization.content_digest`).
-The routing is therefore *sticky*: all checks touching a given process land
-on the same worker, whose private bounded :class:`~repro.engine.Engine`
-keeps that process's quotients, kernels and verdicts hot, while the shards
-together multiply both the usable CPU and the aggregate cache capacity.
+instances of one worker process each, and places every check by the content
+digest of its left process on a hash ring over the shard indices
+(:class:`~repro.service.placement.Placement`, the same policy the cluster
+coordinator applies to nodes).  The routing is therefore *sticky*: all
+checks touching a given process land on the same worker, whose private
+bounded :class:`~repro.engine.Engine` keeps that process's quotients,
+kernels and verdicts hot, while the shards together multiply both the
+usable CPU and the aggregate cache capacity.
 
 Worker lifecycle
 ----------------
@@ -25,10 +27,11 @@ which is exactly what lets a client upload a process once and check it
 thousands of times without re-shipping it.
 
 A crashed worker (OOM-killed, segfaulted C extension, ``os._exit``) breaks
-its executor; :meth:`ShardPool.run` and :meth:`ShardPool.run_async` revive
-the shard with a fresh executor -- the replacement worker starts with cold
-caches but the content-addressed store still has every uploaded process --
-and retry the job once before giving up.  Only genuine worker death
+its executor; :meth:`ShardPool.run_async` revives the shard with a fresh
+executor -- the replacement worker starts with cold caches but the
+content-addressed store still has every uploaded process -- and retries the
+job once, on the next shard of the job's failover order, before giving up.
+Only genuine worker death
 (:class:`~concurrent.futures.process.BrokenProcessPool`) takes that path:
 every job submitted to a shard runs under :func:`_guarded`, which converts
 *job-level* failures -- including exceptions that would not survive the
@@ -47,30 +50,28 @@ Service hardening (deadlines, backpressure, work-stealing)
 * ``max_queue`` bounds each shard's submitted-but-unfinished depth; the
   pool answers ``overloaded`` (with a retry hint) instead of queueing
   unboundedly.
-* ``steal_threshold`` enables digest-affinity-preserving work-stealing:
-  when a job's home shard is backed up, the job migrates to the least
-  loaded shard *only if* it is store-referenced (any worker can resolve it
-  against the shared store) and cache-cold on its home shard (its routing
-  key has not been dispatched there recently -- stealing a cache-hot job
-  would squander exactly the affinity the routing exists to build).  A
-  stolen job whose host crashes falls back to its home shard once.
+* ``steal_threshold`` enables digest-affinity-preserving work-stealing
+  (the placement's steal rule over live queue depths): when a job's home
+  shard is backed up, the job migrates to the least loaded shard *only if*
+  it is store-referenced (any worker can resolve it against the shared
+  store) and cache-cold on its home shard.  A stolen job whose host
+  crashes falls back to its home shard once.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import json
 import multiprocessing
 import os
 import threading
 import time
-from collections import OrderedDict
+from collections.abc import Awaitable, Iterable
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 from repro.service import flow, protocol
+from repro.service.placement import Placement
 from repro.service.store import ProcessStore
 
 try:  # pragma: no cover - always available on the supported platforms
@@ -84,39 +85,10 @@ except ValueError:  # pragma: no cover - non-posix fallback
 DEFAULT_MAX_PROCESSES = 64
 DEFAULT_MAX_VERDICTS = 1024
 
-#: Per-shard LRU of recently dispatched routing keys -- the pool-side proxy
-#: for "this digest is hot in that worker's engine cache" that work-stealing
-#: consults.  Sized above the per-shard engine bounds so the proxy errs
-#: toward keeping affinity.
-RECENT_KEYS_PER_SHARD = 128
-
 #: Extra seconds the server waits past a request's deadline for the worker's
 #: own structured ``deadline_exceeded`` reply (which carries shard/queue
 #: telemetry) before answering on its behalf.
 DEADLINE_GRACE_SECONDS = 0.5
-
-
-def routing_key_of(spec: dict[str, Any]) -> str | None:
-    """The affinity key of one check spec (``None`` = unroutable).
-
-    A digest reference is its own key; an inline process or composed system
-    is keyed by the digest of its canonically-serialised JSON.  The canonical
-    separators match ``utils.serialization.canonical_bytes``, so an inline
-    copy of a stored process routes to the same shard as its digest
-    reference (the cache-affinity promise); composed-system and scenario
-    documents hash the same way, keeping repeated questions about one system
-    on one worker.  The cluster coordinator keys its node ring walk with the
-    same function, so shard affinity and node affinity agree.
-    """
-    ref = spec.get("left")
-    if isinstance(ref, dict):
-        if isinstance(ref.get("digest"), str):
-            return ref["digest"]
-        if "process" in ref or "system" in ref or "scenario" in ref:
-            body = ref.get("process", ref.get("system", ref.get("scenario")))
-            canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-            return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -292,11 +264,15 @@ def _worker_stats() -> dict[str, Any]:
     }
 
 
+async def _gather(coroutines: Iterable[Awaitable[Any]]) -> list[Any]:
+    return list(await asyncio.gather(*coroutines))
+
+
 # ----------------------------------------------------------------------
 # the pool
 # ----------------------------------------------------------------------
 class ShardPool:
-    """``num_shards`` single-worker executors with digest-sticky routing."""
+    """``num_shards`` single-worker executors with digest-sticky placement."""
 
     def __init__(
         self,
@@ -315,8 +291,6 @@ class ShardPool:
             raise ValueError("num_shards must be positive")
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be positive (or None for unbounded)")
-        if steal_threshold is not None and steal_threshold < 1:
-            raise ValueError("steal_threshold must be positive (or None to disable)")
         self.num_shards = num_shards
         self.store_root = str(store_root) if store_root is not None else None
         self.max_processes = max_processes
@@ -324,19 +298,19 @@ class ShardPool:
         #: Backpressure bound: a shard refuses new checks (``overloaded``)
         #: once this many of its jobs are submitted-but-unfinished.
         self.max_queue = max_queue
-        #: Work-stealing trigger: a stealable check leaves a home shard whose
-        #: depth reached this bound for the least loaded shard.
-        self.steal_threshold = steal_threshold
+        #: Ring placement over the shard indices.  Every shard reads the
+        #: shared store, so each key's failover order spans all shards and a
+        #: stealable check may move to any of them (``steal_threshold`` is
+        #: the queue depth that triggers it).
+        self.placement = Placement(range(num_shards), steal_threshold=steal_threshold)
         #: Cluster-node identity stamped into each worker's exported engine
         #: stats (``None`` for the single-node service).
         self.node_name = node_name
         self._lock = threading.Lock()
         self._generations = [0] * num_shards
         self._depths = [0] * num_shards
-        self._recent: list[OrderedDict[str, None]] = [OrderedDict() for _ in range(num_shards)]
         self._executors = [self._new_executor(index) for index in range(num_shards)]
         self._revivals = 0
-        self._steals = 0
         self._overloads = 0
 
     def _new_executor(self, index: int) -> ProcessPoolExecutor:
@@ -354,57 +328,10 @@ class ShardPool:
         )
 
     # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-    def shard_of(self, key: str) -> int:
-        """The shard a routing key maps to (stable across runs and hosts).
-
-        For a ``sha256:...`` content digest the hex itself is the hash; any
-        other key is SHA-256'd first, so arbitrary strings route uniformly.
-        """
-        hex_part = ""
-        if key.startswith("sha256:"):
-            hex_part = key[len("sha256:") :]
-        try:
-            return int(hex_part[:16], 16) % self.num_shards
-        except ValueError:
-            # Not (valid) digest hex -- including malformed digests a client
-            # sent: route by hashing the raw key so the worker's store lookup
-            # gets to reject it with a proper unknown_digest error.
-            hex_part = hashlib.sha256(key.encode("utf-8")).hexdigest()
-            return int(hex_part[:16], 16) % self.num_shards
-
-    def route_check(self, spec: dict[str, Any]) -> int:
-        """The shard one check spec belongs to: keyed by its left process.
-
-        Routing by the *left* reference means every manifest shaped ``one
-        process vs many candidates`` stays entirely on one worker, whose
-        engine then serves the repeated side from cache.
-
-        Inline processes route by the digest of their canonically-serialised
-        JSON, which equals the content digest whenever the dict came from
-        ``to_dict`` (every library client does).  A hand-rolled client that
-        inlines the same process with *unsorted* component lists still gets
-        a deterministic shard, just not necessarily the digest's one --
-        affinity is best-effort for non-canonical encodings, correctness is
-        unaffected.
-        """
-        key = self.routing_key(spec)
-        return self.shard_of(key) if key is not None else 0
-
-    def routing_key(self, spec: dict[str, Any]) -> str | None:
-        """The affinity key of one check spec (``None`` = unroutable, shard 0).
-
-        Delegates to the module-level :func:`routing_key_of`, which the
-        cluster coordinator shares so node affinity and shard affinity agree.
-        """
-        return routing_key_of(spec)
-
-    # ------------------------------------------------------------------
     # submission with crash recovery
     # ------------------------------------------------------------------
     def submit(self, shard: int, fn, *args) -> Future:
-        """Submit a raw job to one shard (no retry -- see :meth:`run`).
+        """Submit a raw job to one shard (no retry -- see :meth:`run_async`).
 
         Every job runs under :func:`_guarded` (so only worker death breaks
         the executor) and is counted against the shard's queue depth until
@@ -436,134 +363,28 @@ class ShardPool:
             self._revivals += 1
         broken.shutdown(wait=False, cancel_futures=True)
 
-    def run(self, shard: int, fn, *args) -> Any:
-        """Run one job on one shard, reviving the worker once if it crashed."""
-        generation = self._generations[shard]
-        try:
-            return self.submit(shard, fn, *args).result()
-        except BrokenProcessPool:
-            self.revive(shard, generation)
-            return self.submit(shard, fn, *args).result()
+    async def run_async(self, order: list[int], fn, *args, deadline: float | None = None) -> Any:
+        """Run one job on ``order[0]``, reviving a dead worker and retrying once.
 
-    async def run_async(self, shard: int, fn, *args) -> Any:
-        """Awaitable :meth:`run` (used by the asyncio server)."""
-        generation = self._generations[shard]
-        try:
-            return await asyncio.wrap_future(self.submit(shard, fn, *args))
-        except BrokenProcessPool:
-            self.revive(shard, generation)
-            return await asyncio.wrap_future(self.submit(shard, fn, *args))
-
-    # ------------------------------------------------------------------
-    # the check-shaped surface (what the server and benchmarks call)
-    # ------------------------------------------------------------------
-    def plan_check(self, spec: dict[str, Any]) -> tuple[int, int]:
-        """``(home, dispatch)`` shards for one spec, after flow control.
-
-        The dispatch shard is the home shard unless work-stealing moves the
-        job: with ``steal_threshold`` set, a *store-referenced* check (its
-        left operand is a digest any worker resolves against the shared
-        store) that is *cache-cold* on a backed-up home shard (its routing
-        key was not dispatched there recently) migrates to the least loaded
-        shard.  Hot or inline jobs stay home -- stealing them would squander
-        exactly the affinity the digest routing exists to build.
-
-        Raises
-        ------
-        ServiceError
-            :data:`~repro.service.protocol.OVERLOADED` when ``max_queue`` is
-            set and the chosen shard's queue is full; ``error.data`` carries
-            a ``retry_after_ms`` hint.
+        This is the pool's one crash-recovery path.  Only worker death
+        (:class:`BrokenProcessPool`) takes it: the shard gets a fresh
+        executor and the job is retried on the next shard of its failover
+        order -- a stolen check falls back to its home shard -- or on the
+        revived shard when it is the only one.  Jobs that out-wait
+        ``deadline`` (plus a grace period for the worker's own structured
+        reply) answer ``deadline_exceeded``.
         """
-        home = self.route_check(spec)
-        key = self.routing_key(spec)
-        left = spec.get("left")
-        store_referenced = isinstance(left, dict) and isinstance(left.get("digest"), str)
-        with self._lock:
-            shard = home
-            if (
-                self.steal_threshold is not None
-                and store_referenced
-                and self._depths[home] >= self.steal_threshold
-                and key not in self._recent[home]
-            ):
-                target = min(range(self.num_shards), key=self._depths.__getitem__)
-                if self._depths[target] < self._depths[home]:
-                    shard = target
-                    self._steals += 1
-            if self.max_queue is not None and self._depths[shard] >= self.max_queue:
-                self._overloads += 1
-                depth = self._depths[shard]
-                raise protocol.ServiceError(
-                    protocol.OVERLOADED,
-                    f"shard {shard} queue is full ({depth} jobs, max_queue={self.max_queue})",
-                    {"retry_after_ms": 100, "shard": shard, "queue_depth": depth},
-                )
-            if key is not None:
-                recent = self._recent[shard]
-                recent[key] = None
-                recent.move_to_end(key)
-                if len(recent) > RECENT_KEYS_PER_SHARD:
-                    recent.popitem(last=False)
-        return home, shard
-
-    def submit_check(
-        self, spec: dict[str, Any], *, deadline: float | None = None
-    ) -> tuple[int, int, dict[str, Any], Future]:
-        """Plan and submit one check; ``(home, dispatch, job, future)``.
-
-        The submitted job is a copy of ``spec`` stamped with its enqueue
-        instant (for the worker's ``queue_wait`` telemetry) and, when given,
-        the absolute monotonic ``deadline`` the worker enforces.
-        """
-        home, shard = self.plan_check(spec)
-        job = dict(spec)
-        job["enqueued"] = time.monotonic()
-        if deadline is not None:
-            job["deadline"] = deadline
+        shard = order[0]
         generation = self._generations[shard]
         try:
-            future = self.submit(shard, _worker_check, job)
+            return await self._await_job(self.submit(shard, fn, *args), deadline)
         except BrokenProcessPool:
-            # The dispatch shard broke before accepting this job (a crash
-            # left its executor unusable): revive it and fall back to the
-            # home shard right away.
+            # One crash breaks every job still pending on the shard; the
+            # generation snapshot makes revive() a no-op for all of them but
+            # the first, so the shard restarts once per crash.
             self.revive(shard, generation)
-            future = self.submit(home, _worker_check, job)
-        return home, shard, job, future
-
-    def check(self, spec: dict[str, Any], *, deadline: float | None = None) -> dict[str, Any]:
-        """Run one check spec on its planned shard (blocking).
-
-        A crashed dispatch shard is revived and the job retried once -- on
-        its *home* shard, so a stolen job's fallback lands where its store
-        reference is routed.
-        """
-        home, shard, job, future = self.submit_check(spec, deadline=deadline)
-        generation = self._generations[shard]
-        try:
-            return future.result()
-        except BrokenProcessPool:
-            self.revive(shard, generation)
-            return self.submit(home, _worker_check, job).result()
-
-    async def run_async_check(
-        self, spec: dict[str, Any], *, deadline: float | None = None
-    ) -> dict[str, Any]:
-        """Awaitable :meth:`check` with a deadline-bounded wait.
-
-        The worker's own cooperative abort normally answers first (its
-        ``deadline_exceeded`` error carries shard telemetry); the server-side
-        :func:`asyncio.wait_for` at deadline + grace is the backstop for a
-        worker stuck somewhere signals cannot reach.
-        """
-        home, shard, job, future = self.submit_check(spec, deadline=deadline)
-        generation = self._generations[shard]
-        try:
-            return await self._await_job(future, deadline)
-        except BrokenProcessPool:
-            self.revive(shard, generation)
-            return await self._await_job(self.submit(home, _worker_check, job), deadline)
+            fallback = order[1] if len(order) > 1 else shard
+            return await self._await_job(self.submit(fallback, fn, *args), deadline)
 
     @staticmethod
     async def _await_job(future: Future, deadline: float | None) -> Any:
@@ -579,34 +400,87 @@ class ShardPool:
                 "deadline expired before the worker answered",
             ) from None
 
-    def check_many(self, specs: list[dict[str, Any]]) -> list[dict[str, Any]]:
-        """Fan a manifest out across the shards; results in manifest order.
+    # ------------------------------------------------------------------
+    # the check-shaped surface (what the server and benchmarks call)
+    # ------------------------------------------------------------------
+    def plan_check(self, spec: dict[str, Any]) -> list[int]:
+        """The failover order for one check, dispatch shard first.
 
-        Jobs are submitted shard-sticky and collected in order; a shard that
-        crashes mid-manifest is revived and its affected specs are re-run
-        once each.
+        The placement's steal rule runs against live queue depths.
+
+        Raises
+        ------
+        ServiceError
+            :data:`~repro.service.protocol.OVERLOADED` when ``max_queue`` is
+            set and the dispatch shard's queue is full; ``error.data``
+            carries a ``retry_after_ms`` hint.
         """
-        generations = list(self._generations)
-        futures = []
-        for spec in specs:
-            shard = self.route_check(spec)
-            futures.append((spec, shard, self.submit(shard, _worker_check, spec)))
-        results = []
-        for spec, shard, future in futures:
-            try:
-                results.append(future.result())
-            except BrokenProcessPool:
-                # One crash breaks every future still pending on that shard;
-                # the stale generation snapshot makes revive() a no-op for
-                # all of them but the first, so the shard restarts once per
-                # crash, not once per affected spec.
-                self.revive(shard, generations[shard])
-                results.append(self.submit(shard, _worker_check, spec).result())
-        return results
+        with self._lock:
+            return self.placement.plan(spec, self._depths.__getitem__, admit=self._admit)
+
+    def _admit(self, shard: int) -> None:
+        """Refuse a dispatch to a full shard queue (called under the lock)."""
+        depth = self._depths[shard]
+        if self.max_queue is not None and depth >= self.max_queue:
+            self._overloads += 1
+            raise protocol.ServiceError(
+                protocol.OVERLOADED,
+                f"shard {shard} queue is full ({depth} jobs, max_queue={self.max_queue})",
+                {"retry_after_ms": 100, "shard": shard, "queue_depth": depth},
+            )
+
+    @staticmethod
+    def _job(spec: dict[str, Any], deadline: float | None) -> dict[str, Any]:
+        """A copy of ``spec`` stamped with its enqueue instant and deadline.
+
+        The worker reports ``queue_wait`` from the enqueue instant and
+        enforces the absolute monotonic ``deadline``.
+        """
+        job = dict(spec)
+        job["enqueued"] = time.monotonic()
+        if deadline is not None:
+            job["deadline"] = deadline
+        return job
+
+    def submit_check(
+        self, spec: dict[str, Any], *, deadline: float | None = None
+    ) -> tuple[list[int], Future]:
+        """Plan and submit one check without waiting: ``(order, future)``.
+
+        For open-loop load generators that collect results by callback; the future
+        carries no crash recovery (see :meth:`run_async_check`).
+        """
+        order = self.plan_check(spec)
+        return order, self.submit(order[0], _worker_check, self._job(spec, deadline))
+
+    async def run_async_check(
+        self, spec: dict[str, Any], *, deadline: float | None = None
+    ) -> dict[str, Any]:
+        """Plan one check and run it on its dispatch shard (see :meth:`run_async`).
+
+        The worker's own cooperative abort normally answers a missed
+        deadline first (its ``deadline_exceeded`` error carries shard
+        telemetry); the server-side wait at deadline + grace is the backstop
+        for a worker stuck somewhere signals cannot reach.
+        """
+        order = self.plan_check(spec)
+        return await self.run_async(
+            order, _worker_check, self._job(spec, deadline), deadline=deadline
+        )
+
+    def check_many(self, specs: list[dict[str, Any]]) -> list[dict[str, Any]]:
+        """Blocking :meth:`run_async_check` over a manifest; results in order."""
+        return asyncio.run(_gather(self.run_async_check(spec) for spec in specs))
+
+    async def shard_stats(self) -> list[dict[str, Any]]:
+        """Per-shard worker statistics (engine + store cache info)."""
+        return await _gather(
+            self.run_async([shard], _worker_stats) for shard in range(self.num_shards)
+        )
 
     def stats(self) -> list[dict[str, Any]]:
-        """Per-shard worker statistics (engine + store cache info)."""
-        return [self.run(shard, _worker_stats) for shard in range(self.num_shards)]
+        """Blocking :meth:`shard_stats`."""
+        return asyncio.run(self.shard_stats())
 
     def warm_up(self) -> None:
         """Fork every worker now (a no-op job per shard, awaited together).
@@ -629,7 +503,7 @@ class ShardPool:
     @property
     def steals(self) -> int:
         """How many checks migrated off their home shard so far."""
-        return self._steals
+        return self.placement.steals
 
     @property
     def overloads(self) -> int:
@@ -657,6 +531,7 @@ class ShardPool:
     def __repr__(self) -> str:
         return (
             f"ShardPool(num_shards={self.num_shards}, store_root={self.store_root!r}, "
-            f"max_queue={self.max_queue}, steal_threshold={self.steal_threshold}, "
-            f"revivals={self._revivals}, steals={self._steals})"
+            f"max_queue={self.max_queue}, "
+            f"steal_threshold={self.placement.steal_threshold}, "
+            f"revivals={self._revivals}, steals={self.steals})"
         )

@@ -33,6 +33,7 @@ poison the index.
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 import threading
 from collections import OrderedDict
@@ -47,12 +48,30 @@ from repro.utils.serialization import canonical_bytes, content_digest, loads
 DEFAULT_MAX_CACHED = 256
 
 
-def _split(digest: str) -> str:
+def write_atomically(path: Path, data: bytes) -> None:
+    """Publish ``data`` at ``path``: a reader sees nothing or all of it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except FileNotFoundError:
+            pass
+        raise
+
+
+#: The hex part of a well-formed ``sha256:`` digest (use ``fullmatch``).
+HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+def digest_hex(digest: str) -> str:
     """The hex part of a ``sha256:<hex>`` digest (validated)."""
     prefix, _, hex_part = digest.partition(":")
-    if prefix != "sha256" or len(hex_part) != 64 or not all(
-        c in "0123456789abcdef" for c in hex_part
-    ):
+    if prefix != "sha256" or not HEX_DIGEST.fullmatch(hex_part):
         raise KeyError(f"malformed digest {digest!r}")
     return hex_part
 
@@ -94,11 +113,7 @@ class ProcessStore:
         index: set[str] = set()
         for path in self.root.glob("??/*.json"):
             stem = path.stem
-            if (
-                len(stem) == 64
-                and all(c in "0123456789abcdef" for c in stem)
-                and path.parent.name == stem[:2]
-            ):
+            if HEX_DIGEST.fullmatch(stem) and path.parent.name == stem[:2]:
                 index.add("sha256:" + stem)
         return index
 
@@ -114,7 +129,7 @@ class ProcessStore:
     # ------------------------------------------------------------------
     def path_for(self, digest: str) -> Path:
         """Where an entry with this digest lives (whether or not it exists)."""
-        hex_part = _split(digest)
+        hex_part = digest_hex(digest)
         return self.root / hex_part[:2] / f"{hex_part}.json"
 
     def __contains__(self, digest: str) -> bool:
@@ -147,19 +162,7 @@ class ProcessStore:
         digest = content_digest(fsp)
         path = self.path_for(digest)
         if not path.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Atomic publish: a reader either sees nothing or the full entry.
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(canonical_bytes(fsp))
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except FileNotFoundError:
-                    pass
-                raise
+            write_atomically(path, canonical_bytes(fsp))
         self._remember(digest, fsp)
         with self._lock:
             self._index.add(digest)

@@ -1,25 +1,46 @@
-"""Shared fixtures: real nodes in threads, a gateway, and kill switches."""
+"""Shared fixtures: real nodes in threads, a gateway, and kill switches.
+
+Two module-scoped endpoints -- a two-shard service reached over NDJSON and a
+two-node cluster reached over HTTP -- and ``endpoint``, parametrized over
+both, for the tests one client must pass on either transport.
+"""
 
 from __future__ import annotations
 
 import asyncio
+import http.client
+import json
+import socket
 import threading
 
 import pytest
 
+from repro.cluster.client import ClusterClient
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.gateway import ClusterGateway
 from repro.cluster.store import ClusterStore
 from repro.generators.random_fsp import perturb, random_equivalent_copy, random_fsp
+from repro.service.client import ServiceClient
 from repro.service.server import EquivalenceServer
 
 
 class NodeHandle:
-    """One EquivalenceServer running in its own thread + event loop."""
+    """One EquivalenceServer running in its own thread + event loop.
 
-    def __init__(self, name: str, store_root: str) -> None:
+    ``name=None`` is a plain single-node service rather than a cluster node.
+    """
+
+    def __init__(
+        self,
+        name: str | None,
+        store_root: str,
+        *,
+        shards: int = 1,
+        metrics_port: int | None = None,
+    ) -> None:
         self.name = name
         self.port: int = 0
+        self.metrics_port: int | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         started = threading.Event()
@@ -29,13 +50,15 @@ class NodeHandle:
                 server = EquivalenceServer(
                     port=0,
                     store_root=store_root,
-                    num_shards=1,
+                    num_shards=shards,
                     max_processes=16,
                     max_verdicts=64,
+                    metrics_port=metrics_port,
                     node_name=name,
                 )
                 await server.start()
                 self.port = server.port
+                self.metrics_port = server.metrics_port
                 self._loop = asyncio.get_running_loop()
                 started.set()
                 try:
@@ -116,18 +139,87 @@ class GatewayHandle:
         self._thread.join(timeout=30)
 
 
+class ServiceEndpoint:
+    """A plain two-shard service, reached over NDJSON."""
+
+    kind = "service"
+
+    def __init__(self, root) -> None:
+        self.node = NodeHandle(None, str(root / "service"), shards=2, metrics_port=0)
+        self.port = self.node.port
+        self.cli = ["client"]
+
+    def client(self, **kwargs) -> ServiceClient:
+        return ServiceClient(port=self.port, **kwargs)
+
+    def send_malformed(self) -> dict:
+        """Send a body that is not JSON; returns the error object."""
+        with socket.create_connection(("127.0.0.1", self.node.port), timeout=30) as sock:
+            sock.sendall(b"this is not json\n")
+            response = json.loads(sock.makefile("rb").readline())
+        assert response["ok"] is False
+        return response["error"]
+
+    def stop(self) -> None:
+        self.node.kill()
+
+
+class ClusterEndpoint:
+    """Two live nodes behind a gateway with a persistent coordinator store."""
+
+    kind = "cluster"
+
+    def __init__(self, root) -> None:
+        self.nodes = {name: NodeHandle(name, str(root / name)) for name in ("alpha", "beta")}
+        self.gateway = GatewayHandle(self.nodes, store_root=str(root / "coordinator"))
+        self.port = self.gateway.port
+        self.cli = ["cluster", "client"]
+
+    def client(self, **kwargs) -> ClusterClient:
+        return ClusterClient(port=self.port, **kwargs)
+
+    def send_malformed(self) -> dict:
+        """POST a body that is not JSON; returns the error object."""
+        connection = http.client.HTTPConnection("127.0.0.1", self.gateway.port, timeout=30)
+        try:
+            connection.request("POST", "/v1/check", body=b"{not json")
+            response = connection.getresponse()
+            status, body = response.status, json.loads(response.read())
+        finally:
+            connection.close()
+        assert status == 400 and body["ok"] is False
+        return body["error"]
+
+    def stop(self) -> None:
+        self.gateway.stop()
+        for handle in self.nodes.values():
+            handle.kill()
+
+
+@pytest.fixture(scope="module")
+def service(tmp_path_factory):
+    endpoint = ServiceEndpoint(tmp_path_factory.mktemp("service"))
+    yield endpoint
+    endpoint.stop()
+
+
 @pytest.fixture(scope="module")
 def cluster(tmp_path_factory):
-    """Two live nodes behind a gateway with a persistent coordinator store."""
-    root = tmp_path_factory.mktemp("cluster")
-    nodes = {
-        name: NodeHandle(name, str(root / name)) for name in ("alpha", "beta")
-    }
-    gateway = GatewayHandle(nodes, store_root=str(root / "coordinator"))
-    yield {"nodes": nodes, "gateway": gateway, "root": root}
-    gateway.stop()
-    for handle in nodes.values():
-        handle.kill()
+    endpoint = ClusterEndpoint(tmp_path_factory.mktemp("cluster"))
+    yield endpoint
+    endpoint.stop()
+
+
+@pytest.fixture
+def extra_gateway(cluster):
+    """Build one more gateway over the cluster's nodes (the test stops it)."""
+    return lambda: GatewayHandle(cluster.nodes)
+
+
+@pytest.fixture(scope="module", params=["service", "cluster"])
+def endpoint(request):
+    """The service or the cluster: one client API over either transport."""
+    return request.getfixturevalue(request.param)
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,10 @@
 Module-scoped fixtures boot two full ``EquivalenceServer`` nodes and one
 gateway (see ``conftest.py``); the tests drive them exclusively through
 :class:`~repro.cluster.client.ClusterClient` and raw HTTP, exactly as an
-external caller would.  The failure-injection tests run last in the module
-(they kill a node the earlier tests rely on).
+external caller would.  The round trips every client answers alike on
+either transport are in ``test_clients.py``; these are the cluster's own.
+The failure-injection tests run last in the module (they kill a node the
+earlier tests rely on).
 """
 
 from __future__ import annotations
@@ -16,16 +18,21 @@ import time
 import pytest
 
 from repro.cluster.client import ClusterClient
-from repro.service.protocol import ServiceError
-from repro.utils.serialization import content_digest
+from repro.service.protocol import ServiceError, process_ref
+from repro.utils.serialization import content_digest, to_dict
 
 
 def client_for(cluster) -> ClusterClient:
-    return ClusterClient(port=cluster["gateway"].port)
+    return ClusterClient(port=cluster.gateway.port)
+
+
+def minimize_result(client, process) -> dict:
+    """The raw minimize result (sizes, artifact-cache flag)."""
+    return client.request("minimize", {"process": process_ref(process)})
 
 
 def raw_request(cluster, method: str, path: str, body: bytes | None = None):
-    connection = http.client.HTTPConnection("127.0.0.1", cluster["gateway"].port, timeout=30)
+    connection = http.client.HTTPConnection("127.0.0.1", cluster.gateway.port, timeout=30)
     try:
         connection.request(method, path, body=body, headers={"Content-Type": "application/json"})
         response = connection.getresponse()
@@ -37,14 +44,6 @@ def raw_request(cluster, method: str, path: str, body: bytes | None = None):
 # ----------------------------------------------------------------------
 # round trips
 # ----------------------------------------------------------------------
-def test_ping_reports_membership(cluster):
-    with client_for(cluster) as client:
-        info = client.ping()
-    assert info["healthy_nodes"] == 2
-    assert set(info["nodes"]) == {"alpha", "beta"}
-    assert info["replication_factor"] == 2
-
-
 def test_healthz_is_green_with_live_nodes(cluster):
     with client_for(cluster) as client:
         health = client.healthz()
@@ -54,71 +53,31 @@ def test_healthz_is_green_with_live_nodes(cluster):
 def test_store_replicates_to_both_nodes(cluster, processes):
     base = processes["bases"][0]
     with client_for(cluster) as client:
-        result = client.store(base)
+        result = client.request("store", {"process": to_dict(base)})
     assert result["digest"] == content_digest(base)
     assert sorted(result["replicas"]) == ["alpha", "beta"]
     assert result["states"] == base.num_states
 
 
-def test_check_by_digest_and_inline(cluster, processes):
-    base, copy, near = (
-        processes["bases"][0],
-        processes["copies"][0],
-        processes["nears"][0],
-    )
-    with client_for(cluster) as client:
-        digest = client.store(base)["digest"]
-        equivalent = client.check(digest, copy)
-        different = client.check(digest, near)
-        inline = client.check(base, copy, "strong")
-    assert equivalent["equivalent"] is True
-    assert equivalent["node"] in {"alpha", "beta"}
-    assert different["equivalent"] is False
-    assert inline["notion"] == "strong"
-
-
 def test_digest_affinity_is_sticky_across_requests(cluster, processes):
     base, copy = processes["bases"][1], processes["copies"][1]
     with client_for(cluster) as client:
-        digest = client.store(base)["digest"]
+        digest = client.store(base)
         answered_by = {client.check(digest, copy)["node"] for _ in range(5)}
     assert len(answered_by) == 1  # one home node per digest
-
-
-def test_check_many_mixed_manifest(cluster, processes):
-    base, copy, near = (
-        processes["bases"][0],
-        processes["copies"][0],
-        processes["nears"][0],
-    )
-    with client_for(cluster) as client:
-        result = client.check_many(
-            [(base, copy), (base, near), (base, copy, "strong")]
-        )
-    summary = result["summary"]
-    assert summary["checks"] == 3
-    assert summary["equivalent"] >= 1
-    assert summary["failed"] == 0
-    assert all("node" in r for r in result["results"] if "error" not in r)
 
 
 def test_minimize_round_trip_and_artifact_cache(cluster, processes):
     base = processes["bases"][0]
     with client_for(cluster) as client:
-        digest = client.store(base)["digest"]
-        first = client.minimize_info(digest)
-        again = client.minimize_info(digest)
+        digest = client.store(base)
+        first = minimize_result(client, digest)
+        again = minimize_result(client, digest)
         quotient = client.minimize(digest)
     assert first.get("from_artifact_cache") is None  # computed on a node
     assert again.get("from_artifact_cache") is True  # served from the store
     assert quotient.num_states <= base.num_states
     assert again["process"] == first["process"]
-
-
-def test_classify_routes_through_the_cluster(cluster, processes):
-    with client_for(cluster) as client:
-        classes = client.classify(processes["bases"][0])
-    assert isinstance(classes, list) and classes
 
 
 def test_stats_aggregates_coordinator_and_nodes(cluster):
@@ -150,7 +109,7 @@ def test_metrics_namespaces_engine_counters_per_node(cluster, processes):
 
 
 def test_client_context_manager_reconnects_after_close(cluster):
-    client = ClusterClient(port=cluster["gateway"].port)
+    client = ClusterClient(port=cluster.gateway.port)
     assert client.ping()["pong"] is True
     client.close()
     assert client.ping()["pong"] is True  # transparent reopen
@@ -173,16 +132,10 @@ def test_wrong_method_is_405(cluster):
     assert status == 405
 
 
-def test_malformed_json_body_is_400(cluster):
-    status, _, body = raw_request(cluster, "POST", "/v1/check", b"{not json")
-    assert status == 400
-    assert json.loads(body)["error"]["code"] == "bad_request"
-
-
 def test_unknown_digest_is_404(cluster):
     with client_for(cluster) as client:
         with pytest.raises(ServiceError) as excinfo:
-            client.minimize_info("sha256:" + "0" * 64)
+            minimize_result(client, "sha256:" + "0" * 64)
     assert excinfo.value.code == "unknown_digest"
     payload = json.dumps({"process": {"digest": "sha256:" + "0" * 64}}).encode()
     status, _, _ = raw_request(cluster, "POST", "/v1/minimize", payload)
@@ -201,10 +154,10 @@ def test_invalid_check_body_maps_to_400(cluster):
 def test_failover_and_artifacts_survive_node_loss(cluster, processes):
     base, copy = processes["bases"][0], processes["copies"][0]
     with client_for(cluster) as client:
-        digest = client.store(base)["digest"]
-        client.minimize_info(digest)  # ensure the artifact exists
+        digest = client.store(base)
+        minimize_result(client, digest)  # ensure the artifact exists
         victim = client.check(digest, copy)["node"]
-        cluster["nodes"][victim].kill()
+        cluster.nodes[victim].kill()
 
         deadline = time.monotonic() + 15
         while time.monotonic() < deadline:
@@ -216,7 +169,7 @@ def test_failover_and_artifacts_survive_node_loss(cluster, processes):
         assert verdict["node"] != victim  # the replica took over
 
         # Minimisation survives the node's death via the artifact store.
-        assert client.minimize_info(digest).get("from_artifact_cache") is True
+        assert minimize_result(client, digest).get("from_artifact_cache") is True
 
         health = client.healthz()
         assert health["ok"] is True and health["healthy_nodes"] == 1
@@ -224,7 +177,7 @@ def test_failover_and_artifacts_survive_node_loss(cluster, processes):
 
 
 def test_all_nodes_down_answers_503_and_overloaded(cluster, processes):
-    for handle in cluster["nodes"].values():
+    for handle in cluster.nodes.values():
         handle.kill()
     deadline = time.monotonic() + 15
     with client_for(cluster) as client:
@@ -243,7 +196,7 @@ def test_all_nodes_down_answers_503_and_overloaded(cluster, processes):
         assert error["data"]["retry_after_ms"] > 0
         assert "Retry-After" in headers
         # ...which the client retries and then surfaces unchanged.
-        fast = ClusterClient(port=cluster["gateway"].port, overload_retries=0)
+        fast = ClusterClient(port=cluster.gateway.port, overload_retries=0)
         with pytest.raises(ServiceError) as excinfo:
             fast.classify("sha256:" + "1" * 64)
         assert excinfo.value.code == "overloaded"

@@ -1,4 +1,8 @@
-"""Coordinator unit tests: routing, stealing, failover -- with scripted nodes.
+"""Coordinator unit tests: routing, failover, repair -- with scripted nodes.
+
+The placement policy (affinity, stealing, the recent-keys LRU) is shared
+with the shard pool and tested at both levels in
+``tests/service/test_placement.py``.
 
 These tests run against *fake* nodes (tiny asyncio NDJSON servers whose
 answers the test scripts), so every distributed failure mode -- a dead
@@ -12,15 +16,10 @@ import asyncio
 
 import pytest
 
-from repro.cluster.coordinator import (
-    ClusterCoordinator,
-    NodeState,
-    RECENT_KEYS_PER_NODE,
-)
+from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.store import ClusterStore
 from repro.generators.random_fsp import random_fsp
 from repro.service import protocol
-from repro.service.shards import routing_key_of
 from repro.utils.serialization import content_digest, from_dict
 
 DIGEST_A = "sha256:" + "a" * 64
@@ -113,14 +112,6 @@ def test_replicas_skip_unhealthy_nodes():
     assert reduced[0].node_id == full[1].node_id  # the backup is promoted
 
 
-def test_plan_check_routes_by_digest_affinity():
-    coordinator = make_coordinator(["a", "b", "c"])
-    spec = {"left": {"digest": DIGEST_A}, "right": {"digest": DIGEST_B}}
-    first = coordinator.plan_check(spec)[0]
-    for _ in range(5):
-        assert coordinator.plan_check(spec)[0] is first  # sticky
-
-
 def test_plan_check_raises_overloaded_when_no_node_is_healthy():
     coordinator = make_coordinator(["a", "b"])
     for node in coordinator.nodes.values():
@@ -129,76 +120,6 @@ def test_plan_check_raises_overloaded_when_no_node_is_healthy():
         coordinator.plan_check({"left": {"digest": DIGEST_A}})
     assert excinfo.value.code == protocol.OVERLOADED
     assert excinfo.value.data["retry_after_ms"] > 0
-
-
-# ----------------------------------------------------------------------
-# work-stealing (plan_check is pure given node state)
-# ----------------------------------------------------------------------
-def busy_primary_setup(**kwargs):
-    coordinator = make_coordinator(["a", "b", "c"], steal_threshold=2, **kwargs)
-    spec = {"left": {"digest": DIGEST_A}, "right": {"digest": DIGEST_B}}
-    primary = coordinator.replicas_for(routing_key_of(spec))[0]
-    return coordinator, spec, primary
-
-
-def test_cold_check_steals_from_a_busy_primary():
-    coordinator, spec, primary = busy_primary_setup()
-    primary.inflight = 5
-    plan = coordinator.plan_check(spec)
-    assert plan[0] is not primary
-    assert primary in plan  # the primary stays in the failover list
-    assert coordinator.steals == 1
-
-
-def test_hot_keys_stay_home_despite_load():
-    coordinator, spec, primary = busy_primary_setup()
-    coordinator.plan_check(spec)  # warms the primary's recent-key LRU
-    primary.inflight = 5
-    assert coordinator.plan_check(spec)[0] is primary
-    assert coordinator.steals == 0
-
-
-def test_idle_primary_is_never_stolen_from():
-    coordinator, spec, primary = busy_primary_setup()
-    assert coordinator.plan_check(spec)[0] is primary
-    assert coordinator.steals == 0
-
-
-def test_inline_checks_are_never_stolen():
-    coordinator = make_coordinator(["a", "b", "c"], steal_threshold=1)
-    spec = {"left": {"process": {"start": "P"}}}
-    primary = coordinator.replicas_for(routing_key_of(spec))[0]
-    primary.inflight = 50
-    assert coordinator.plan_check(spec)[0] is primary
-    assert coordinator.steals == 0
-
-
-def test_stealing_disabled_without_a_threshold():
-    coordinator = make_coordinator(["a", "b", "c"])
-    spec = {"left": {"digest": DIGEST_A}}
-    primary = coordinator.replicas_for(routing_key_of(spec))[0]
-    primary.inflight = 100
-    assert coordinator.plan_check(spec)[0] is primary
-
-
-def test_steal_picks_the_least_loaded_replica():
-    coordinator = make_coordinator(["a", "b", "c"], replication_factor=3, steal_threshold=2)
-    spec = {"left": {"digest": DIGEST_A}}
-    replicas = coordinator.replicas_for(routing_key_of(spec))
-    replicas[0].inflight = 9
-    replicas[1].inflight = 4
-    replicas[2].inflight = 1
-    assert coordinator.plan_check(spec)[0] is replicas[2]
-
-
-def test_recent_key_lru_is_bounded():
-    state = NodeState("n", "127.0.0.1", 1)
-    for i in range(RECENT_KEYS_PER_NODE + 50):
-        state.remember(f"key-{i}")
-    assert len(state.recent) == RECENT_KEYS_PER_NODE
-    assert "key-0" not in state.recent  # oldest evicted
-    state.remember(None)  # unroutable specs are not remembered
-    assert len(state.recent) == RECENT_KEYS_PER_NODE
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,8 @@ import pytest
 from repro.explore import compose_eager, spec_to_document
 from repro.generators.families import interleaved_cycles_pair, token_ring_system
 from repro.service import protocol
-from repro.service.shards import ShardPool, _init_worker, _worker_check
+from repro.service.placement import Placement, routing_key_of
+from repro.service.shards import _init_worker, _worker_check
 from repro.service.store import ProcessStore
 from repro.utils.serialization import to_dict
 
@@ -114,11 +115,10 @@ class TestWorkerLazyRoute:
 
 class TestRouting:
     def test_system_references_route_deterministically(self):
-        pool = ShardPool.__new__(ShardPool)
-        pool.num_shards = 8
+        placement = Placement(range(8))
         ref = system_ref(token_ring_system(3))
-        first = pool.route_check({"left": ref})
-        assert first == pool.route_check({"left": ref})
+        first = placement.owners(routing_key_of({"left": ref}))[0]
+        assert first == placement.owners(routing_key_of({"left": ref}))[0]
         assert 0 <= first < 8
 
 

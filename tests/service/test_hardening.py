@@ -82,11 +82,23 @@ def spec_for(left_ref, right, notion="observational"):
     }
 
 
+def check(pool, spec, deadline=None):
+    return asyncio.run(pool.run_async_check(spec, deadline=deadline))
+
+
+def run(pool, shard, fn):
+    return asyncio.run(pool.run_async([shard], fn))
+
+
+def home_of(pool, digest):
+    return pool.placement.owners(digest)[0]
+
+
 def colocated_pair(pool, corpus):
     """Two distinct stored digests that route to the same shard."""
     by_shard: dict = {}
     for digest, fsp in corpus["digests"]:
-        by_shard.setdefault(pool.shard_of(digest), []).append((digest, fsp))
+        by_shard.setdefault(home_of(pool, digest), []).append((digest, fsp))
     for entries in by_shard.values():
         if len(entries) >= 2:
             return entries[0], entries[1]
@@ -100,15 +112,15 @@ def test_deadline_aborts_a_long_check_without_wedging_the_shard(corpus):
     digest, fsp = corpus["digests"][0]
     with ShardPool(1, corpus["root"]) as pool:
         pool.warm_up()
-        before = pool.run(0, _worker_stats)
+        before = run(pool, 0, _worker_stats)
         started = time.monotonic()
         with pytest.raises(protocol.ServiceError) as info:
-            pool.check(spec_for({"digest": digest}, fsp, "sleepy"), deadline=started + 0.3)
+            check(pool, spec_for({"digest": digest}, fsp, "sleepy"), deadline=started + 0.3)
         assert info.value.code == protocol.DEADLINE_EXCEEDED
         assert info.value.data == {"shard": 0}
         assert time.monotonic() - started < 10.0  # nowhere near the 30s sleep
         # The shard is alive, same worker, no revival burned.
-        result = pool.check(spec_for({"digest": digest}, fsp))
+        result = check(pool, spec_for({"digest": digest}, fsp))
         assert result["equivalent"] is True
         assert result["pid"] == before["pid"]
         assert pool.revivals == 0
@@ -118,7 +130,7 @@ def test_an_already_expired_deadline_aborts_before_computing(corpus):
     digest, fsp = corpus["digests"][0]
     with ShardPool(1, corpus["root"]) as pool:
         with pytest.raises(protocol.ServiceError) as info:
-            pool.check(spec_for({"digest": digest}, fsp, "sleepy"), deadline=time.monotonic() - 1)
+            check(pool, spec_for({"digest": digest}, fsp, "sleepy"), deadline=time.monotonic() - 1)
         assert info.value.code == protocol.DEADLINE_EXCEEDED
 
 
@@ -146,9 +158,7 @@ def test_full_shard_queue_answers_overloaded(corpus):
     digest, fsp = corpus["digests"][0]
     with ShardPool(1, corpus["root"], max_queue=1) as pool:
         pool.warm_up()
-        _home, _shard, _job, occupying = pool.submit_check(
-            spec_for({"digest": digest}, fsp, "napping")
-        )
+        _order, occupying = pool.submit_check(spec_for({"digest": digest}, fsp, "napping"))
         with pytest.raises(protocol.ServiceError) as info:
             pool.plan_check(spec_for({"digest": digest}, fsp))
         assert info.value.code == protocol.OVERLOADED
@@ -157,44 +167,30 @@ def test_full_shard_queue_answers_overloaded(corpus):
         assert pool.overloads == 1
         assert occupying.result(timeout=30)["equivalent"] is True
         # Once the queue drains, the same check is accepted again.
-        assert pool.check(spec_for({"digest": digest}, fsp))["equivalent"] is True
+        assert check(pool, spec_for({"digest": digest}, fsp))["equivalent"] is True
 
 
 # ----------------------------------------------------------------------
-# work-stealing (pool level)
+# work-stealing (pool level, real workers; the rule itself is tested at
+# both levels in test_placement.py)
 # ----------------------------------------------------------------------
 def test_cold_digest_checks_migrate_off_a_busy_shard(corpus):
     with ShardPool(2, corpus["root"], steal_threshold=1) as pool:
         pool.warm_up()
         (digest_a, fsp_a), (digest_b, fsp_b) = colocated_pair(pool, corpus)
-        home = pool.shard_of(digest_a)
+        home = home_of(pool, digest_a)
         # Hold the home shard busy with a check keyed by digest_a.
-        _h, _s, _job, occupying = pool.submit_check(
-            spec_for({"digest": digest_a}, fsp_a, "napping")
-        )
+        _order, occupying = pool.submit_check(spec_for({"digest": digest_a}, fsp_a, "napping"))
         # Cache-hot work (digest_a was just dispatched home) stays home...
-        assert pool.plan_check(spec_for({"digest": digest_a}, fsp_a)) == (home, home)
+        assert pool.plan_check(spec_for({"digest": digest_a}, fsp_a))[0] == home
         steals_before = pool.steals
         # ...while a cache-cold store-referenced check migrates to the idle
         # shard and actually runs there.
-        result = pool.check(spec_for({"digest": digest_b}, fsp_b))
+        result = check(pool, spec_for({"digest": digest_b}, fsp_b))
         assert result["equivalent"] is True
         assert result["shard"] == 1 - home
         assert pool.steals == steals_before + 1
         occupying.result(timeout=30)
-
-
-def test_inline_checks_are_never_stolen(corpus):
-    # An inline process is not store-referenced; even with the home shard
-    # backed up it must stay home (any other worker would recompute it cold
-    # *and* break the affinity story for later digest uploads of it).
-    with ShardPool(2, corpus["root"], steal_threshold=1) as pool:
-        _digest_a, fsp_a = corpus["digests"][0]
-        inline = spec_for(protocol.process_ref(fsp_a), fsp_a)
-        home = pool.route_check(inline)
-        with pool._lock:
-            pool._depths[home] = 5  # simulate a backlog without real sleeps
-        assert pool.plan_check(inline) == (home, home)
 
 
 # ----------------------------------------------------------------------
@@ -226,13 +222,13 @@ def _raise_unpicklable():
 def test_job_error_that_cannot_unpickle_does_not_break_the_worker(tmp_path):
     with ShardPool(1, tmp_path) as pool:
         pool.warm_up()
-        before = pool.run(0, _worker_stats)
+        before = run(pool, 0, _worker_stats)
         with pytest.raises(protocol.ServiceError) as info:
             pool.submit(0, _raise_unpicklable).result(timeout=30)
         assert info.value.code == protocol.INTERNAL
         assert "UnpicklableError" in info.value.message
         # The worker survived: same pid, no revival, and it still answers.
-        after = pool.run(0, _worker_stats)
+        after = run(pool, 0, _worker_stats)
         assert after["pid"] == before["pid"]
         assert pool.revivals == 0
 
@@ -247,7 +243,7 @@ def test_deterministic_job_error_is_not_retried(tmp_path):
         for _ in range(3):
             with pytest.raises(protocol.ServiceError):
                 pool.submit(0, _raise_unpicklable).result(timeout=30)
-            pids.add(pool.run(0, _worker_stats)["pid"])
+            pids.add(run(pool, 0, _worker_stats)["pid"])
         assert len(pids) == 1
         assert pool.revivals == 0
 

@@ -18,7 +18,8 @@ import pytest
 from repro.protocols import build_scenario
 from repro.service import EquivalenceServer, ServiceClient
 from repro.service import protocol
-from repro.service.shards import ShardPool, _init_worker, _worker_check
+from repro.service.placement import Placement, routing_key_of
+from repro.service.shards import _init_worker, _worker_check
 
 
 @pytest.fixture()
@@ -112,17 +113,18 @@ class TestWorkerRoute:
 
 class TestRouting:
     def test_scenario_references_route_shard_sticky(self):
-        pool = ShardPool.__new__(ShardPool)
-        pool.num_shards = 8
+        placement = Placement(range(8))
+
+        def home(ref):
+            return placement.owners(routing_key_of({"left": ref}))[0]
+
         ref = scenario_ref({"name": "quorum_voting", "n": 5})
-        first = pool.route_check({"left": ref})
-        assert first == pool.route_check({"left": ref})
+        first = home(ref)
+        assert first == home(ref)
         assert 0 <= first < 8
         # a different document may land elsewhere, but stays deterministic
-        other = pool.route_check({"left": scenario_ref({"name": "quorum_voting", "n": 3})})
-        assert other == pool.route_check(
-            {"left": scenario_ref({"name": "quorum_voting", "n": 3})}
-        )
+        other = home(scenario_ref({"name": "quorum_voting", "n": 3}))
+        assert other == home(scenario_ref({"name": "quorum_voting", "n": 3}))
 
 
 @pytest.fixture(scope="module")

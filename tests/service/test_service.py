@@ -10,7 +10,7 @@ import pytest
 from repro.engine import Engine
 from repro.generators.random_fsp import perturb, random_equivalent_copy, random_fsp
 from repro.service import EquivalenceServer, ServiceClient, ServiceError
-from repro.utils.serialization import content_digest, to_dict
+from repro.utils.serialization import to_dict
 
 
 @pytest.fixture(scope="module")
@@ -66,27 +66,6 @@ def client_for(service) -> ServiceClient:
 # ----------------------------------------------------------------------
 # basic round trips
 # ----------------------------------------------------------------------
-def test_ping(service):
-    with client_for(service) as client:
-        info = client.ping()
-    assert info["pong"] is True and info["shards"] == 2
-
-
-def test_store_then_check_by_digest(service, pool_processes):
-    base = pool_processes["bases"][0]
-    copy = pool_processes["copies"][0]
-    near = pool_processes["nears"][0]
-    engine = Engine()
-    with client_for(service) as client:
-        digest = client.store(base)
-        assert digest == content_digest(base)
-        for other, notion in ((copy, "observational"), (near, "strong"), (copy, "language")):
-            got = client.check(digest, other, notion)
-            want = engine.check(base, other, notion, align=True).equivalent
-            assert got["equivalent"] is want
-            assert got["notion"] == notion
-
-
 def test_check_inline_with_witness(service, pool_processes):
     base = pool_processes["bases"][1]
     near = pool_processes["nears"][1]
@@ -97,62 +76,6 @@ def test_check_inline_with_witness(service, pool_processes):
     assert got["equivalent"] is want.equivalent
     if not want.equivalent:
         assert got["witness"]  # the serialised describe() string
-
-
-def test_check_many_mixed_manifest(service, pool_processes):
-    base0, base1 = pool_processes["bases"]
-    copy0 = pool_processes["copies"][0]
-    near1 = pool_processes["nears"][1]
-    engine = Engine()
-    manifest = [
-        (base0, copy0, "observational"),
-        (base0, near1, "language"),
-        {"left": base1, "right": near1, "notion": "k-observational", "params": {"k": 2}},
-    ]
-    with client_for(service) as client:
-        digest = client.store(base0)  # digest references mix into manifests too
-        result = client.check_many([(digest, copy0, "strong"), *manifest])
-        # Wire-shaped dict entries (docs/service-protocol.md) work verbatim.
-        wire = client.check_many(
-            [{"left": {"digest": digest}, "right": copy0, "notion": "strong"}]
-        )
-        assert wire["results"][0]["equivalent"] == result["results"][0]["equivalent"]
-    assert result["summary"]["checks"] == 4
-    assert result["summary"]["failed"] == 0
-    wants = [
-        engine.check(base0, copy0, "strong", align=True).equivalent,
-        engine.check(base0, copy0, "observational", align=True).equivalent,
-        engine.check(base0, near1, "language", align=True).equivalent,
-        engine.check(base1, near1, "k-observational", align=True, k=2).equivalent,
-    ]
-    assert [r["equivalent"] for r in result["results"]] == wants
-
-
-def test_check_many_reports_per_check_errors(service, pool_processes):
-    base = pool_processes["bases"][0]
-    copy = pool_processes["copies"][0]
-    with client_for(service) as client:
-        result = client.check_many(
-            [
-                (base, copy, "observational"),
-                ("sha256:" + "f" * 64, copy, "observational"),  # unknown digest
-            ]
-        )
-    assert result["summary"]["checks"] == 2 and result["summary"]["failed"] == 1
-    assert result["results"][0]["equivalent"] is True
-    assert result["results"][1]["error"]["code"] == "unknown_digest"
-
-
-def test_minimize_and_classify(service, pool_processes):
-    base = pool_processes["bases"][0]
-    engine = Engine()
-    with client_for(service) as client:
-        minimal = client.minimize(base, "observational")
-        classes = client.classify(base)
-    assert minimal == engine.minimize(base, "observational")
-    from repro.core.classify import classify
-
-    assert classes == sorted(str(model) for model in classify(base))
 
 
 # ----------------------------------------------------------------------
@@ -229,14 +152,6 @@ def test_pipelined_requests_answered_in_order(service, pool_processes):
 # ----------------------------------------------------------------------
 # protocol errors over the wire
 # ----------------------------------------------------------------------
-def test_malformed_json_gets_bad_request(service):
-    with socket.create_connection(("127.0.0.1", service["port"]), timeout=30) as sock:
-        sock.sendall(b"this is not json\n")
-        response = json.loads(sock.makefile("rb").readline())
-    assert response["ok"] is False
-    assert response["error"]["code"] == "bad_request"
-
-
 def test_unknown_op_is_reported(service):
     with socket.create_connection(("127.0.0.1", service["port"]), timeout=30) as sock:
         sock.sendall(b'{"id": 9, "op": "frobnicate", "params": {}}\n')

@@ -1,5 +1,10 @@
-"""ShardPool tests: sticky routing, cache affinity, crash recovery."""
+"""ShardPool tests: sticky routing, cache affinity, crash recovery.
 
+Placement itself (the ring walk and the steal rule) is tested in
+``test_placement.py``; these tests run real workers.
+"""
+
+import asyncio
 import os
 import pickle
 
@@ -10,7 +15,6 @@ from repro.generators.random_fsp import perturb, random_equivalent_copy, random_
 from repro.service import protocol
 from repro.service.shards import ShardPool, _worker_stats
 from repro.service.store import ProcessStore
-from repro.utils.serialization import content_digest
 
 
 def _crash_worker():
@@ -36,29 +40,12 @@ def spec_for(left_ref, right, notion="observational"):
     }
 
 
-# ----------------------------------------------------------------------
-# routing
-# ----------------------------------------------------------------------
-def test_shard_of_is_stable_and_in_range():
-    pool = ShardPool.__new__(ShardPool)  # routing needs no executors
-    pool.num_shards = 4
-    digest = "sha256:" + "ab" * 32
-    assert pool.shard_of(digest) == pool.shard_of(digest)
-    assert 0 <= pool.shard_of(digest) < 4
-    assert 0 <= pool.shard_of("arbitrary-string") < 4
+def check(pool, spec):
+    return asyncio.run(pool.run_async_check(spec))
 
 
-def test_route_check_follows_left_digest(workload):
-    base, copy, _near = workload
-    pool = ShardPool.__new__(ShardPool)
-    pool.num_shards = 8
-    digest = content_digest(base)
-    by_digest = pool.route_check(spec_for({"digest": digest}, copy))
-    assert by_digest == pool.shard_of(digest)
-    # An inline copy of the same process routes to the same shard as its
-    # digest reference -- that is the cache-affinity promise.
-    inline = pool.route_check(spec_for(protocol.process_ref(base), copy))
-    assert inline == by_digest
+def run(pool, shard, fn):
+    return asyncio.run(pool.run_async([shard], fn))
 
 
 # ----------------------------------------------------------------------
@@ -69,7 +56,7 @@ def test_check_and_affinity_through_store(tmp_path, workload):
     store = ProcessStore(tmp_path)
     digest = store.put(base)
     with ShardPool(2, tmp_path, max_processes=8, max_verdicts=32) as pool:
-        expected_shard = pool.shard_of(digest)
+        expected_shard = pool.placement.owners(digest)[0]
         specs = [
             spec_for({"digest": digest}, copy, "observational"),
             spec_for({"digest": digest}, near, "strong"),
@@ -96,10 +83,10 @@ def test_check_failed_error_crosses_process_boundary(tmp_path, workload):
     base, copy, _near = workload
     with ShardPool(1, tmp_path) as pool:
         with pytest.raises(protocol.ServiceError) as info:
-            pool.check(spec_for(protocol.process_ref(base), copy, "no-such-notion"))
+            check(pool, spec_for(protocol.process_ref(base), copy, "no-such-notion"))
         assert info.value.code == protocol.CHECK_FAILED
         with pytest.raises(protocol.ServiceError) as info:
-            pool.check(spec_for({"digest": "sha256:" + "0" * 64}, copy))
+            check(pool, spec_for({"digest": "sha256:" + "0" * 64}, copy))
         assert info.value.code == protocol.UNKNOWN_DIGEST
 
 
@@ -113,17 +100,17 @@ def test_crashed_worker_is_revived(tmp_path, workload):
     store = ProcessStore(tmp_path)
     digest = store.put(base)
     with ShardPool(1, tmp_path) as pool:
-        before = pool.run(0, _worker_stats)
+        before = run(pool, 0, _worker_stats)
         with pytest.raises(BrokenProcessPool):
             pool.submit(0, _crash_worker).result()
         # The next routed job transparently revives the shard and succeeds;
         # the replacement worker still resolves digests (the store is disk-
         # backed), it just starts with cold caches.
-        result = pool.check(spec_for({"digest": digest}, copy))
+        result = check(pool, spec_for({"digest": digest}, copy))
         assert result["equivalent"] is True
         assert result["pid"] != before["pid"]
         assert pool.revivals == 1
-        after = pool.run(0, _worker_stats)
+        after = run(pool, 0, _worker_stats)
         assert after["checks"] == 1  # fresh worker, fresh counters
 
 
@@ -142,19 +129,9 @@ def test_one_crash_revives_once_despite_pending_specs(tmp_path, workload):
         ]
         results = pool.check_many(specs)
         assert [r["equivalent"] for r in results] == [
-            pool.check(spec)["equivalent"] for spec in specs
+            check(pool, spec)["equivalent"] for spec in specs
         ]
         assert pool.revivals == 1
-
-
-def test_shard_of_tolerates_malformed_digests():
-    # A client-supplied digest that is not valid hex must still route (the
-    # worker's store lookup then rejects it with unknown_digest) rather than
-    # blow up routing in the server process.
-    pool = ShardPool.__new__(ShardPool)
-    pool.num_shards = 4
-    for key in ("sha256:nothex", "sha256:", "sha256:XYZ" + "0" * 61, ""):
-        assert 0 <= pool.shard_of(key) < 4
 
 
 def test_persistently_crashing_job_still_raises(tmp_path):
@@ -162,10 +139,10 @@ def test_persistently_crashing_job_still_raises(tmp_path):
 
     with ShardPool(1, tmp_path) as pool:
         with pytest.raises(BrokenProcessPool):
-            pool.run(0, _crash_worker)  # crashes, revives, crashes again
+            run(pool, 0, _crash_worker)  # crashes, revives, crashes again
         assert pool.revivals == 1
         # ... and the pool is still usable afterwards.
-        assert pool.run(0, _worker_stats)["shard"] == 0
+        assert run(pool, 0, _worker_stats)["shard"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -174,8 +174,8 @@ def main() -> int:
             cases = build_workload()
             digests: list[tuple[str, str, str]] = []
             for left, right, notion, _expected in cases:
-                left_digest = client.store(left)["digest"]
-                right_digest = client.store(right)["digest"]
+                left_digest = client.store(left)
+                right_digest = client.store(right)
                 digests.append((left_digest, right_digest, notion))
             print(f"stored {2 * len(cases)} processes ({len(cases)} manifest entries)")
 
