@@ -403,8 +403,9 @@ class Engine:
     ) -> FSP:
         """The cached quotient of a process under strong or observational equivalence.
 
-        ``backend="auto"`` (the default) dispatches by process size: the
-        vector kernel above
+        ``backend="auto"`` (the default) dispatches by the size of what is
+        refined -- the process for strong equivalence, its branching
+        pre-quotient for observational equivalence: the vector kernel above
         :data:`~repro.partition.generalized.VECTOR_STATE_THRESHOLD` states
         when numpy is available, the python solvers otherwise.
         """

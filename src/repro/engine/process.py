@@ -14,12 +14,25 @@ artifact                     producer
 ``weak_view()``              :class:`repro.core.derivatives.WeakTransitionView`
                              sharing the same kernel
 ``saturated_lts()``          :func:`repro.core.weak.saturate_lts` (``P_hat``)
+                             of the whole process; not on the observational path
 ``strong_partition()``       Lemma 3.1 reduction + a partition solver
-``observational_partition``  Theorem 4.1(a): saturation + strong refinement
+(branching pre-quotient)     :func:`repro.partition.branching.branching_quotient`
+                             of :meth:`lts`, private, one per handle
+``observational_partition``  Theorem 4.1(a) on the branching pre-quotient:
+                             saturation + strong refinement, lifted back
 ``minimized_strong()``       quotient by the cached strong partition
 ``minimized_observational``  quotient by the cached observational partition
 ``language_dfa()``           minimal DFA of the start state's weak language
 ===========================  ====================================================
+
+Every weak notion the engine decides (observational, failure,
+``k``-observational) goes through :meth:`Process.observational_partition`.
+Branching bisimilarity refines observational equivalence, which refines
+failure equivalence and every ``approx_k``, so saturating and refining only
+the branching quotient gives the same partition as the whole process would
+-- at the cost of the quotient, not of the input.  The paper's direct route,
+:func:`repro.equivalence.observational.observational_partition`, stays the
+oracle the tests compare against.
 
 Handles are cheap to create; all caches fill on first use.  A handle is tied
 to one immutable FSP, so cached artifacts never go stale.
@@ -35,6 +48,7 @@ from repro.core.fsp import FSP
 from repro.core.lts import LTS
 from repro.core.weak import WeakKernel, saturate_lts
 from repro.equivalence.minimize import quotient
+from repro.partition.branching import branching_quotient
 from repro.partition.generalized import (
     GeneralizedPartitioningInstance,
     Solver,
@@ -71,6 +85,7 @@ class Process:
         "_weak_kernel",
         "_weak_view",
         "_saturated_lts",
+        "_branching",
         "_strong_partitions",
         "_observational_partitions",
         "_minimized_strong",
@@ -86,6 +101,7 @@ class Process:
         self._weak_kernel: WeakKernel | None = None
         self._weak_view: WeakTransitionView | None = None
         self._saturated_lts: dict[str, LTS] = {}
+        self._branching: tuple[LTS, list[int]] | None = None
         self._strong_partitions: dict[tuple[Solver, str], Partition] = {}
         self._observational_partitions: dict[tuple[Solver, str], Partition] = {}
         self._minimized_strong: dict[tuple[Solver, str], FSP] = {}
@@ -143,10 +159,13 @@ class Process:
     def saturated_lts(self, backend: str = "python") -> LTS:
         """The saturated kernel ``P_hat`` of Theorem 4.1(a) (cached per backend).
 
-        Both backends produce byte-identical CSR arrays; they are cached
-        separately only so a vector-backend pipeline never silently reuses an
-        artifact the Python oracle produced (and vice versa) when the two are
-        being cross-checked against each other.
+        This saturates the *whole* process, as the paper's direct route does;
+        :meth:`observational_partition` saturates only the branching
+        pre-quotient and does not use it.  Both backends produce
+        byte-identical CSR arrays; they are cached separately only so a
+        vector-backend pipeline never silently reuses an artifact the Python
+        oracle produced (and vice versa) when the two are being cross-checked
+        against each other.
         """
         backend = _backend(backend, self.fsp.num_states)
         saturated = self._saturated_lts.get(backend)
@@ -154,6 +173,12 @@ class Process:
             saturated = saturate_lts(self.lts(), backend=backend)
             self._saturated_lts[backend] = saturated
         return saturated
+
+    def _branching_quotient(self) -> tuple[LTS, list[int]]:
+        """The branching-bisimulation quotient of :meth:`lts` and each state's block."""
+        if self._branching is None:
+            self._branching = branching_quotient(self.lts())
+        return self._branching
 
     def strong_partition(
         self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
@@ -172,14 +197,27 @@ class Process:
     def observational_partition(
         self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
     ) -> Partition:
-        """The observational-equivalence partition (cached per solver and backend)."""
+        """The observational-equivalence partition (cached per solver and backend).
+
+        Theorem 4.1(a) runs on the branching pre-quotient: it is saturated
+        and refined strongly, and each of its blocks is lifted back onto the
+        states it stands for.  ``backend="auto"`` resolves on the size of
+        that quotient, which is what gets saturated and refined.
+        """
         method = _solver(method)
-        backend = _backend(backend, self.fsp.num_states)
+        reduced, block_of = self._branching_quotient()
+        backend = _backend(backend, reduced.n)
         key = (method, backend)
         partition = self._observational_partitions.get(key)
         if partition is None:
-            instance = GeneralizedPartitioningInstance.from_lts(self.saturated_lts(backend))
-            partition = solve(instance, method=method, backend=backend)
+            saturated = saturate_lts(reduced, backend=backend)
+            weak = solve(
+                GeneralizedPartitioningInstance.from_lts(saturated), method=method, backend=backend
+            )
+            lifted: dict[int, list[str]] = {}
+            for name, block in zip(self.lts().state_names, block_of):
+                lifted.setdefault(weak.block_id_of(reduced.state_names[block]), []).append(name)
+            partition = Partition(lifted.values())
             self._observational_partitions[key] = partition
         return partition
 
@@ -201,7 +239,7 @@ class Process:
     ) -> FSP:
         """The quotient by observational equivalence (cached per solver and backend)."""
         method = _solver(method)
-        backend = _backend(backend, self.fsp.num_states)
+        backend = _backend(backend, self._branching_quotient()[0].n)
         key = (method, backend)
         minimal = self._minimized_observational.get(key)
         if minimal is None:
@@ -251,6 +289,7 @@ class Process:
             "weak_kernel": self._weak_kernel is not None,
             "weak_view": self._weak_view is not None,
             "saturated_lts": bool(self._saturated_lts),
+            "branching_quotient": self._branching is not None,
             "strong_partitions": len(self._strong_partitions),
             "observational_partitions": len(self._observational_partitions),
             "minimized_strong": len(self._minimized_strong),

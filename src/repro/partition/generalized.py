@@ -332,10 +332,9 @@ BACKENDS = ("python", "vector")
 AUTO_BACKEND = "auto"
 
 #: Above this many states, ``backend="auto"`` picks the vector kernel (when
-#: numpy is importable).  The crossover matches the explore layer's
-#: compositional-minimisation dispatch; ``repro.explore.system`` re-exports
-#: this value as its own module global so existing monkeypatches keep
-#: working.
+#: numpy is importable).  This is the one ``auto`` rule: saturation, the
+#: engine's process handles and compositional minimisation all resolve
+#: through :func:`resolve_backend`.
 VECTOR_STATE_THRESHOLD = 512
 
 

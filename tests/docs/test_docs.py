@@ -22,6 +22,7 @@ DOCTEST_MODULES = (
     "repro.engine",
     "repro.core.lts",
     "repro.core.weak",
+    "repro.partition.branching",
     "repro.explore",
     "repro.protocols",
 )

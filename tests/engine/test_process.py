@@ -10,6 +10,7 @@ from repro.engine import Process
 from repro.equivalence.minimize import minimize_observational, minimize_strong
 from repro.equivalence.observational import observational_partition
 from repro.equivalence.strong import strong_bisimulation_partition
+from repro.partition.branching import branching_quotient
 from repro.partition.generalized import Solver
 from repro.utils import serialization
 
@@ -57,6 +58,24 @@ class TestArtifactCaching:
         by_ks = handle.strong_partition("kanellakis-smolka")
         assert by_pt.as_frozen() == by_ks.as_frozen()
         assert handle.artifact_summary()["strong_partitions"] == 2
+
+    def test_branching_prequotient_computed_once_per_handle(self, bloated, monkeypatch):
+        calls = []
+
+        def counting(lts):
+            calls.append(lts)
+            return branching_quotient(lts)
+
+        monkeypatch.setattr("repro.engine.process.branching_quotient", counting)
+        handle = Process(bloated)
+        assert handle.artifact_summary()["branching_quotient"] is False
+        by_pt = handle.observational_partition(Solver.PAIGE_TARJAN)
+        by_ks = handle.observational_partition("kanellakis-smolka")
+        handle.minimized_observational(backend="auto")
+        assert by_pt == by_ks
+        assert len(calls) == 1
+        assert handle.artifact_summary()["branching_quotient"] is True
+        assert handle.artifact_summary()["saturated_lts"] is False
 
     def test_solver_accepted_as_string(self, bloated):
         handle = Process(bloated)

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
+import json
+import sys
+
+import pytest
+
 from repro.core.fsp import TAU, from_transitions
 from repro.core.paper_figures import fig2_language_pair
+from repro.engine import Engine
 from repro.equivalence.hml import (
     And,
     Diamond,
@@ -17,6 +24,7 @@ from repro.equivalence.hml import (
 )
 from repro.equivalence.observational import observationally_equivalent_processes
 from repro.equivalence.strong import strongly_equivalent
+from repro.generators.families import chain, comb, with_snag
 
 
 class TestSatisfaction:
@@ -126,3 +134,62 @@ class TestDistinguishingFormulas:
         assert strong_formula is not None
         assert satisfies(process, "p", strong_formula) != satisfies(process, "q", strong_formula)
         assert distinguishing_formula(process, "p", "q", weak=True) is None
+
+
+class TestDeepWitnesses:
+    """A distinguishing formula nests one modality per separation level.
+
+    Snagging the far end of a 200-step chain or comb separates the start
+    states only at depth ~200, so every consumer of the witness -- rendering,
+    ``repr``, serialisation and the satisfaction check -- must walk formulas
+    far deeper than the interpreter's recursion limit allows for nested
+    calls.
+    """
+
+    @staticmethod
+    def _aligned(left, right):
+        alphabet = left.alphabet | right.alphabet
+        return left.with_alphabet(alphabet), right.with_alphabet(alphabet)
+
+    @pytest.mark.parametrize(
+        ("left", "right", "notion"),
+        [
+            (comb(200), with_snag(comb(200), "tooth199"), "strong"),
+            (chain(200), with_snag(chain(200), "s200"), "observational"),
+        ],
+        ids=["comb-strong", "chain-observational"],
+    )
+    def test_deep_witness_renders_serialises_and_verifies(self, left, right, notion):
+        verdict = Engine().check(*self._aligned(left, right), notion)
+        assert not verdict.equivalent
+        assert modal_depth(verdict.witness.formula) > 150
+        assert "formula satisfied by left only" in verdict.witness.describe()
+        assert repr(verdict.witness).startswith("FormulaWitness(formula=")
+        document = json.loads(json.dumps(verdict.to_dict()))
+        assert document["witness"] == verdict.witness.describe()
+        assert verdict.verify_witness() is True
+
+    def test_construction_does_not_recurse_per_level(self):
+        left, right = self._aligned(chain(120), with_snag(chain(120), "s120"))
+        combined = left.disjoint_union(right)
+        limit = sys.getrecursionlimit()
+        # Far fewer frames than levels: a per-level recursion cannot fit.
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            formula = distinguishing_formula(combined, "R:s0", "L:s0")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert modal_depth(formula) == 121
+        assert satisfies(combined, "R:s0", formula)
+        assert not satisfies(combined, "L:s0", formula)
+
+    def test_rendering_matches_the_formula_structure(self):
+        formula = Not(WeakDiamond("", And((Tt(), ExtensionIs(frozenset({"x"}))))))
+        assert str(formula) == "¬(<<ε>>((tt ∧ ext({x}))))"
+        assert repr(formula) == (
+            "Not(operand=WeakDiamond(action='', operand=And(operands=(Tt(), "
+            "ExtensionIs(extension=frozenset({'x'}))))))"
+        )
+        assert str(And(())) == "tt"
+        assert repr(And((Tt(),))) == "And(operands=(Tt(),))"
+        assert repr(Diamond("a", Tt())) == "Diamond(action='a', operand=Tt())"

@@ -13,7 +13,10 @@ node mid-run.  The run passes when
 * checks keep succeeding after the kill (failover to the surviving
   replica, read-repairing any digest the survivor never saw), and
 * the post-kill answers agree with the pre-kill verdicts for the same
-  manifest entries.
+  manifest entries, and
+* no process outlives its server: each server runs in its own session, the
+  victim and the final stop are killed by process group, and any process
+  left in a server's group after its leader exits fails the run.
 
 This is the CI ``cluster-smoke`` job's payload (see
 ``.github/workflows/ci.yml``); it exercises the subprocess + CLI surface
@@ -23,6 +26,8 @@ on success, 1 with a diagnostic on any failed expectation.
 
 from __future__ import annotations
 
+import ctypes
+import os
 import signal
 import socket
 import subprocess
@@ -44,13 +49,95 @@ BOOT_TIMEOUT = 30.0
 #: Seconds for the coordinator's probe loop to notice the kill.
 PROBE_TIMEOUT = 15.0
 
+#: Seconds a server gets to exit after SIGINT before its group is SIGKILLed.
+STOP_TIMEOUT = 10.0
+#: Seconds for a stopped server's forked workers to leave its process group.
+LINGER_TIMEOUT = 5.0
+
 NOTIONS = ("strong", "trace", "observational")
+
+_PR_SET_CHILD_SUBREAPER = 36
 
 
 def free_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
+
+
+def spawn(command: list[str], log_path: Path) -> subprocess.Popen:
+    """Start one server in a session of its own, so its forked workers share its group."""
+    with log_path.open("w") as log:
+        return subprocess.Popen(
+            command, stdout=log, stderr=subprocess.STDOUT, start_new_session=True
+        )
+
+
+def become_subreaper() -> None:
+    """Adopt orphaned shard workers so that they can be reaped (Linux only)."""
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):
+        return
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    prctl(_PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0)
+
+
+def reap_orphans() -> None:
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        if pid == 0:
+            return
+
+
+def group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def kill_group(process: subprocess.Popen) -> None:
+    """SIGKILL a server together with every process it forked."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(timeout=STOP_TIMEOUT)
+
+
+def stop_all(processes: list[subprocess.Popen]) -> list[int]:
+    """Stop every server; return the process groups that outlived their leader.
+
+    Each leader gets SIGINT (a graceful stop that shuts its shard workers
+    down) and, past :data:`STOP_TIMEOUT`, SIGKILL for its whole group.  A
+    group that still has members :data:`LINGER_TIMEOUT` after its leader
+    exited is killed and reported.
+    """
+    for process in reversed(processes):  # gateway first
+        if process.poll() is None:
+            process.send_signal(signal.SIGINT)
+    for process in reversed(processes):
+        try:
+            process.wait(timeout=STOP_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            kill_group(process)
+    survivors = []
+    deadline = time.monotonic() + LINGER_TIMEOUT
+    for process in processes:
+        while group_alive(process.pid) and time.monotonic() < deadline:
+            reap_orphans()
+            time.sleep(0.05)
+        if group_alive(process.pid):
+            survivors.append(process.pid)
+            os.killpg(process.pid, signal.SIGKILL)
+    reap_orphans()
+    return survivors
 
 
 def wait_for_port(port: int, process: subprocess.Popen, what: str) -> None:
@@ -112,12 +199,10 @@ def main() -> int:
     node_ports = [free_port(), free_port()]
     gateway_port = free_port()
     children: list[subprocess.Popen] = []
+    become_subreaper()
 
-    def spawn(argv: list[str], log_name: str) -> subprocess.Popen:
-        log = (root / log_name).open("w")
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", *argv], stdout=log, stderr=subprocess.STDOUT
-        )
+    def serve(argv: list[str], log_name: str) -> subprocess.Popen:
+        process = spawn([sys.executable, "-m", "repro", *argv], root / log_name)
         children.append(process)
         return process
 
@@ -125,7 +210,7 @@ def main() -> int:
         nodes = {}
         for index, port in enumerate(node_ports):
             name = f"node{index}"
-            nodes[name] = spawn(
+            nodes[name] = serve(
                 [
                     "cluster",
                     "serve-node",
@@ -143,7 +228,7 @@ def main() -> int:
         for (name, process), port in zip(nodes.items(), node_ports):
             wait_for_port(port, process, f"node {name}")
 
-        gateway = spawn(
+        gateway = serve(
             [
                 "cluster",
                 "serve-gateway",
@@ -191,9 +276,8 @@ def main() -> int:
             print(f"pre-kill: {CHECKS_PER_PHASE} checks ok, twin verdicts as expected")
 
             victim = "node0"
-            nodes[victim].send_signal(signal.SIGKILL)
-            nodes[victim].wait(timeout=10)
-            print(f"killed {victim} (SIGKILL)")
+            kill_group(nodes[victim])
+            print(f"killed {victim} and its shard workers (SIGKILL to its process group)")
 
             deadline = time.monotonic() + PROBE_TIMEOUT
             while time.monotonic() < deadline:
@@ -218,18 +302,14 @@ def main() -> int:
                 f"post-kill: {CHECKS_PER_PHASE} checks ok on the survivor "
                 f"(failovers={stats['failovers']}, repairs={stats['repairs']})"
             )
-        print("cluster smoke PASSED")
-        return 0
     finally:
-        for process in children:
-            if process.poll() is None:
-                process.terminate()
-        for process in children:
-            try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
-                process.kill()
+        survivors = stop_all(children)
         print(f"logs under {root}")
+    if survivors:
+        raise SystemExit(f"processes outlived their server, groups {survivors}")
+    print("all servers stopped, no process left behind")
+    print("cluster smoke PASSED")
+    return 0
 
 
 if __name__ == "__main__":
