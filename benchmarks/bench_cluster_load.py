@@ -18,8 +18,8 @@ Three cells, one story:
    96-key working set exceeds the budget, so the lone node thrashes.
 2. **Cluster capacity** (closed loop, warm): the same budget per node,
    three nodes.  Ring affinity gives each node a ~32-key slice that *fits*,
-   so ``node_speedup = cluster / single`` must clear the committed
-   ``node_speedup_floor`` (2x) even on a single-core host -- the same
+   so ``node_speedup = cluster / single`` must clear the committed 2x
+   floor even on a single-core host -- the same
    cache-residency effect the intra-node shard benchmark gates at 2.5x.
 3. **Open loop with a mid-run node kill**: ``num_requests`` arrivals on a
    fixed schedule at :data:`OFFERED_FRACTION` of the calibrated cluster
@@ -29,9 +29,11 @@ Three cells, one story:
    evict the dead node, its keys fail over to their replicas, and missing
    right operands are read-repaired from the coordinator's durable store.
 
-Results land in ``BENCH_partition.json`` as the ``cluster_records`` section
-plus ``meta.cluster_load`` (``benchmarks/run_all.py --cluster``) and are
-gated by ``cluster_gates`` in ``benchmarks/check_regression.py``.
+``python benchmarks/run_all.py --layers cluster`` records the run in
+``BENCH_partition.json``; the gate rows of the ``cluster`` layer require
+``node_speedup``, ``completion_ratio`` (answered over requested) and
+``sustained_ratio`` (achieved over offered requests per second) to clear
+their floors, no wedged node, and verified failover.
 """
 
 from __future__ import annotations
@@ -57,9 +59,8 @@ from repro.utils.serialization import to_dict
 
 FAMILY = "cluster_load"
 
-#: The acceptance-criterion request count (and the --quick count).
+#: The acceptance-criterion request count.
 DEFAULT_NUM_REQUESTS = 10_000
-QUICK_NUM_REQUESTS = 2_000
 
 #: Topology under test: the cluster cell vs the single-node baseline, both
 #: at the same fixed per-node budget (one worker shard per node).
@@ -70,6 +71,7 @@ MAX_QUEUE = 512
 STEAL_THRESHOLD = 8
 REPLICATION_FACTOR = 2
 PROBE_INTERVAL = 0.25
+SOLVER = f"cluster_open_loop_{NUM_NODES}_nodes"
 
 #: Closed-loop calibration: warm every spec once, then time this many
 #: checks at bounded concurrency through the coordinator.
@@ -306,7 +308,7 @@ async def _baseline_cell(root: Path, calibration_checks: int) -> float:
 
 async def _cluster_cell(root: Path, num_requests: int, calibration_checks: int) -> dict:
     """Three nodes: capacity, then the open loop with a mid-run node kill."""
-    specs, workload = build_workload(str(root / "coordinator" / "processes"))
+    specs, _workload = build_workload(str(root / "coordinator" / "processes"))
     names = [f"node{i}" for i in range(NUM_NODES)]
     nodes = {name: ClusterNode(name, str(root / name)) for name in names}
     coordinator = await _make_coordinator(
@@ -339,10 +341,8 @@ async def _cluster_cell(root: Path, num_requests: int, calibration_checks: int) 
         return {
             "capacity_rps": capacity,
             "run": run,
-            "workload": workload,
             "victim": victim,
             "kill_at": kill_at,
-            "health_after": health,
             "wedged_nodes": wedged,
             "failover_verified": failover_verified,
             "failovers": coordinator.failovers,
@@ -357,28 +357,40 @@ async def _cluster_cell(root: Path, num_requests: int, calibration_checks: int) 
             node.kill()
 
 
-def run_cells(
+#: The run's fixed topology, recorded as the cluster cell's params.
+PARAMS = {
+    "nodes": NUM_NODES,
+    "baseline_nodes": BASELINE_NODES,
+    "node_shards": NODE_SHARDS,
+    "replication_factor": REPLICATION_FACTOR,
+    "per_node_max_processes": PER_SHARD_MAX_PROCESSES,
+    "per_node_max_verdicts": PER_SHARD_MAX_VERDICTS,
+    "offered_fraction": OFFERED_FRACTION,
+    "kill_fraction": KILL_FRACTION,
+}
+
+
+def run_cluster(
     num_requests: int = DEFAULT_NUM_REQUESTS,
     calibration_checks: int = CALIBRATION_CHECKS,
-) -> tuple[list[dict], dict]:
-    """The cluster measurement; returns (cluster_records, meta summary)."""
+) -> dict:
+    """The cluster measurement; returns the cluster cell's metrics."""
     with tempfile.TemporaryDirectory(prefix="repro-bench-cluster-") as tmp:
         root = Path(tmp)
         single_capacity = asyncio.run(_baseline_cell(root / "single", calibration_checks))
         cell = asyncio.run(_cluster_cell(root / "cluster", num_requests, calibration_checks))
 
     run = cell["run"]
-    node_speedup = cell["capacity_rps"] / single_capacity if single_capacity else 0.0
     answered = run["served"] + sum(run["errors"].values())
-    throughput_ratio = answered / num_requests if num_requests else 0.0
-    record = {
-        "solver": f"cluster_open_loop_{NUM_NODES}_nodes",
-        "family": FAMILY,
-        "n": num_requests,
+    return {
         "seconds": run["wall_seconds"],
+        "single_node_capacity_rps": round(single_capacity, 1),
+        "cluster_capacity_rps": round(cell["capacity_rps"], 1),
+        "node_speedup": round(cell["capacity_rps"] / single_capacity, 2),
         "offered_rps": run["offered_rps"],
         "achieved_rps": run["achieved_rps"],
-        "throughput_ratio": round(throughput_ratio, 4),
+        "completion_ratio": round(answered / num_requests, 4),
+        "sustained_ratio": round(run["achieved_rps"] / run["offered_rps"], 4),
         "p50_ms": run["p50_ms"],
         "p95_ms": run["p95_ms"],
         "p99_ms": run["p99_ms"],
@@ -386,73 +398,28 @@ def run_cells(
         "overloaded": run["errors"].get("overloaded", 0),
         "internal": run["errors"].get("internal", 0),
         "unfinished": run["unfinished"],
-        "node_speedup": round(node_speedup, 2),
         "wedged_nodes": cell["wedged_nodes"],
         "killed_node": cell["victim"],
+        "kill_at_request": cell["kill_at"],
+        "answered_after_kill": run["answered_after_kill"],
+        "requests_after_kill": run["requests_after_kill"],
         "failover_verified": cell["failover_verified"],
         "failovers": cell["failovers"],
         "repairs": cell["repairs"],
         "steals": cell["steals"],
-    }
-    meta = {
-        "nodes": NUM_NODES,
-        "baseline_nodes": BASELINE_NODES,
-        "node_shards": NODE_SHARDS,
-        "replication_factor": REPLICATION_FACTOR,
-        "per_node_max_processes": PER_SHARD_MAX_PROCESSES,
-        "per_node_max_verdicts": PER_SHARD_MAX_VERDICTS,
-        "workload": cell["workload"],
-        "single_node_capacity_rps": round(single_capacity, 1),
-        "cluster_capacity_rps": round(cell["capacity_rps"], 1),
-        "node_speedup": round(node_speedup, 2),
-        "calibration_checks": calibration_checks,
-        "offered_fraction": OFFERED_FRACTION,
-        "kill_at_request": cell["kill_at"],
-        "killed_node": cell["victim"],
-        "health_after": cell["health_after"],
-        "requests_after_kill": run["requests_after_kill"],
-        "answered_after_kill": run["answered_after_kill"],
-        "served_after_kill": run["served_after_kill"],
         "replications": cell["replications"],
         "replication_failures": cell["replication_failures"],
-        "repairs": cell["repairs"],
-        "errors": run["errors"],
     }
-    return [record], meta
 
 
 # ----------------------------------------------------------------------
-# pytest entry point (run by benchmarks/run_all.py's suite smoke)
+# pytest smoke (the bench-scale CI lane runs it by file name)
 # ----------------------------------------------------------------------
 def test_cluster_open_loop_smoke():
-    records, meta = run_cells(num_requests=600, calibration_checks=200)
-    record = records[0]
-    assert record["wedged_nodes"] == 0
-    assert record["failover_verified"] is True
-    assert record["throughput_ratio"] > 0.8
+    metrics = run_cluster(num_requests=600, calibration_checks=200)
+    assert metrics["wedged_nodes"] == 0
+    assert metrics["failover_verified"] is True
+    assert metrics["completion_ratio"] > 0.8
     # The full-run gate is 2x; the smoke calibration is short and noisy, so
     # it only asserts the cache-residency effect exists at all.
-    assert record["node_speedup"] > 1.2
-
-
-if __name__ == "__main__":
-    records, meta = run_cells(QUICK_NUM_REQUESTS)
-    record = records[0]
-    print(
-        f"{record['solver']}: capacity {meta['cluster_capacity_rps']} rps vs "
-        f"{meta['single_node_capacity_rps']} rps single-node "
-        f"(node_speedup {record['node_speedup']}x)"
-    )
-    print(
-        f"  open loop: offered {record['offered_rps']} rps, achieved "
-        f"{record['achieved_rps']} rps over {record['seconds']}s, "
-        f"ratio {record['throughput_ratio']}, "
-        f"p50/p95/p99 {record['p50_ms']}/{record['p95_ms']}/{record['p99_ms']} ms"
-    )
-    print(
-        f"  killed {record['killed_node']} at request {meta['kill_at_request']}: "
-        f"failover_verified={record['failover_verified']} "
-        f"(answered {meta['answered_after_kill']}/{meta['requests_after_kill']} after kill), "
-        f"failovers={record['failovers']} repairs={record['repairs']} "
-        f"wedged={record['wedged_nodes']}"
-    )
+    assert metrics["node_speedup"] > 1.2

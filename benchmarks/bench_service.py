@@ -21,7 +21,7 @@ budget:
 
 * at **1 shard** every check thrashes the single worker's LRU caches, so
   artifacts and verdicts are recomputed pass after pass;
-* at **:data:`NUM_SHARDS` shards** the digest-sticky routing partitions the
+* at **4 shards** the digest-sticky routing partitions the
   working set, each shard's slice *fits* its budget, and passes after the
   first are served from hot caches.
 
@@ -32,16 +32,14 @@ parallelism on multi-core hosts (the workers are separate processes; the
 recording host's core count is stored in the metadata so readers can tell
 the two effects apart).
 
-``run_cells`` reports records in the ``solver|family|n`` schema of
-``BENCH_partition.json``; ``benchmarks/run_all.py`` folds them into the
-trajectory and ``benchmarks/check_regression.py`` enforces the committed
-``service_speedup_floor`` (2.5x) and that both configurations answered the
-manifest identically.
+The ``service`` layer of ``benchmarks/cells.py`` times both configurations
+with :func:`run_manifest`; its gate rows require the 4-shard ``speedup`` to
+reach 2.5x and both configurations to answer the manifest identically.  The
+soak and cluster benchmarks reuse the same workload.
 """
 
 from __future__ import annotations
 
-import tempfile
 import time
 
 from repro.generators.random_fsp import perturb, random_equivalent_copy, random_fsp
@@ -52,9 +50,6 @@ FAMILY = "service_manifest"
 
 #: The acceptance-criterion manifest size.
 DEFAULT_NUM_CHECKS = 500
-#: Shard counts compared by the trajectory.
-BASELINE_SHARDS = 1
-NUM_SHARDS = 4
 
 #: Workload shape: NUM_BASES bases, each with VARIANTS_PER_BASE variants
 #: (two equivalent copies, two perturbed near-misses), all content-addressed.
@@ -123,7 +118,11 @@ def build_manifest(specs: list[dict], num_checks: int = DEFAULT_NUM_CHECKS) -> l
 def run_manifest(
     store_root: str, manifest: list[dict], num_shards: int
 ) -> tuple[float, list[bool]]:
-    """Time one cold pool over the whole manifest; returns (seconds, answers)."""
+    """One sample of a cold pool over the whole manifest; returns (seconds, answers).
+
+    The timed region starts once the workers are up, so the sample measures
+    checking, not process start-up.
+    """
     with ShardPool(
         num_shards,
         store_root,
@@ -135,96 +134,3 @@ def run_manifest(
         results = pool.check_many(manifest)
         seconds = time.perf_counter() - begin
     return seconds, [result["equivalent"] for result in results]
-
-
-def run_cells(
-    num_checks: int = DEFAULT_NUM_CHECKS, repeats: int = 1
-) -> tuple[list[dict], float, bool, dict]:
-    """Time both shard counts; returns (records, speedup, agree, workload meta).
-
-    Each repeat uses a fresh pool (cold caches), so the measurement is the
-    end-to-end manifest latency a newly deployed service would show; the
-    manifest itself contains the repeated-pair passes.  ``agree`` is False
-    if the two configurations answered any check differently -- a routing
-    or worker-state bug the CI gate treats as a failure.
-    """
-    with tempfile.TemporaryDirectory(prefix="repro-bench-service-") as store_root:
-        specs, workload = build_workload(store_root)
-        manifest = build_manifest(specs, num_checks)
-
-        def best_of(num_shards: int) -> tuple[float, list[bool]]:
-            best, answers = float("inf"), None
-            for _ in range(repeats):
-                seconds, answers = run_manifest(store_root, manifest, num_shards)
-                best = min(best, seconds)
-            return best, answers
-
-        single_seconds, single_answers = best_of(BASELINE_SHARDS)
-        sharded_seconds, sharded_answers = best_of(NUM_SHARDS)
-        agree = single_answers == sharded_answers
-
-        store = ProcessStore(store_root)
-        transitions = sum(store.get(digest).num_transitions for digest in store.digests())
-
-    records = [
-        {
-            "solver": f"service_{BASELINE_SHARDS}_shard",
-            "family": FAMILY,
-            "n": num_checks,
-            "transitions": transitions,
-            "blocks": sum(single_answers),
-            "seconds": round(single_seconds, 6),
-        },
-        {
-            "solver": f"service_{NUM_SHARDS}_shards",
-            "family": FAMILY,
-            "n": num_checks,
-            "transitions": transitions,
-            "blocks": sum(sharded_answers),
-            "seconds": round(sharded_seconds, 6),
-        },
-    ]
-    speedup = single_seconds / sharded_seconds if sharded_seconds > 0 else float("inf")
-    workload["throughput_1_shard"] = round(num_checks / single_seconds, 1)
-    workload[f"throughput_{NUM_SHARDS}_shards"] = round(num_checks / sharded_seconds, 1)
-    return records, round(speedup, 2), agree, workload
-
-
-# ----------------------------------------------------------------------
-# pytest entry points (run by benchmarks/run_all.py's suite smoke)
-# ----------------------------------------------------------------------
-def test_sharded_pool_smoke(benchmark):
-    with tempfile.TemporaryDirectory(prefix="repro-bench-service-") as store_root:
-        specs, _meta = build_workload(store_root)
-        manifest = build_manifest(specs, 48)
-        with ShardPool(
-            2,
-            store_root,
-            max_processes=PER_SHARD_MAX_PROCESSES,
-            max_verdicts=PER_SHARD_MAX_VERDICTS,
-        ) as pool:
-            pool.stats()
-            results = benchmark(lambda: pool.check_many(manifest))
-        benchmark.extra_info["checks"] = len(manifest)
-        benchmark.extra_info["equivalent"] = sum(r["equivalent"] for r in results)
-
-
-def test_shard_counts_agree():
-    with tempfile.TemporaryDirectory(prefix="repro-bench-service-") as store_root:
-        specs, _meta = build_workload(store_root)
-        manifest = build_manifest(specs, 48)
-        single_seconds, single = run_manifest(store_root, manifest, 1)
-        sharded_seconds, sharded = run_manifest(store_root, manifest, 3)
-        assert single == sharded
-        assert single_seconds > 0 and sharded_seconds > 0
-
-
-if __name__ == "__main__":
-    records, speedup, agree, workload = run_cells()
-    for record in records:
-        print(
-            f"{record['solver']:20s} n={record['n']}  {record['seconds'] * 1000:9.2f} ms  "
-            f"({record['n'] / record['seconds']:7.1f} checks/sec)"
-        )
-    print(f"speedup ({NUM_SHARDS} shards vs {BASELINE_SHARDS}): {speedup:.2f}x; agree={agree}")
-    print(f"workload: {workload}")

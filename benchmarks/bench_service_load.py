@@ -27,19 +27,18 @@ The traffic is deliberately hostile in the way production traffic is:
 
 Rate selection is hardware-independent: a closed-loop warm pass first
 calibrates the host's capacity, and the open-loop schedule then offers
-:data:`OFFERED_FRACTION` of it.  The gates in
-``benchmarks/check_regression.py`` (``service_load_gates``) are therefore
-ratios and absolute latency ceilings, not absolute throughputs:
+:data:`OFFERED_FRACTION` of it.  The gate rows of the ``soak`` layer are
+therefore ratios and absolute latency ceilings, not absolute throughputs:
 
-* ``throughput_ratio_floor``: achieved/offered completion ratio,
-* ``p99_ms_ceiling``: 99th-percentile open-loop latency of served requests,
-* ``max_wedged_shards``: shards unresponsive after the run (with
-  ``revivals`` required to stay zero -- poison must be *shed*, not crash
-  workers).
+* ``completion_ratio``: answered (verdict or structured error) over
+  requested;
+* ``sustained_ratio``: achieved over offered requests per second;
+* ``p99_ms``: 99th-percentile open-loop latency of served requests;
+* ``wedged_shards``: shards unresponsive after the run, and ``revivals``,
+  which must stay zero -- poison must be *shed*, not crash workers.
 
-Results land in ``BENCH_partition.json`` as the ``service_load_records``
-section (``benchmarks/run_all.py --soak``) and gate the ``service-soak``
-CI lane.
+``python benchmarks/run_all.py --layers soak`` records the run in
+``BENCH_partition.json`` for the ``service-soak`` CI lane.
 """
 
 from __future__ import annotations
@@ -62,14 +61,14 @@ from repro.service.store import ProcessStore
 
 FAMILY = "service_load"
 
-#: The acceptance-criterion request count (and the --quick count).
+#: The acceptance-criterion request count.
 DEFAULT_NUM_REQUESTS = 10_000
-QUICK_NUM_REQUESTS = 2_000
 
 #: Shards and flow-control posture under test.
 NUM_SHARDS = 4
 MAX_QUEUE = 512
 STEAL_THRESHOLD = 8
+SOLVER = f"service_open_loop_{NUM_SHARDS}_shards"
 
 #: Every POISON_EVERY-th request is a slow-poison check.
 POISON_EVERY = 200
@@ -224,10 +223,22 @@ def probe_wedged_shards(pool: ShardPool, timeout: float = 10.0) -> int:
     return wedged
 
 
-def run_cells(num_requests: int = DEFAULT_NUM_REQUESTS) -> tuple[list[dict], dict]:
-    """The soak measurement; returns (service_load_records, meta summary)."""
+#: The run's fixed posture, recorded as the soak cell's params.
+PARAMS = {
+    "shards": NUM_SHARDS,
+    "max_queue": MAX_QUEUE,
+    "steal_threshold": STEAL_THRESHOLD,
+    "offered_fraction": OFFERED_FRACTION,
+    "poison_every": POISON_EVERY,
+    "poison_states": POISON_STATES,
+    "poison_deadline_ms": int(POISON_DEADLINE_SECONDS * 1000),
+}
+
+
+def run_soak(num_requests: int = DEFAULT_NUM_REQUESTS) -> dict:
+    """The soak measurement; returns the soak cell's metrics."""
     with tempfile.TemporaryDirectory(prefix="repro-bench-service-load-") as store_root:
-        specs, workload = build_workload(store_root)
+        specs, _workload = build_workload(store_root)
         poison_specs = build_poison_specs(store_root)
         with ShardPool(
             NUM_SHARDS,
@@ -242,26 +253,18 @@ def run_cells(num_requests: int = DEFAULT_NUM_REQUESTS) -> tuple[list[dict], dic
             offered = min(max(capacity * OFFERED_FRACTION, MIN_OFFERED_RPS), MAX_OFFERED_RPS)
             run = run_open_loop(pool, specs, poison_specs, num_requests, offered)
             wedged = probe_wedged_shards(pool)
-            flow = {
-                "steals": pool.steals,
-                "revivals": pool.revivals,
-                "overloads": pool.overloads,
-                "queue_depths": pool.queue_depths(),
-            }
+            steals, revivals = pool.steals, pool.revivals
 
-    # Completion ratio: everything that got an answer (verdict or structured
-    # error) over everything offered.  Silent drops and wedged stragglers
-    # are what push it down.
+    # Everything that got an answer (verdict or structured error) over
+    # everything requested: silent drops and wedged stragglers push it down.
     answered = run["served"] + sum(run["errors"].values())
-    throughput_ratio = answered / num_requests if num_requests else 0.0
-    record = {
-        "solver": f"service_open_loop_{NUM_SHARDS}_shards",
-        "family": FAMILY,
-        "n": num_requests,
+    return {
         "seconds": run["wall_seconds"],
+        "calibrated_capacity_rps": round(capacity, 1),
         "offered_rps": run["offered_rps"],
         "achieved_rps": run["achieved_rps"],
-        "throughput_ratio": round(throughput_ratio, 4),
+        "completion_ratio": round(answered / num_requests, 4),
+        "sustained_ratio": round(run["achieved_rps"] / run["offered_rps"], 4),
         "p50_ms": run["p50_ms"],
         "p95_ms": run["p95_ms"],
         "p99_ms": run["p99_ms"],
@@ -271,55 +274,22 @@ def run_cells(num_requests: int = DEFAULT_NUM_REQUESTS) -> tuple[list[dict], dic
         "check_failed": run["errors"].get("check_failed", 0),
         "unfinished": run["unfinished"],
         "wedged_shards": wedged,
-        "steals": flow["steals"],
-        "revivals": flow["revivals"],
+        "steals": steals,
+        "revivals": revivals,
     }
-    meta = {
-        "workload": workload,
-        "calibrated_capacity_rps": round(capacity, 1),
-        "offered_fraction": OFFERED_FRACTION,
-        "poison_every": POISON_EVERY,
-        "poison_states": POISON_STATES,
-        "poison_deadline_ms": int(POISON_DEADLINE_SECONDS * 1000),
-        "max_queue": MAX_QUEUE,
-        "steal_threshold": STEAL_THRESHOLD,
-        "queue_depths_after": flow["queue_depths"],
-        "pool_overload_refusals": flow["overloads"],
-    }
-    return [record], meta
 
 
 # ----------------------------------------------------------------------
-# pytest entry points (run by benchmarks/run_all.py's suite smoke)
+# pytest smoke (the bench-scale CI lane runs it by file name)
 # ----------------------------------------------------------------------
 def test_open_loop_smoke():
     # 3 x POISON_EVERY requests => three cold poison checks, so the
     # deadline-shed assertion does not hang off a single sample (one poison
     # can sneak under its deadline on a heavily contended host).
-    records, meta = run_cells(num_requests=3 * POISON_EVERY)
-    record = records[0]
-    assert record["wedged_shards"] == 0
-    assert record["revivals"] == 0
-    assert record["throughput_ratio"] > 0.9
+    metrics = run_soak(num_requests=3 * POISON_EVERY)
+    assert metrics["wedged_shards"] == 0
+    assert metrics["revivals"] == 0
+    assert metrics["completion_ratio"] > 0.9
     # The poison tail was shed by deadlines, not served or wedged.
-    assert record["deadline_exceeded"] >= 1
-    assert record["served"] >= 2 * POISON_EVERY
-
-
-if __name__ == "__main__":
-    records, meta = run_cells(QUICK_NUM_REQUESTS)
-    record = records[0]
-    print(
-        f"{record['solver']}: offered {record['offered_rps']} rps "
-        f"(capacity {meta['calibrated_capacity_rps']} rps), "
-        f"achieved {record['achieved_rps']} rps over {record['seconds']}s"
-    )
-    print(
-        f"  latency p50/p95/p99: {record['p50_ms']}/{record['p95_ms']}/{record['p99_ms']} ms; "
-        f"throughput ratio {record['throughput_ratio']}"
-    )
-    print(
-        f"  deadline_exceeded={record['deadline_exceeded']} overloaded={record['overloaded']} "
-        f"steals={record['steals']} revivals={record['revivals']} "
-        f"wedged={record['wedged_shards']}"
-    )
+    assert metrics["deadline_exceeded"] >= 1
+    assert metrics["served"] >= 2 * POISON_EVERY

@@ -1,10 +1,8 @@
-"""Shared configuration for the benchmark harness.
+"""Import paths for the bench-module smokes (``python -m pytest benchmarks/bench_*.py``).
 
-Every benchmark module regenerates one experiment row of DESIGN.md /
-EXPERIMENTS.md.  The measured quantities (sizes, block counts, reduction
-factors) are attached to the pytest-benchmark records via ``extra_info`` so
-that a single ``pytest benchmarks/ --benchmark-only`` run produces everything
-EXPERIMENTS.md reports.
+The soak and cluster modules import the shared service workload
+(``bench_service``) by module name, so the benchmark directory joins the
+source tree on ``sys.path``.
 """
 
 from __future__ import annotations
@@ -12,12 +10,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:  # pragma: no cover - depends on the environment
-    sys.path.insert(0, str(_SRC))
-
-# Make the frozen seed baseline (seed_baseline.py, used by the solver
-# trajectory benchmarks and run_all.py) importable from bench modules.
 _BENCH = Path(__file__).resolve().parent
-if str(_BENCH) not in sys.path:  # pragma: no cover - depends on the environment
-    sys.path.insert(0, str(_BENCH))
+for _path in (_BENCH.parent / "src", _BENCH):
+    if str(_path) not in sys.path:  # pragma: no cover - depends on the environment
+        sys.path.insert(0, str(_path))

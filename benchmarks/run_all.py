@@ -1,39 +1,26 @@
 #!/usr/bin/env python3
-"""Benchmark runner: partition-solver trajectory plus the pytest-benchmark suite.
+"""Benchmark runner: run the registry's cells layer by layer into one JSON file.
 
-Two jobs in one entry point:
+Every cell of ``benchmarks/cells.py`` in the selected layers runs in order,
+and ``BENCH_partition.json`` (or ``--output``) receives one record per cell::
 
-1. **Trajectory** -- times the end-to-end Lemma 3.1 pipeline (reduction +
-   solver) for every solver x family x size cell and writes the rows to a
-   machine-readable JSON file (``BENCH_partition.json`` by default).  The
-   frozen seed implementation (``benchmarks/seed_baseline.py``) is timed next
-   to the kernel solvers, so successive runs of this script record the
-   perf trajectory of the repository against a fixed baseline.  A second,
-   *weak-equivalence* section does the same for the Theorem 4.1(a) pipeline
-   on tau-heavy families: the kernel weak-transition engine
-   (``repro.core.weak``) is timed next to the retained dict-saturation route,
-   and the ``speedup_weak_kernel_vs_dict_saturation`` cells record the gap.
-   A third, *vector-kernel* section times the numpy array kernel
-   (``repro.partition.vectorized``, in-memory and memory-mapped) against the
-   python solvers on the ``shift_register`` scaling family; ``--scale`` adds
-   the 10^5- and 10^6-state tiers, and ``speedup_vector_vs_python`` records
-   the kernel's gap to the default python backend.
+    {"layer": "weak", "key": "solver|family|n", "params": {...}, "metrics": {...}}
 
-2. **Suite smoke** -- executes every ``bench_*.py`` module via pytest
-   (``--benchmark-disable`` in ``--quick`` mode so each workload runs once;
-   ``--benchmark-only`` otherwise) and folds the per-file status into the
-   JSON metadata.
+plus ``meta.layers``, the layers that ran.  ``benchmarks/check_regression.py``
+gates the file: a layer's gate rows and expected seconds apply exactly when
+that layer ran.
 
 Usage::
 
-    python benchmarks/run_all.py --quick            # CI smoke: seconds, not minutes
-    python benchmarks/run_all.py                    # full trajectory + benchmarks
-    python benchmarks/run_all.py --skip-pytest      # trajectory only
-    python benchmarks/run_all.py --soak             # + the open-loop service soak
-    python benchmarks/run_all.py --cluster          # + the 3-node cluster load run
+    python benchmarks/run_all.py --quick                 # CI bench lane: the default layers
+    python benchmarks/run_all.py                         # full sizes
+    python benchmarks/run_all.py --layers scale          # 10^5/10^6-state vector tiers
+    python benchmarks/run_all.py --layers soak           # open-loop service soak
+    python benchmarks/run_all.py --layers cluster        # 3-node cluster load
+    python benchmarks/run_all.py --layers experiments    # the paper's E-series, ungated
 
-The script exits non-zero if any solver disagrees with the reference result
-or any pytest bench module fails, so CI can gate on it directly.
+``--quick`` shrinks the kernel, weak and vector sizes; every cell is timed
+until it has 3 samples or has spent 1 s in either mode.
 """
 
 from __future__ import annotations
@@ -42,759 +29,69 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
-import tempfile
-import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = Path(__file__).resolve().parent
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
-if str(BENCH_DIR) not in sys.path:
-    sys.path.insert(0, str(BENCH_DIR))
+for path in (BENCH_DIR.parent / "src", BENCH_DIR):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
 
-import bench_cluster_load  # noqa: E402
-import bench_engine_cache  # noqa: E402
-import bench_on_the_fly  # noqa: E402
-import bench_protocols  # noqa: E402
-import bench_reduction  # noqa: E402
-import bench_service  # noqa: E402
-import bench_service_load  # noqa: E402
-from seed_baseline import seed_kanellakis_smolka  # noqa: E402
-
-from repro.core.derivatives import saturate_reference  # noqa: E402
-from repro.core.fsp import FSP  # noqa: E402
-from repro.equivalence.observational import observational_partition  # noqa: E402
-from repro.generators.families import (  # noqa: E402
-    comb,
-    duplicated_chain,
-    shift_register,
-    shift_register_csr,
-    tau_diamond_tower,
-    tau_ladder,
-    tau_mesh,
-)
-from repro.partition.generalized import (  # noqa: E402
-    GeneralizedPartitioningInstance,
-    Solver,
-    solve,
-)
-from repro.partition.vectorized import vector_refine_csr  # noqa: E402
-from repro.utils.matrices import HAVE_NUMPY, MmapCSR, require_numpy  # noqa: E402
-
-#: family name -> (process builder for ~n states, include_tau flag).  These are
-#: the structured scaling families of the partition benchmarks: refinement
-#: performs many rounds on them, which is exactly the regime the splitter
-#: queue (and the paper) is about.
-FAMILIES: dict[str, tuple] = {
-    "duplicated_chain": (lambda n: duplicated_chain(max(1, n // 2), 2), False),
-    "comb": (lambda n: comb(max(1, n // 2)), False),
-    "tau_ladder": (lambda n: tau_ladder(max(1, n // 2)), True),
-}
-
-#: the naive O(nm) method is only run below this state count so that the
-#: quick mode stays quick; dropped cells are recorded in the metadata.
-NAIVE_MAX_STATES = 900
-
-#: tau-heavy families for the weak-equivalence (Theorem 4.1a) trajectory:
-#: ``family -> (builder for ~n states, dict-route state cap)``.  The inputs
-#: are sparse but their saturated relations are Theta(n^2) dense, so the
-#: dict-saturation baseline route takes minutes above the cap (which is the
-#: point of the kernel engine); dropped cells are recorded in the metadata.
-#: tau_ladder and tau_mesh keep dict cells at n ~ 2000 because the committed
-#: weak-speedup floors are measured there; tau_diamond_tower has no floor, so
-#: its dict route stops at the small calibration size rather than spending
-#: ~90 s of every CI run re-measuring a known-slow path.
-WEAK_FAMILIES: dict[str, tuple] = {
-    "tau_ladder": (lambda n: tau_ladder(max(1, n // 2)), 2500),
-    "tau_mesh": (tau_mesh, 2500),
-    "tau_diamond_tower": (lambda n: tau_diamond_tower(max(1, n // 3)), 500),
-}
-
-QUICK_SIZES = [400, 2000]
-FULL_SIZES = [400, 1000, 2000, 4000]
-
-#: ``shift_register`` tiers for the vector-kernel section, as ``bits`` (the
-#: family has ``2^bits`` states).  The quick/full tiers keep the vector cells
-#: in every CI bench run; ``--scale`` adds the 10^5 tier (where the python
-#: solvers are still timed next to the kernel and the committed speedup floor
-#: is measured) and the 10^6 tier (vector-only: the default python backend
-#: would take ~15 minutes there, which is the point of the kernel).
-VECTOR_QUICK_BITS = [12]
-VECTOR_FULL_BITS = [12, 14]
-VECTOR_SCALE_BITS = [17, 20]
-
-#: the python solvers are only timed on shift_register up to this state count
-#: (paige_tarjan already costs ~80 s at 2^17); above it the vector cells run
-#: alone and dropped python cells are recorded in the metadata.
-VECTOR_PY_MAX_N = 1 << 17
+from cells import DEFAULT_LAYERS, LAYERS  # noqa: E402
+from check_regression import metrics_text  # noqa: E402
 
 
-def _pipeline(process: FSP, include_tau: bool, method: Solver):
-    instance = GeneralizedPartitioningInstance.from_fsp(process, include_tau=include_tau)
-    return solve(instance, method)
+def _layers(text: str) -> list[str]:
+    names = [name for name in text.split(",") if name]
+    unknown = sorted(set(names) - set(LAYERS))
+    if unknown or not names:
+        raise argparse.ArgumentTypeError(f"unknown layers {unknown}; choose from {list(LAYERS)}")
+    return names
 
 
-def _best_of(fn, repeats: int):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        begin = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - begin)
-    return best, result
-
-
-def _time_cell(
-    cell: list[tuple],
-    family: str,
-    n: int,
-    m: int,
-    repeats: int,
-    records: list[dict],
-) -> bool:
-    """Time every solver of one family x size cell, append its records.
-
-    All solvers of a cell must produce the same partition (the coarsest
-    stable refinement is unique); returns False when one disagrees.  This is
-    the single place the record schema (``solver|family|n`` -- the key format
-    ``check_regression.cell_key`` parses) and the agreement check live, shared
-    by the strong and weak trajectories.
-    """
-    agree = True
-    reference = None
-    for solver, fn in cell:
-        seconds, partition = _best_of(fn, repeats)
-        frozen = partition.as_frozen()
-        if reference is None:
-            reference = frozen
-        elif frozen != reference:
-            agree = False
-            print(f"ERROR: {solver} disagrees on {family} n={n}", file=sys.stderr)
-        records.append(
-            {
-                "solver": solver,
-                "family": family,
-                "n": n,
-                "transitions": m,
-                "blocks": len(partition),
-                "seconds": round(seconds, 6),
-            }
-        )
-        print(
-            f"  {family:18s} n={n:5d} m={m:6d} {solver:28s} "
-            f"{seconds * 1000:9.2f} ms  blocks={len(partition)}"
-        )
-    return agree
-
-
-def run_trajectory(sizes: list[int], repeats: int) -> tuple[list[dict], list[str], bool]:
-    records: list[dict] = []
-    skipped: list[str] = []
-    agree = True
-    for family, (builder, include_tau) in FAMILIES.items():
-        for size in sizes:
-            process = builder(size)
-            n, m = process.num_states, process.num_transitions
-            cell = [
-                ("seed_kanellakis_smolka", lambda: seed_kanellakis_smolka(process, include_tau)),
-                (
-                    "kanellakis_smolka",
-                    lambda: _pipeline(process, include_tau, Solver.KANELLAKIS_SMOLKA),
-                ),
-                ("paige_tarjan", lambda: _pipeline(process, include_tau, Solver.PAIGE_TARJAN)),
-            ]
-            if n <= NAIVE_MAX_STATES:
-                cell.append(("naive", lambda: _pipeline(process, include_tau, Solver.NAIVE)))
-            else:
-                skipped.append(f"naive on {family} n={n} (> {NAIVE_MAX_STATES} states)")
-            agree = _time_cell(cell, family, n, m, repeats, records) and agree
-    return records, skipped, agree
-
-
-def run_weak_trajectory(sizes: list[int], repeats: int) -> tuple[list[dict], list[str], bool]:
-    """The weak-equivalence section: observational partition, kernel vs dict saturation."""
-    records: list[dict] = []
-    skipped: list[str] = []
-    agree = True
-
-    def dict_route(process: FSP):
-        saturated = saturate_reference(process)
-        instance = GeneralizedPartitioningInstance.from_fsp(saturated, include_tau=False)
-        return solve(instance, Solver.PAIGE_TARJAN)
-
-    for family, (builder, dict_cap) in WEAK_FAMILIES.items():
-        for size in sizes:
-            process = builder(size)
-            n, m = process.num_states, process.num_transitions
-            cell = []
-            if n <= dict_cap:
-                cell.append(("dict_saturation", lambda: dict_route(process)))
-            else:
-                skipped.append(f"dict_saturation on {family} n={n} (> {dict_cap} states)")
-            cell.extend(
-                [
-                    (
-                        "weak_kernel_paige_tarjan",
-                        lambda: observational_partition(process, method=Solver.PAIGE_TARJAN),
-                    ),
-                    (
-                        "weak_kernel_kanellakis_smolka",
-                        lambda: observational_partition(process, method=Solver.KANELLAKIS_SMOLKA),
-                    ),
-                ]
-            )
-            agree = _time_cell(cell, family, n, m, repeats, records) and agree
-    return records, skipped, agree
-
-
-def _assignment_of(np, partition, n: int):
-    """Flatten a name-keyed ``Partition`` over ``s0..s{n-1}`` to an int64 array."""
-    assignment = np.empty(n, dtype=np.int64)
-    for index, block in enumerate(partition):
-        for name in block:
-            assignment[int(name[1:])] = index
-    return assignment
-
-
-def _canonical_assignment(np, assignment):
-    """Relabel block ids by first occurrence so partitions compare up to renumbering."""
-    _, first_index, inverse = np.unique(assignment, return_index=True, return_inverse=True)
-    order = np.argsort(first_index)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order), dtype=np.int64)
-    return rank[inverse]
-
-
-def run_vector_trajectory(
-    bits_list: list[int], repeats: int
-) -> tuple[list[dict], list[str], bool, dict, dict]:
-    """The vector-kernel section: shift_register, python solvers vs numpy kernel.
-
-    Every tier times the in-memory numpy kernel (``vector``) and the
-    memory-mapped out-of-core route (``vector_mmap``); tiers up to
-    ``VECTOR_PY_MAX_N`` also time the python solvers on the same instance via
-    the FSP pipeline.  All routes must agree up to block renumbering.  The
-    ``speedup_vector_vs_python`` cells divide the *default* python backend's
-    seconds (paige_tarjan -- what ``solve(backend="python")`` runs with the
-    default method) by the vector kernel's; the ratio against the faster
-    kanellakis_smolka worklist is recorded separately for transparency.
-    """
-    records: list[dict] = []
-    skipped: list[str] = []
-    agree = True
-    if not HAVE_NUMPY:
-        skipped.append("vector trajectory (numpy unavailable)")
-        return records, skipped, agree, {}, {}
-    np = require_numpy()
-
-    family = "shift_register"
-    py_speedups: dict[str, dict[str, float]] = {}
-    ks_speedups: dict[str, dict[str, float]] = {}
-    for bits in bits_list:
-        n = 1 << bits
-        m = 2 * n
-        timings: dict[str, float] = {}
-        reference = None
-
-        def note(solver: str, seconds: float, assignment) -> None:
-            nonlocal agree, reference
-            canonical = _canonical_assignment(np, assignment)
-            if reference is None:
-                reference = canonical
-            elif not np.array_equal(canonical, reference):
-                agree = False
-                print(f"ERROR: {solver} disagrees on {family} n={n}", file=sys.stderr)
-            blocks = int(canonical.max()) + 1 if n else 0
-            timings[solver] = seconds
+def run(layers: list[str], quick: bool) -> list[dict]:
+    """Every cell of ``layers``, in order; returns the records."""
+    records = []
+    for layer in layers:
+        print(f"{layer}:", flush=True)
+        for cell in LAYERS[layer](quick):
+            metrics = cell.fn()
+            seconds = f"{metrics['seconds']:.4f}s x{metrics.get('samples', 1)}"
+            print(f"  {cell.key:52s} {seconds:>14} {metrics_text(metrics)}", flush=True)
             records.append(
-                {
-                    "solver": solver,
-                    "family": family,
-                    "n": n,
-                    "transitions": m,
-                    "blocks": blocks,
-                    "seconds": round(seconds, 6),
-                }
+                {"layer": layer, "key": cell.key, "params": cell.params, "metrics": metrics}
             )
-            print(
-                f"  {family:18s} n={n:7d} m={m:8d} {solver:28s} "
-                f"{seconds * 1000:9.2f} ms  blocks={blocks}"
-            )
-
-        if n <= VECTOR_PY_MAX_N:
-            process = shift_register(bits)
-            for solver, method in (
-                ("paige_tarjan", Solver.PAIGE_TARJAN),
-                ("kanellakis_smolka", Solver.KANELLAKIS_SMOLKA),
-            ):
-                seconds, partition = _best_of(
-                    lambda method=method: _pipeline(process, False, method), repeats
-                )
-                note(solver, seconds, _assignment_of(np, partition, n))
-        else:
-            skipped.append(f"python solvers on {family} n={n} (> {VECTOR_PY_MAX_N} states)")
-
-        def memory_cell():
-            csr, block_of = shift_register_csr(bits)
-            return vector_refine_csr(csr, block_of)
-
-        seconds, assignment = _best_of(memory_cell, repeats)
-        note("vector", seconds, assignment)
-
-        with tempfile.TemporaryDirectory(prefix="repro-bench-mmap-") as tmp:
-            _, block_of = shift_register_csr(bits, mmap_dir=Path(tmp))
-            store = MmapCSR.open(Path(tmp))
-            seconds, assignment = _best_of(lambda: vector_refine_csr(store, block_of), repeats)
-            note("vector_mmap", seconds, assignment)
-
-        vector_seconds = timings.get("vector")
-        if timings.get("paige_tarjan") and vector_seconds:
-            py_speedups.setdefault(family, {})[str(n)] = round(
-                timings["paige_tarjan"] / vector_seconds, 2
-            )
-        if timings.get("kanellakis_smolka") and vector_seconds:
-            ks_speedups.setdefault(family, {})[str(n)] = round(
-                timings["kanellakis_smolka"] / vector_seconds, 2
-            )
-    return records, skipped, agree, py_speedups, ks_speedups
-
-
-def run_engine_trajectory(repeats: int) -> tuple[list[dict], float, bool]:
-    """The engine-cache section: ``check_many`` on one engine vs the cold loop.
-
-    Delegates to :mod:`bench_engine_cache`; the records use the shared
-    ``solver|family|n`` schema so the regression gate covers them, and the
-    returned speedup feeds ``meta.speedup_engine_cached_vs_cold`` (gated
-    against the committed floor).
-    """
-    records, speedup, agree = bench_engine_cache.run_cells(repeats=repeats)
-    for record in records:
-        print(
-            f"  {record['family']:18s} n={record['n']:5d} {record['solver']:28s} "
-            f"{record['seconds'] * 1000:9.2f} ms"
-        )
-    if not agree:
-        print(
-            "ERROR: engine check_many disagrees with the cold free-function loop",
-            file=sys.stderr,
-        )
-    return records, speedup, agree
-
-
-def run_explore_trajectory(repeats: int) -> tuple[list[dict], dict, bool]:
-    """The on-the-fly section: early exits, compositional minimisation, agreement.
-
-    Delegates to :mod:`bench_on_the_fly`; the records use the shared
-    ``solver|family|n`` schema so the regression gate covers them, and the
-    extras feed the ``explore_*`` metadata keys (the visit-fraction ceiling
-    and route agreements are gated by ``check_regression.py``).
-    """
-    records, extras, agree = bench_on_the_fly.run_cells(repeats=repeats)
-    for record in records:
-        print(
-            f"  {record['family']:24s} n={record['n']:7d} {record['solver']:28s} "
-            f"{record['seconds'] * 1000:9.2f} ms"
-        )
-    if not agree:
-        print(
-            "ERROR: explore routes disagree (compositional minimisation, on-the-fly "
-            "verdicts, or the early-exit family was not decided with a verified trace)",
-            file=sys.stderr,
-        )
-    return records, extras, agree
-
-
-def run_protocol_trajectory(repeats: int) -> tuple[list[dict], dict, bool]:
-    """The protocol-frontend section: conformance, fault sweeps, deadlock search.
-
-    Delegates to :mod:`bench_protocols`; the records use the shared
-    ``solver|family|n`` schema so the regression gate covers them, and the
-    extras feed the ``protocol_*`` metadata keys (the visit-fraction ceiling,
-    verified fault traces and the coordinator-crash deadlock are gated by
-    ``check_regression.py``).
-    """
-    records, extras, agree = bench_protocols.run_cells(repeats=repeats)
-    for record in records:
-        print(
-            f"  {record['family']:24s} n={record['n']:7d} {record['solver']:24s} "
-            f"{record['seconds'] * 1000:9.2f} ms"
-        )
-    if not agree:
-        print(
-            "ERROR: protocol checks disagree (a scenario failed conformance, an "
-            "f+1-fault mutant was not caught with a verified trace, a crash sweep "
-            "did not confirm its declared tolerance, or the coordinator-crash "
-            "deadlock went unreported)",
-            file=sys.stderr,
-        )
-    return records, extras, agree
-
-
-def run_reduction_trajectory(repeats: int) -> tuple[list[dict], dict, bool]:
-    """The state-space-reduction section: quorum n=25 under reduction, parity at n=5.
-
-    Delegates to :mod:`bench_reduction`; the records use the shared
-    ``solver|family|n`` schema so the regression gate covers them, and the
-    extras feed the ``reduction_*`` metadata keys (the visit-fraction
-    ceiling and the mode-parity flag are gated by ``check_regression.py``).
-    """
-    records, extras, agree = bench_reduction.run_cells(repeats=repeats)
-    for record in records:
-        print(
-            f"  {record['family']:24s} n={record['n']:7d} {record['solver']:28s} "
-            f"{record['seconds'] * 1000:9.2f} ms"
-        )
-    if not agree:
-        print(
-            "ERROR: reduction routes disagree (the quorum n=25 headline cell failed "
-            "or a reduction mode flipped a verdict against the unreduced oracle)",
-            file=sys.stderr,
-        )
-    return records, extras, agree
-
-
-def run_service_trajectory(repeats: int) -> tuple[list[dict], float, bool, dict]:
-    """The service section: the 500-check manifest at 1 vs 4 shards.
-
-    Delegates to :mod:`bench_service`; the records use the shared
-    ``solver|family|n`` schema so the regression gate covers them, and the
-    returned speedup feeds ``meta.speedup_service_4shards_vs_1shard`` (gated
-    against the committed ``service_speedup_floor``).
-    """
-    records, speedup, agree, workload = bench_service.run_cells(repeats=repeats)
-    for record in records:
-        print(
-            f"  {record['family']:18s} n={record['n']:5d} {record['solver']:28s} "
-            f"{record['seconds'] * 1000:9.2f} ms"
-        )
-    if not agree:
-        print(
-            "ERROR: sharded service answers differ from the single-shard answers",
-            file=sys.stderr,
-        )
-    return records, speedup, agree, workload
-
-
-def run_service_load_trajectory() -> tuple[list[dict], dict, bool]:
-    """The soak section: the open-loop sustained-throughput run (``--soak``).
-
-    Delegates to :mod:`bench_service_load`; the records land in the
-    ``service_load_records`` section (hardware-independent ratios and latency
-    quantiles, not per-cell seconds) and the meta summary feeds
-    ``meta.service_load``.  The full 10k-request manifest runs even under
-    ``--quick``: the offered rate is calibrated to the host, so the open
-    loop itself is seconds of wall clock.  The ``service_load_gates`` in
-    ``check_regression.py`` only apply when ``meta.service_soak`` is true,
-    so ordinary bench runs without ``--soak`` are exempt.
-    """
-    records, extras = bench_service_load.run_cells(bench_service_load.DEFAULT_NUM_REQUESTS)
-    healthy = True
-    for record in records:
-        print(
-            f"  {record['family']:18s} n={record['n']:5d} {record['solver']:28s} "
-            f"offered {record['offered_rps']:.0f} rps, ratio {record['throughput_ratio']:.3f}, "
-            f"p99 {record['p99_ms']:.1f} ms, deadline_exceeded={record['deadline_exceeded']}, "
-            f"steals={record['steals']}, wedged={record['wedged_shards']}"
-        )
-        if record["wedged_shards"] or record["revivals"]:
-            healthy = False
-            print(
-                f"ERROR: soak run left {record['wedged_shards']} wedged shard(s) and "
-                f"{record['revivals']} revival(s) -- poison must be shed, not crash workers",
-                file=sys.stderr,
-            )
-    return records, extras, healthy
-
-
-def run_cluster_trajectory() -> tuple[list[dict], dict, bool]:
-    """The cluster section: 3 nodes vs 1 behind the coordinator (``--cluster``).
-
-    Delegates to :mod:`bench_cluster_load`; the records land in the
-    ``cluster_records`` section (capacity ratios, open-loop quantiles, and
-    the failover verdict) and the meta summary feeds ``meta.cluster_load``.
-    The ``cluster_gates`` in ``check_regression.py`` only apply when
-    ``meta.cluster_bench`` is true, so ordinary bench runs without
-    ``--cluster`` are exempt.
-    """
-    records, extras = bench_cluster_load.run_cells(bench_cluster_load.DEFAULT_NUM_REQUESTS)
-    healthy = True
-    for record in records:
-        print(
-            f"  {record['family']:18s} n={record['n']:5d} {record['solver']:28s} "
-            f"node_speedup {record['node_speedup']:.2f}x, offered {record['offered_rps']:.0f} "
-            f"rps, ratio {record['throughput_ratio']:.3f}, p99 {record['p99_ms']:.1f} ms, "
-            f"failovers={record['failovers']}, repairs={record['repairs']}, "
-            f"wedged={record['wedged_nodes']}"
-        )
-        if record["wedged_nodes"] or not record["failover_verified"]:
-            healthy = False
-            print(
-                f"ERROR: cluster run left {record['wedged_nodes']} wedged node(s) and "
-                f"failover_verified={record['failover_verified']} -- killing one node "
-                "must not take the cluster's answers with it",
-                file=sys.stderr,
-            )
-    return records, extras, healthy
-
-
-def speedup_summary(records: list[dict]) -> dict:
-    """Per (family, n): seed seconds / kernel kanellakis_smolka seconds."""
-    cells: dict[tuple[str, int], dict[str, float]] = {}
-    for record in records:
-        cells.setdefault((record["family"], record["n"]), {})[record["solver"]] = record["seconds"]
-    summary: dict[str, dict[str, float]] = {}
-    for (family, n), timings in sorted(cells.items()):
-        seed = timings.get("seed_kanellakis_smolka")
-        new = timings.get("kanellakis_smolka")
-        if seed and new:
-            summary.setdefault(family, {})[str(n)] = round(seed / new, 2)
-    return summary
-
-
-def weak_speedup_summary(records: list[dict]) -> dict:
-    """Per (family, n): dict-saturation seconds / kernel weak-engine seconds."""
-    cells: dict[tuple[str, int], dict[str, float]] = {}
-    for record in records:
-        cells.setdefault((record["family"], record["n"]), {})[record["solver"]] = record["seconds"]
-    summary: dict[str, dict[str, float]] = {}
-    for (family, n), timings in sorted(cells.items()):
-        baseline = timings.get("dict_saturation")
-        kernel = timings.get("weak_kernel_paige_tarjan")
-        if baseline and kernel:
-            summary.setdefault(family, {})[str(n)] = round(baseline / kernel, 2)
-    return summary
-
-
-def run_pytest_benches(quick: bool) -> dict[str, str]:
-    statuses: dict[str, str] = {}
-    mode = ["--benchmark-disable"] if quick else ["--benchmark-only"]
-    for bench in sorted(BENCH_DIR.glob("bench_*.py")):
-        command = [
-            sys.executable, "-m", "pytest", str(bench), "-q", "-p", "no:cacheprovider", *mode
-        ]
-        print(f"  pytest {bench.name} ...", flush=True)
-        proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
-        statuses[bench.name] = "passed" if proc.returncode == 0 else "failed"
-        if proc.returncode != 0:
-            print(proc.stdout[-2000:], file=sys.stderr)
-    return statuses
+    return records
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--quick", action="store_true", help="CI smoke mode: fewer sizes, one repeat"
-    )
-    parser.add_argument("--skip-pytest", action="store_true", help="only run the trajectory")
-    parser.add_argument(
-        "--scale",
-        action="store_true",
-        help="add the 10^5/10^6-state shift_register tiers to the vector section",
+        "--quick", action="store_true", help="CI sizes for the kernel, weak and vector layers"
     )
     parser.add_argument(
-        "--soak",
-        action="store_true",
-        help="run the open-loop service soak (bench_service_load) and record its section",
-    )
-    parser.add_argument(
-        "--cluster",
-        action="store_true",
-        help="run the 3-node cluster load benchmark (bench_cluster_load) and record its section",
+        "--layers",
+        type=_layers,
+        default=list(DEFAULT_LAYERS),
+        help=f"comma-separated layers to run (default: {','.join(DEFAULT_LAYERS)}; "
+        f"also: {','.join(sorted(set(LAYERS) - set(DEFAULT_LAYERS)))})",
     )
     parser.add_argument(
         "--output", type=Path, default=Path("BENCH_partition.json"), help="JSON output path"
     )
     args = parser.parse_args(argv)
 
-    sizes = QUICK_SIZES if args.quick else FULL_SIZES
-    repeats = 1 if args.quick else 3
-    vector_bits = list(VECTOR_QUICK_BITS if args.quick else VECTOR_FULL_BITS)
-    if args.scale:
-        vector_bits += VECTOR_SCALE_BITS
-
-    print(f"partition trajectory: families={list(FAMILIES)} sizes={sizes}")
-    records, skipped, agree = run_trajectory(sizes, repeats)
-    speedups = speedup_summary(records)
-
-    print(f"weak-equivalence trajectory: families={list(WEAK_FAMILIES)} sizes={sizes}")
-    weak_records, weak_skipped, weak_agree = run_weak_trajectory(sizes, repeats)
-    weak_speedups = weak_speedup_summary(weak_records)
-
-    print(f"vector-kernel trajectory: shift_register bits={vector_bits} (scale={args.scale})")
-    (
-        vector_records,
-        vector_skipped,
-        vector_agree,
-        vector_speedups,
-        vector_ks_speedups,
-    ) = run_vector_trajectory(vector_bits, repeats)
-
-    print("engine-cache trajectory: check_many (cached) vs cold free-function loop")
-    engine_records, engine_speedup, engine_agree = run_engine_trajectory(repeats)
-
-    print("explore trajectory: on-the-fly early exits + compositional minimisation")
-    explore_records, explore_extras, explore_agree = run_explore_trajectory(repeats)
-
-    print("protocol trajectory: conformance at n=5, fault sweeps, deadlock search")
-    protocol_records, protocol_extras, protocol_agree = run_protocol_trajectory(repeats)
-
-    print("reduction trajectory: quorum n=25 under reduction=full, mode parity at n=5")
-    reduction_records, reduction_extras, reduction_agree = run_reduction_trajectory(repeats)
-
-    print("service trajectory: 500-check manifest, sharded pool vs single shard")
-    service_records, service_speedup, service_agree, service_workload = run_service_trajectory(
-        repeats
-    )
-
-    service_load_records: list[dict] = []
-    service_load_meta: dict = {}
-    soak_healthy = True
-    if args.soak:
-        print("service-soak trajectory: open-loop mixed manifest with slow-poison tail")
-        service_load_records, service_load_meta, soak_healthy = run_service_load_trajectory()
-
-    cluster_records: list[dict] = []
-    cluster_meta: dict = {}
-    cluster_healthy = True
-    if args.cluster:
-        print("cluster trajectory: 3-node open loop with mid-run node kill, vs 1 node")
-        cluster_records, cluster_meta, cluster_healthy = run_cluster_trajectory()
-
-    statuses: dict[str, str] = {}
-    if not args.skip_pytest:
-        print("pytest benchmark modules:")
-        statuses = run_pytest_benches(args.quick)
-
-    payload = {
-        "meta": {
-            "quick": args.quick,
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "families": list(FAMILIES),
-            "sizes": sizes,
-            "repeats": repeats,
-            "solvers_agree": agree,
-            "skipped_cells": skipped,
-            "speedup_kanellakis_smolka_vs_seed": speedups,
-            "weak_families": list(WEAK_FAMILIES),
-            "weak_solvers_agree": weak_agree,
-            "weak_skipped_cells": weak_skipped,
-            "speedup_weak_kernel_vs_dict_saturation": weak_speedups,
-            "vector_scale": args.scale,
-            "vector_bits": vector_bits,
-            "vector_solvers_agree": vector_agree,
-            "vector_skipped_cells": vector_skipped,
-            "speedup_vector_vs_python": vector_speedups,
-            "speedup_vector_vs_kanellakis_smolka": vector_ks_speedups,
-            "engine_routes_agree": engine_agree,
-            "speedup_engine_cached_vs_cold": engine_speedup,
-            "explore_routes_agree": explore_agree,
-            **explore_extras,
-            "protocol_checks_agree": protocol_agree,
-            **protocol_extras,
-            "reduction_checks_agree": reduction_agree,
-            **reduction_extras,
-            "service_routes_agree": service_agree,
-            "speedup_service_4shards_vs_1shard": service_speedup,
-            "service_workload": service_workload,
-            "service_cpu_count": os.cpu_count(),
-            "service_soak": args.soak,
-            "service_load": service_load_meta,
-            "cluster_bench": args.cluster,
-            "cluster_load": cluster_meta,
-            "bench_modules": statuses,
-        },
-        "records": records,
-        "weak_records": weak_records,
-        "vector_records": vector_records,
-        "engine_records": engine_records,
-        "explore_records": explore_records,
-        "protocol_records": protocol_records,
-        "reduction_records": reduction_records,
-        "service_records": service_records,
-        "service_load_records": service_load_records,
-        "cluster_records": cluster_records,
+    meta = {
+        "quick": args.quick,
+        "layers": args.layers,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
     }
+    payload = {"meta": meta, "records": run(args.layers, args.quick)}
     args.output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.output}")
-
-    print("speedup (kernel kanellakis_smolka vs seed implementation):")
-    for family, by_n in speedups.items():
-        row = "  ".join(f"n={n}: {ratio:.1f}x" for n, ratio in by_n.items())
-        print(f"  {family:18s} {row}")
-    print("weak speedup (kernel saturation route vs dict saturation route):")
-    for family, by_n in weak_speedups.items():
-        row = "  ".join(f"n={n}: {ratio:.1f}x" for n, ratio in by_n.items())
-        print(f"  {family:18s} {row}")
-    print("vector speedup (numpy kernel vs default python backend, paige_tarjan):")
-    for family, by_n in vector_speedups.items():
-        row = "  ".join(f"n={n}: {ratio:.1f}x" for n, ratio in by_n.items())
-        print(f"  {family:18s} {row}")
-    print(f"engine speedup (cached check_many vs cold free-function loop): {engine_speedup:.1f}x")
-    print(
-        f"explore early exit: visit fraction "
-        f"{explore_extras['explore_visit_fraction']:.6f} of "
-        f"{explore_extras['explore_product_states']} product states "
-        f"(trace verified: {explore_extras['explore_trace_verified']})"
-    )
-    print(
-        f"protocol conformance: visit fraction "
-        f"{protocol_extras['protocol_visit_fraction']:.6f} at n=5 "
-        f"(traces verified: {protocol_extras['protocol_traces_verified']}, "
-        f"sweeps confirmed: {protocol_extras['protocol_sweeps_confirmed']}, "
-        f"deadlock found: {protocol_extras['protocol_deadlock_found']})"
-    )
-    print(
-        f"reduction: quorum n=25 visit fraction "
-        f"{reduction_extras['reduction_visit_fraction']:.3e} of "
-        f"{reduction_extras['reduction_structural_states']:.3e} structural states "
-        f"(modes agree with the unreduced oracle: "
-        f"{reduction_extras['reduction_routes_agree']})"
-    )
-    print(
-        f"service speedup (4 shards vs 1 shard, 500-check manifest): {service_speedup:.2f}x "
-        f"on {os.cpu_count()} CPU(s)"
-    )
-    for record in service_load_records:
-        print(
-            f"service soak ({record['n']} requests open loop): throughput ratio "
-            f"{record['throughput_ratio']:.3f} at {record['offered_rps']:.0f} rps offered, "
-            f"p99 {record['p99_ms']:.1f} ms, {record['deadline_exceeded']} deadline-shed, "
-            f"{record['wedged_shards']} wedged shard(s)"
-        )
-    for record in cluster_records:
-        print(
-            f"cluster load ({record['n']} requests open loop, 3 nodes): node_speedup "
-            f"{record['node_speedup']:.2f}x over 1 node, throughput ratio "
-            f"{record['throughput_ratio']:.3f} at {record['offered_rps']:.0f} rps offered, "
-            f"killed {record['killed_node']} mid-run "
-            f"(failover verified: {record['failover_verified']}), "
-            f"{record['wedged_nodes']} wedged node(s)"
-        )
-    skipped_all = skipped + weak_skipped + vector_skipped
-    if skipped_all:
-        print(f"skipped {len(skipped_all)} trajectory cells: " + "; ".join(skipped_all))
-
-    failed_modules = [name for name, status in statuses.items() if status == "failed"]
-    if failed_modules:
-        print(f"FAILED bench modules: {failed_modules}", file=sys.stderr)
-    healthy = (
-        agree
-        and weak_agree
-        and vector_agree
-        and engine_agree
-        and explore_agree
-        and protocol_agree
-        and reduction_agree
-        and service_agree
-        and soak_healthy
-        and cluster_healthy
-        and not failed_modules
-    )
-    return 0 if healthy else 1
+    print(f"wrote {args.output} ({len(payload['records'])} records)")
+    return 0
 
 
 if __name__ == "__main__":

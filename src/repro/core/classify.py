@@ -243,8 +243,7 @@ def require_same_signature(first: FSP, second: FSP) -> None:
 def hierarchy_table(classes: Iterable[ModelClass] = tuple(ModelClass)) -> str:
     """Render the containment hierarchy of Fig. 1a as a text table.
 
-    Used by ``benchmarks/bench_classify.py`` to regenerate the content of
-    Appendix A, Table I.
+    Regenerates the content of Appendix A, Table I.
     """
     lines = ["model class                      contained in"]
     lines.append("-" * 60)

@@ -34,8 +34,8 @@ The total work is ``O((n + m) * n / w)`` bitset words plus the size of the
 saturated relation itself (which is the output and may be ``Theta(n^2)`` on
 tau-dense inputs) -- compare the reference route's ``O(n * (n + m))`` hashed
 set operations *plus* an ``O(m_hat)`` pass through FSP validation and
-re-interning.  ``BENCH_partition.json``'s weak section records the measured
-gap on the tau-heavy generator families.
+re-interning.  The ``weak`` layer of ``BENCH_partition.json`` records the
+measured gap on the tau-heavy generator families.
 
 Example
 -------

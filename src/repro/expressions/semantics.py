@@ -22,8 +22,8 @@ expressions but deliberately introduces **no tau/epsilon moves**, because the
 semantics is a *strong*-equivalence class and must therefore be represented by
 an observable process.  Lemma 2.3.1: the representative FSP of an expression
 of length ``n`` has ``O(n)`` states and ``O(n^2)`` transitions and is built in
-``O(n^2)`` time -- the benchmark ``bench_star_expressions.py`` (experiment E4)
-measures exactly these quantities.
+``O(n^2)`` time -- the ``representative_fsp`` cells of the benchmark's
+``experiments`` layer (experiment E4) measure exactly these quantities.
 
 Note on the concatenation case: the journal text displays the extension set of
 ``r1 . r2`` as ``E2`` only; read literally that would make the representative

@@ -1,8 +1,8 @@
 """Parameterised process families used by the benchmark harness.
 
 Each family is a function from a size parameter to an FSP (or a pair of FSPs)
-with a known, documented structure.  They are the workloads behind the
-experiment rows of EXPERIMENTS.md:
+with a known, documented structure.  They are the workloads of the
+benchmark cells in ``benchmarks/cells.py``:
 
 * scaling families for the partition-refinement comparison of Theorem 3.1
   (chains, cycles, complete bipartite "combs", trees with duplicated

@@ -91,9 +91,9 @@ def naive_refine(instance: GeneralizedPartitioningInstance) -> Partition:
 def naive_refinement_passes(instance: GeneralizedPartitioningInstance) -> int:
     """The number of global passes the naive method performs on this instance.
 
-    Exposed for the benchmark harness (experiment E6), which contrasts the
-    pass count and total work of the naive method with the splitter-driven
-    algorithms.
+    Exposed for the benchmark's ``experiments`` layer (experiment E6), which
+    contrasts the pass count and total work of the naive method with the
+    splitter-driven algorithms.
     """
     lts, block_of, num_blocks = instance.kernel
     _part, passes = _refine_counting_passes(lts, block_of, num_blocks)

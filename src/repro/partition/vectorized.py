@@ -29,8 +29,8 @@ The trade is constant factor against round count: deep, chain-like families
 the worklist solvers' home turf, while wide, shallow families -- meshes,
 shift registers, the saturated relations of the weak pipeline, anything
 whose depth is ``O(log n)`` or ``O(sqrt n)`` -- refine orders of magnitude
-faster here (``BENCH_partition.json``'s ``vector_records`` section records
-the measured gap, gated in CI).  The Python solvers remain the oracles the
+faster here (the ``vector`` and ``scale`` layers of ``BENCH_partition.json``
+record the measured gap, gated in CI).  The Python solvers remain the oracles the
 property tests compare against, the same pattern ``saturate_reference``
 established for the weak engine.
 

@@ -19,6 +19,7 @@ from repro.ccs.stdlib import (
 )
 from repro.equivalence.failure import failure_equivalent_processes
 from repro.equivalence.language import accepted_strings_upto, language_equivalent_processes
+from repro.equivalence.minimize import minimize_observational, minimize_strong
 from repro.equivalence.observational import observationally_equivalent_processes
 from repro.equivalence.strong import strongly_equivalent_processes
 from repro.reductions.theorem41c import make_restricted
@@ -99,6 +100,8 @@ class TestAlternatingBit:
         lossless = compile_system(alternating_bit_protocol(lossy=False), max_states=20_000)
         lossy = compile_system(alternating_bit_protocol(lossy=True), max_states=20_000)
         assert lossy.num_states >= lossless.num_states
+        for minimise in (minimize_strong, minimize_observational):
+            assert minimise(lossy).num_states <= lossy.num_states
 
     def test_protocol_is_failure_equivalent_to_spec(self):
         protocol = compile_system(alternating_bit_protocol(lossy=False), max_states=20_000)

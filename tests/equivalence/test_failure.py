@@ -17,7 +17,7 @@ from repro.equivalence.failure import (
     tree_failure_equivalent,
     tree_failure_signature,
 )
-from repro.generators.families import restricted_counter
+from repro.generators.families import binary_tree, restricted_counter
 
 
 class TestFailuresEnumeration:
@@ -99,6 +99,8 @@ class TestFailureEquivalence:
         )
         assert failure_equivalent_processes(simple_chain, other)
         assert failure_equivalent_processes(other, simple_chain)
+        counter = restricted_counter(5)
+        assert failure_equivalent_processes(counter, counter.rename_states(prefix="o"))
 
     def test_requires_restricted(self, branching_process):
         with pytest.raises(ModelClassError):
@@ -153,6 +155,10 @@ class TestFiniteTreeFastPath:
         assert failure_equivalent_processes(first, second)
         assert not tree_failure_equivalent(first, third)
         assert not failure_equivalent_processes(first, third)
+        tree = binary_tree(5)
+        renamed = tree.rename_states(prefix="o")
+        assert tree_failure_equivalent(tree, renamed)
+        assert failure_equivalent_processes(tree, renamed)
 
     def test_signature_content(self):
         tree = from_transitions(

@@ -16,7 +16,11 @@ from repro.equivalence.kobs import (
     separation_level,
 )
 from repro.equivalence.language import language_equivalent_processes
-from repro.equivalence.observational import observational_partition
+from repro.equivalence.observational import (
+    observational_partition,
+    observationally_equivalent_processes,
+)
+from repro.generators.families import restricted_counter
 
 
 class TestLevelZero:
@@ -73,6 +77,10 @@ class TestKnownSeparations:
         )
         assert not language_equivalent_processes(longer, shorter)
         assert not k_observational_equivalent_processes(longer, shorter, 1)
+        counter = restricted_counter(6)
+        renamed = counter.rename_states(prefix="o")
+        assert k_observational_equivalent_processes(counter, renamed, 1)
+        assert observationally_equivalent_processes(counter, renamed)
 
     def test_simeq1_versus_approx1(self):
         """simeq_1 only looks one action deep, so it cannot see a length difference at depth 2."""

@@ -11,6 +11,7 @@ from repro.expressions.ccs_equivalence import (
     observationally_ccs_equivalent,
 )
 from repro.expressions.parser import parse
+from repro.generators.expressions import random_star_expression
 
 
 class TestStrongSemantics:
@@ -42,6 +43,8 @@ class TestStrongSemantics:
 
     def test_accepts_parsed_expressions_and_strings(self):
         assert ccs_equivalent(parse("a + b"), "b + a")
+        expression = random_star_expression(16, seed=16)
+        assert ccs_equivalent(expression, expression)
 
 
 class TestOtherSemantics:

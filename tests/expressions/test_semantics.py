@@ -11,7 +11,11 @@ from repro.expressions.parser import parse
 from repro.expressions.regular import language_upto
 from repro.expressions.semantics import construction_size, representative_fsp
 from repro.expressions.syntax import length_of
-from repro.generators.expressions import random_star_expression
+from repro.generators.expressions import (
+    alternating_expression,
+    random_star_expression,
+    starred_unions,
+)
 
 
 class TestBaseCases:
@@ -44,11 +48,15 @@ class TestStructuralProperties:
     @pytest.mark.parametrize("size", [3, 6, 10, 15])
     def test_size_bounds_of_lemma_231(self, size):
         """O(n) states and O(n^2) transitions in the expression length n."""
-        expression = random_star_expression(size, seed=size)
-        n = length_of(expression)
-        states, transitions = construction_size(expression)
-        assert states <= 2 * n + 1
-        assert transitions <= 4 * n * n
+        for expression in (
+            random_star_expression(size, seed=size),
+            alternating_expression(size),
+            starred_unions(size),
+        ):
+            n = length_of(expression)
+            states, transitions = construction_size(expression)
+            assert states <= 2 * n + 1
+            assert transitions <= 4 * n * n
 
     def test_union_start_copies_both_sides(self):
         process = representative_fsp(parse("a + b"))

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.classify import ModelClass, classify
-from repro.equivalence.observational import observationally_equivalent
+from repro.equivalence.observational import (
+    observationally_equivalent,
+    observationally_equivalent_processes,
+)
 from repro.equivalence.strong import strongly_equivalent
 from repro.generators.random_fsp import (
     perturb,
@@ -89,3 +92,4 @@ class TestDerivedPairs:
         copy = random_equivalent_copy(process, duplicates=1, seed=4)
         for state in process.states:
             assert observationally_equivalent(copy, state, state)
+        assert observationally_equivalent_processes(process, copy)

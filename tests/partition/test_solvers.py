@@ -39,6 +39,10 @@ def _instances():
             }
         },
     )
+    # unbounded fanout: the Paige-Tarjan three-way split at work
+    yield GeneralizedPartitioningInstance.from_fsp(
+        random_observable_fsp(40, transition_density=12.0, seed=480)
+    )
 
 
 @pytest.mark.parametrize("index,instance", list(enumerate(_instances())))
@@ -82,6 +86,8 @@ def test_naive_pass_count_is_bounded_by_n():
     passes = naive_refinement_passes(instance)
     n, _m = instance.size
     assert 1 <= passes <= n
+    # refinement information travels one chain link per pass
+    assert passes >= 6 // 2
 
     # and the counting helper computes the same partition as naive_refine
     assert naive_refine(instance) == solve(instance, Solver.NAIVE)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.errors import InvalidProcessError
 from repro.explore import build_implicit, reachable_stats
+from repro.explore.reduce import structural_state_estimate
 from repro.protocols import (
     SCENARIOS,
     build_scenario,
@@ -35,6 +36,9 @@ class TestEveryScenario:
         verdict = check_conformance(scenario.spec, scenario.system)
         assert verdict.equivalent
         assert verdict.stats.details["route"].startswith("on-the-fly")
+        # the game stays on the fly: about one visit per reachable composed state
+        states = reachable_stats(build_implicit(scenario.system)).states
+        assert verdict.stats.details["pairs_visited"] <= 2 * states
 
     def test_mutant_is_caught_with_a_verified_trace(self, scenario):
         verdict = check_conformance(scenario.spec, scenario.mutant)
@@ -73,6 +77,14 @@ class TestScenarioDetails:
         # the one-shot protocol terminates -- but only after deciding
         assert stuck is not None and stuck.kind == "deadlock"
         assert "decide" in stuck.trace
+        # reduction="full" keeps both answers at a size the plain game cannot reach
+        large = build_scenario("quorum_voting", n=9, f=4)
+        stuck = find_stuck(large.system, reduction="full")
+        assert stuck.kind == "deadlock" and "decide" in stuck.trace
+        verdict = check_conformance(large.spec, large.system, reduction="full")
+        assert verdict.equivalent
+        pairs = verdict.stats.details["pairs_visited"]
+        assert pairs <= 0.05 * structural_state_estimate(large.system)
 
     def test_ring_election_announces_the_maximum(self):
         scenario = build_scenario("ring_election", n=3)

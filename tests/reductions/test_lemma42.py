@@ -73,8 +73,11 @@ class TestNormalisation:
 
 class TestTransformation:
     def test_result_is_restricted_observable(self):
-        transformed = lemma42_transform(normalize_for_lemma42(_universal_two_action()))
+        normalized = normalize_for_lemma42(_universal_two_action())
+        transformed = lemma42_transform(normalized)
         assert ModelClass.RESTRICTED_OBSERVABLE in classify(transformed)
+        # linear size: at most one gadget state per transition
+        assert transformed.num_states <= normalized.num_states + normalized.num_transitions + 1
 
     def test_requires_total_transitions(self):
         partial = from_transitions(
