@@ -118,19 +118,18 @@ class FSP:
         self._validate()
 
         # Derived indices.  ``_succ`` maps (state, action) -> frozenset of
-        # successor states; ``_pred`` is the mirror image used by the
-        # Paige-Tarjan splitter; ``_ext_map`` maps a state to its extension
-        # set; ``_out_actions`` maps a state to the actions labelling its
-        # outgoing transitions.
+        # successor states; ``_ext_map`` maps a state to its extension set;
+        # ``_out_actions`` maps a state to the actions labelling its outgoing
+        # transitions.  ``_pred``, the mirror image of ``_succ``, is built by
+        # :meth:`predecessors` on first use: the solvers walk the reverse
+        # index of the integer kernel instead.
         succ: dict[tuple[State, Action], set[State]] = {}
-        pred: dict[tuple[State, Action], set[State]] = {}
         out_actions: dict[State, set[Action]] = {state: set() for state in self._states}
         for src, act, dst in self._transitions:
             succ.setdefault((src, act), set()).add(dst)
-            pred.setdefault((dst, act), set()).add(src)
             out_actions[src].add(act)
         self._succ = {key: frozenset(val) for key, val in succ.items()}
-        self._pred = {key: frozenset(val) for key, val in pred.items()}
+        self._pred: dict[tuple[State, Action], frozenset[State]] | None = None
         self._out_actions = {state: frozenset(acts) for state, acts in out_actions.items()}
 
         ext_map: dict[State, set[Variable]] = {state: set() for state in self._states}
@@ -225,6 +224,11 @@ class FSP:
 
     def predecessors(self, state: State, action: Action) -> frozenset[State]:
         """The sources of ``action``-transitions into ``state``."""
+        if self._pred is None:
+            pred: dict[tuple[State, Action], set[State]] = {}
+            for src, act, dst in self._transitions:
+                pred.setdefault((dst, act), set()).add(src)
+            self._pred = {key: frozenset(val) for key, val in pred.items()}
         return self._pred.get((state, action), frozenset())
 
     def transitions_from(self, state: State) -> frozenset[tuple[Action, State]]:

@@ -409,3 +409,61 @@ class LTS:
 
     def __repr__(self) -> str:
         return (f"LTS(n={self.n}, m={self.num_transitions}, " f"actions={list(self.action_names)})")
+
+
+def _action_key(name: str) -> tuple[bool, str]:
+    """Action-table order: names sorted, tau last (the order of ``from_fsp``)."""
+    from repro.core.fsp import TAU
+
+    return name == TAU, name
+
+
+def disjoint_union(left: LTS, right: LTS) -> LTS:
+    """The disjoint union of two kernels, started at ``left``'s start state.
+
+    State ``s`` of ``left`` keeps its index and is renamed ``"L:" + name``;
+    state ``s`` of ``right`` becomes ``left.n + s`` and ``"R:" + name``, the
+    naming of :meth:`repro.core.fsp.FSP.disjoint_union`.  The arc arrays are
+    concatenated, ``right``'s targets shifted by ``left.n`` and both action
+    columns renumbered through the merged action table.  Each input table
+    must be in the order :meth:`LTS.from_fsp` interns (names sorted, tau
+    last); the renumbering is then monotone, so every state's arcs stay
+    sorted and nothing is re-sorted.
+    """
+    for side in (left, right):
+        if list(side.action_names) != sorted(side.action_names, key=_action_key):
+            raise InvalidProcessError(
+                f"action table {side.action_names!r} is not sorted with tau last"
+            )
+    names = tuple("L:" + name for name in left.state_names) + tuple(
+        "R:" + name for name in right.state_names
+    )
+    if left.ext_sets is None and right.ext_sets is None:
+        ext_sets = None
+    else:
+        ext_sets = (left.ext_sets or (frozenset(),) * left.n) + (
+            right.ext_sets or (frozenset(),) * right.n
+        )
+    if left.observable_alphabet is None and right.observable_alphabet is None:
+        observable = None
+    else:
+        observable = tuple(
+            sorted(set(left.observable_alphabet or ()) | set(right.observable_alphabet or ()))
+        )
+    actions = tuple(sorted(set(left.action_names) | set(right.action_names), key=_action_key))
+    index = {name: i for i, name in enumerate(actions)}
+    left_map = [index[name] for name in left.action_names]
+    right_map = [index[name] for name in right.action_names]
+    shift, arcs = left.n, left.num_transitions
+    return LTS.from_csr(
+        names,
+        actions,
+        left.fwd_offsets + array(INDEX_TYPECODE, [o + arcs for o in right.fwd_offsets[1:]]),
+        array(INDEX_TYPECODE, [left_map[a] for a in left.fwd_actions])
+        + array(INDEX_TYPECODE, [right_map[a] for a in right.fwd_actions]),
+        left.fwd_targets + array(INDEX_TYPECODE, [t + shift for t in right.fwd_targets]),
+        start=left.start,
+        ext_sets=ext_sets,
+        variables=tuple(sorted(set(left.variables) | set(right.variables))),
+        observable_alphabet=observable,
+    )

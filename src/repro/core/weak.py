@@ -114,6 +114,8 @@ def tau_scc(
     """
     n = lts.n
     succ = tau_succ if tau_succ is not None else tau_successor_lists(lts)
+    if not any(succ):  # tau-free: every state is its own component, in order
+        return list(range(n)), [[s] for s in range(n)]
     index_of = [-1] * n
     low = [0] * n
     on_stack = bytearray(n)

@@ -4,8 +4,8 @@ An :class:`Engine` owns two bounded LRU caches:
 
 * a **process cache** mapping each FSP (value-hashed, so structurally equal
   processes share one entry) to its :class:`~repro.engine.process.Process`
-  handle, whose derived artifacts -- interned LTS, weak kernel, partitions,
-  minimized quotients, language DFA -- are each computed at most once;
+  handle, whose derived artifacts -- interned LTS, weak kernel, quotients,
+  language macro-moves -- are each computed at most once;
 * a **verdict cache** mapping ``(left, right, notion, params)`` to the
   :class:`~repro.engine.verdict.Verdict`, so a repeated check costs a
   dictionary lookup.

@@ -7,8 +7,8 @@ replaces those dicts with a registry of :class:`Notion` objects.  A notion
 knows
 
 * how to *decide* equivalence of two cached :class:`~repro.engine.process.Process`
-  handles, reusing their artifacts (minimized quotients, language DFAs,
-  weak kernels) so repeated checks against the same process are cheap;
+  handles, reusing their artifacts (quotients, language macro-moves, weak
+  kernels) so repeated checks against the same process are cheap;
 * how to produce a checkable :class:`~repro.engine.verdict.Witness` on
   inequivalence;
 * which keyword parameters it accepts (``k``, solver ``method``, search
@@ -20,19 +20,32 @@ Third parties register additional notions with :func:`register_notion`; the
 CLI's ``--notion`` choices and the engine's dispatch both read the registry,
 so a registered notion is immediately usable everywhere.
 
-Soundness of the quotient fast paths: strong equivalence is decided on the
-disjoint union of the two *strong* quotients, observational / failure /
-``k``-observational equivalence on the union of the two *observational*
-quotients.  Each quotient is equivalent to its input (state-wise at the
-start), the notions are transitive, and observational equivalence refines
-both failure equivalence and every ``approx_k`` (``approx`` is the
-intersection of the decreasing ``approx_k`` chain; weak-bisimilar states
-have matching weak derivatives, hence equal refusal information), so the
-answer on the quotients equals the answer on the originals.  The property
-tests cross-check this against the direct reference routes on random
-processes.  Caller-supplied search bounds (``max_states`` and friends) are
-honoured by running the original, un-quotiented route, so bounded calls
-raise :class:`~repro.core.errors.StateSpaceLimitError` exactly as before.
+Soundness of the quotient fast paths: each notion decides on something
+equivalent to its input, state by state at the start.
+
+* Strong and observational equivalence refine one CSR disjoint union
+  (:func:`repro.core.lts.disjoint_union`) of the two cached quotients of
+  :mod:`repro.engine.process`: the strong quotients, tau as a label, and
+  the *saturated* observational quotients, whose arcs are the weak moves,
+  so strong refinement of their union is Theorem 4.1(a) on the union of
+  the operands.  The verdict compares the block ids of the two start
+  states; the witness comes from integer refinement rounds over the same
+  union (:func:`repro.equivalence.hml.lts_distinguishing_formula`).
+* Failure and ``k``-observational equivalence run their FSP deciders on the
+  union of the two observational quotient FSPs: observational equivalence
+  refines both failure equivalence and every ``approx_k`` (``approx`` is
+  the intersection of the decreasing ``approx_k`` chain; weak-bisimilar
+  states have matching weak derivatives, hence equal refusal information).
+  Caller-supplied search bounds (``max_macro_states``,
+  ``max_subset_states``) are honoured by running the original,
+  un-quotiented route, so bounded calls raise
+  :class:`~repro.core.errors.StateSpaceLimitError` exactly as before.
+* Language equivalence runs Hopcroft-Karp on the fly over the two weak
+  kernels (:func:`repro.equivalence.language.language_search`); neither
+  side is determinised or minimised beyond what the search visits.
+
+The property tests cross-check every route against the paper's direct
+routes on random processes.
 """
 
 from __future__ import annotations
@@ -43,15 +56,14 @@ from typing import Any
 
 from repro.core.classify import ModelClass, require
 from repro.core.fsp import FSP
+from repro.core.lts import LTS, disjoint_union
 from repro.engine.process import Process
 from repro.engine.verdict import FormulaWitness, RefusalWitness, Witness, WordWitness
 from repro.equivalence.failure import failure_distinguishing_string, maximal_refusals
-from repro.equivalence.hml import distinguishing_formula
+from repro.equivalence.hml import distinguishing_formula, lts_distinguishing_formula
 from repro.equivalence.kobs import k_observational_equivalent
-from repro.equivalence.language import language_nfa
-from repro.equivalence.observational import observationally_equivalent
-from repro.equivalence.strong import strongly_equivalent
-from repro.partition.generalized import Solver
+from repro.equivalence.language import language_nfa, language_search
+from repro.partition.generalized import Solver, refine_lts
 
 _LEFT = "L:"
 _RIGHT = "R:"
@@ -131,6 +143,29 @@ def _normalize_method(params: dict[str, Any]) -> dict[str, Any]:
     return params
 
 
+def _decide_quotients(
+    left: LTS,
+    right: LTS,
+    method: Solver,
+    backend: str,
+    want_witness: bool,
+    weak: bool,
+) -> NotionResult:
+    """Refine the CSR union of two quotients once and compare the start blocks."""
+    union = disjoint_union(left, right)
+    first, second = union.start, left.n + right.start
+    blocks = refine_lts(union, method, backend)
+    equivalent = blocks[first] == blocks[second]
+    witness: Witness | None = None
+    if want_witness and not equivalent:
+        formula = lts_distinguishing_formula(union, first, second, weak)
+        if formula is not None:  # always reachable on inequivalence
+            witness = FormulaWitness(formula, weak=weak)
+    return NotionResult(
+        equivalent, witness, {"left_min_states": left.n, "right_min_states": right.n}
+    )
+
+
 class StrongNotion(Notion):
     """Strong equivalence ``~`` (Section 3 / Theorem 3.1)."""
 
@@ -158,27 +193,10 @@ class StrongNotion(Notion):
         if require_observable:
             require(left.fsp, ModelClass.OBSERVABLE, context="strong equivalence")
             require(right.fsp, ModelClass.OBSERVABLE, context="strong equivalence")
-        left_min = left.minimized_strong(method, backend)
-        right_min = right.minimized_strong(method, backend)
-        combined = left_min.disjoint_union(right_min)
-        equivalent = strongly_equivalent(
-            combined,
-            _LEFT + left_min.start,
-            _RIGHT + right_min.start,
-            method=method,
-            backend=backend,
-        )
-        witness: Witness | None = None
-        if want_witness and not equivalent:
-            formula = distinguishing_formula(
-                combined, _LEFT + left_min.start, _RIGHT + right_min.start, weak=False
-            )
-            if formula is not None:  # always reachable on inequivalence
-                witness = FormulaWitness(formula, weak=False)
-        return NotionResult(
-            equivalent,
-            witness,
-            {"left_min_states": left_min.num_states, "right_min_states": right_min.num_states},
+        left_quotient, _ = left.strong_quotient(method, backend)
+        right_quotient, _ = right.strong_quotient(method, backend)
+        return _decide_quotients(
+            left_quotient, right_quotient, method, backend, want_witness, weak=False
         )
 
 
@@ -201,27 +219,10 @@ class ObservationalNotion(Notion):
         method: Solver | str = Solver.PAIGE_TARJAN,
         backend: str = "auto",
     ) -> NotionResult:
-        left_min = left.minimized_observational(method, backend)
-        right_min = right.minimized_observational(method, backend)
-        combined = left_min.disjoint_union(right_min)
-        equivalent = observationally_equivalent(
-            combined,
-            _LEFT + left_min.start,
-            _RIGHT + right_min.start,
-            method=method,
-            backend=backend,
-        )
-        witness: Witness | None = None
-        if want_witness and not equivalent:
-            formula = distinguishing_formula(
-                combined, _LEFT + left_min.start, _RIGHT + right_min.start, weak=True
-            )
-            if formula is not None:  # always reachable on inequivalence
-                witness = FormulaWitness(formula, weak=True)
-        return NotionResult(
-            equivalent,
-            witness,
-            {"left_min_states": left_min.num_states, "right_min_states": right_min.num_states},
+        left_quotient, _ = left.observational_quotient(method, backend)
+        right_quotient, _ = right.observational_quotient(method, backend)
+        return _decide_quotients(
+            left_quotient, right_quotient, method, backend, want_witness, weak=True
         )
 
 
@@ -264,7 +265,18 @@ class KObservationalNotion(Notion):
 
 
 class LanguageNotion(Notion):
-    """Language (weak-trace acceptance) equivalence -- the classical baseline."""
+    """Language (weak-trace acceptance) equivalence -- the classical baseline.
+
+    Decided by Hopcroft-Karp on the fly over the two weak kernels
+    (:func:`repro.equivalence.language.language_search`), stopping at the
+    first word one side accepts and the other does not; the explored subset
+    moves stay cached on each :class:`~repro.engine.process.Process`.
+    ``max_states`` bounds the macrostates the search reaches on either side.
+    Because the search stops at the first difference, a bounded check of an
+    inequivalent pair may answer even where full determinisation of a side
+    would exceed the bound; a check that determinisation within the bound
+    could answer never raises.
+    """
 
     name = "language"
     aliases = ("trace",)
@@ -278,37 +290,11 @@ class LanguageNotion(Notion):
         want_witness: bool,
         max_states: int | None = None,
     ) -> NotionResult:
-        if max_states is not None:
-            from repro.automata.equivalence import nfa_distinguishing_word, nfa_equivalent
-
-            left_nfa = language_nfa(left.fsp)
-            right_nfa = language_nfa(right.fsp)
-            equivalent = nfa_equivalent(left_nfa, right_nfa, max_states=max_states)
-            witness: Witness | None = None
-            if want_witness and not equivalent:
-                word = nfa_distinguishing_word(left_nfa, right_nfa, max_states=max_states)
-                if word is not None:  # always reachable on inequivalence
-                    witness = WordWitness(word, in_left=left_nfa.accepts(word))
-            return NotionResult(equivalent, witness, {"route": "nfa"})
-        from repro.automata.equivalence import dfa_equivalent, distinguishing_word
-
-        left_dfa = left.language_dfa()
-        right_dfa = right.language_dfa()
-        equivalent = dfa_equivalent(left_dfa, right_dfa)
-        witness = None
-        if want_witness and not equivalent:
-            word = distinguishing_word(left_dfa, right_dfa)
-            if word is not None:  # always reachable on inequivalence
-                witness = WordWitness(word, in_left=left_dfa.accepts(word))
-        return NotionResult(
-            equivalent,
-            witness,
-            {
-                "route": "dfa",
-                "left_dfa_states": len(left_dfa.states),
-                "right_dfa_states": len(right_dfa.states),
-            },
-        )
+        found = language_search(left.macro_moves(), right.macro_moves(), max_states=max_states)
+        if found is None:
+            return NotionResult(True)
+        word, in_left = found
+        return NotionResult(False, WordWitness(word, in_left=in_left) if want_witness else None)
 
     def decide_expressions(self, left_expr, right_expr) -> bool | None:
         from repro.expressions.regular import regular_equivalent

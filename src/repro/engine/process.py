@@ -6,36 +6,57 @@ Each of the old free functions recompiled the full ``FSP -> LTS ->
 WeakKernel -> partition`` pipeline per call; a :class:`Process` wraps the FSP
 and materialises each derived artifact lazily, exactly once:
 
-===========================  ====================================================
-artifact                     producer
-===========================  ====================================================
-``lts()``                    :meth:`repro.core.lts.LTS.from_fsp` (CSR kernel)
-``weak_kernel()``            :class:`repro.core.weak.WeakKernel` (tau-SCC+bitsets)
-``weak_view()``              :class:`repro.core.derivatives.WeakTransitionView`
-                             sharing the same kernel
-``saturated_lts()``          :func:`repro.core.weak.saturate_lts` (``P_hat``)
-                             of the whole process; not on the observational path
-``strong_partition()``       Lemma 3.1 reduction + a partition solver
-(branching pre-quotient)     :func:`repro.partition.branching.branching_quotient`
-                             of :meth:`lts`, private, one per handle
-``observational_partition``  Theorem 4.1(a) on the branching pre-quotient:
-                             saturation + strong refinement, lifted back
-``minimized_strong()``       quotient by the cached strong partition
-``minimized_observational``  quotient by the cached observational partition
-``language_dfa()``           minimal DFA of the start state's weak language
-===========================  ====================================================
+=============================  ==================================================
+artifact                       producer
+=============================  ==================================================
+``lts()``                      :meth:`repro.core.lts.LTS.from_fsp` (CSR kernel)
+``weak_kernel()``              :class:`repro.core.weak.WeakKernel` (tau-SCC+bitsets)
+``weak_view()``                :class:`repro.core.derivatives.WeakTransitionView`
+                               sharing the same kernel
+``saturated_lts()``            :func:`repro.core.weak.saturate_lts` (``P_hat``)
+                               of the whole process; not on the engine's path
+(branching pre-quotient)       :func:`repro.partition.branching.branching_quotient`
+                               of :meth:`lts`, private, one per handle
+``strong_quotient()``          ``(LTS, block_of)``: Lemma 3.1 refinement of
+                               :meth:`lts`, collapsed
+``observational_quotient()``   ``(LTS, block_of)``: Theorem 4.1(a) on the
+                               branching pre-quotient (saturation + strong
+                               refinement), the saturated arcs collapsed
+``macro_moves()``              :class:`repro.equivalence.language.MacroMoves`:
+                               the explored subset moves over :meth:`weak_kernel`
+``strong_partition()``         name-keyed view of the strong quotient's blocks
+``observational_partition()``  name-keyed view of the observational blocks
+``minimized_strong()``         :func:`repro.equivalence.minimize.quotient` by
+                               the strong partition
+``minimized_observational()``  :func:`repro.equivalence.minimize.quotient` by
+                               the observational partition
+``language_dfa()``             minimal DFA of the start state's weak language
+=============================  ==================================================
+
+A quotient is an :class:`~repro.core.lts.LTS` over the blocks reachable from
+the start, each named ``[min member]`` like
+:func:`repro.equivalence.minimize.quotient` names them, with ``block_of[s]``
+the block of every state ``s`` of :meth:`lts` (blocks the start cannot reach
+number from ``quotient.n`` up).  The strong and observational notions decide
+a pair on the disjoint union of two such quotients; the partitions and FSPs
+of the table are built from them only when a caller asks.  The strong and
+observational artifacts are cached per ``(solver, backend)``.
 
 Every weak notion the engine decides (observational, failure,
-``k``-observational) goes through :meth:`Process.observational_partition`.
+``k``-observational) goes through :meth:`Process.observational_quotient`.
 Branching bisimilarity refines observational equivalence, which refines
 failure equivalence and every ``approx_k``, so saturating and refining only
 the branching quotient gives the same partition as the whole process would
--- at the cost of the quotient, not of the input.  The paper's direct route,
+-- at the cost of the quotient, not of the input.  Saturation commutes with
+collapsing weakly bisimilar states, so the collapsed saturated pre-quotient
+is the saturation of the observational quotient.  The paper's direct route,
 :func:`repro.equivalence.observational.observational_partition`, stays the
 oracle the tests compare against.
 
-Handles are cheap to create; all caches fill on first use.  A handle is tied
-to one immutable FSP, so cached artifacts never go stale.
+Handles are cheap to create; all caches fill on first use, and each cache
+slot is written once, with a finished value, so an interrupted computation
+leaves nothing behind.  A handle is tied to one immutable FSP, so cached
+artifacts never go stale.
 """
 
 from __future__ import annotations
@@ -47,33 +68,85 @@ from repro.core.derivatives import WeakTransitionView
 from repro.core.fsp import FSP
 from repro.core.lts import LTS
 from repro.core.weak import WeakKernel, saturate_lts
+from repro.equivalence.language import MacroMoves
 from repro.equivalence.minimize import quotient
 from repro.partition.branching import branching_quotient
-from repro.partition.generalized import (
-    GeneralizedPartitioningInstance,
-    Solver,
-    resolve_backend,
-    solve,
-)
+from repro.partition.generalized import Solver, refine_lts, resolve_backend
 from repro.partition.partition import Partition
+from repro.partition.refinable import partition_of_blocks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.automata.dfa import DFA
+
+#: A cached quotient: the collapsed kernel and the block of every state.
+Quotient = tuple[LTS, list[int]]
+
+#: The cache key of a quotient and of what is built from it: the notion
+#: (``"strong"`` or ``"observational"``), the solver and the concrete backend.
+Key = tuple[str, Solver, str]
 
 
 def _solver(method: Solver | str) -> Solver:
     return method if isinstance(method, Solver) else Solver(method)
 
 
-def _backend(backend: str, num_states: int) -> str:
-    """Resolve (and validate) a backend name against this process's size.
+def _collapse(arcs: LTS, blocks: list[int], lifted: list[int], names: tuple[str, ...]) -> Quotient:
+    """Collapse ``arcs`` along ``blocks`` into a quotient over the reachable blocks.
 
-    Resolving ``"auto"`` *before* the cache lookup means an auto-dispatched
-    call and an explicit call to the backend it picked share one cache slot
-    -- the artifacts are identical, caching them twice would halve the
-    effective bound.
+    ``blocks`` assigns each state of ``arcs`` its block; ``lifted`` assigns
+    the same blocks to the states of the handle's own kernel, whose sorted
+    ``names`` give each block its ``[min member]`` name.  Blocks holding a
+    state reachable from the start in ``arcs`` are numbered first, in state
+    order; the returned block map is ``lifted`` renumbered.
     """
-    return resolve_backend(backend, num_states)
+    offsets, arc_actions, arc_targets = arcs.fwd_offsets, arcs.fwd_actions, arcs.fwd_targets
+    seen = bytearray(arcs.n)
+    seen[arcs.start] = 1
+    stack = [arcs.start]
+    while stack:
+        s = stack.pop()
+        for i in range(offsets[s], offsets[s + 1]):
+            t = arc_targets[i]
+            if not seen[t]:
+                seen[t] = 1
+                stack.append(t)
+    number = [-1] * (max(blocks, default=-1) + 1)
+    reachable = 0
+    for s, block in enumerate(blocks):
+        if seen[s] and number[block] < 0:
+            number[block] = reachable
+            reachable += 1
+    count = reachable
+    for block, new in enumerate(number):
+        if new < 0:
+            number[block] = count
+            count += 1
+    block_of = [number[block] for block in lifted]
+    label = [""] * reachable
+    for name, block in zip(names, block_of):
+        if block < reachable and not label[block]:
+            label[block] = f"[{name}]"
+    ext_sets = [frozenset()] * reachable
+    edges = set()
+    for s in range(arcs.n):
+        source = number[blocks[s]]
+        if source < reachable:
+            if arcs.ext_sets is not None:
+                ext_sets[source] = arcs.ext_sets[s]
+            edges.update(
+                (source, arc_actions[i], number[blocks[arc_targets[i]]])
+                for i in range(offsets[s], offsets[s + 1])
+            )
+    quotient = LTS(
+        label,
+        arcs.action_names,
+        edges,
+        start=number[blocks[arcs.start]],
+        ext_sets=ext_sets,
+        variables=arcs.variables,
+        observable_alphabet=arcs.observable_alphabet,
+    )
+    return quotient, block_of
 
 
 class Process:
@@ -86,10 +159,10 @@ class Process:
         "_weak_view",
         "_saturated_lts",
         "_branching",
-        "_strong_partitions",
-        "_observational_partitions",
-        "_minimized_strong",
-        "_minimized_observational",
+        "_quotients",
+        "_partitions",
+        "_minimized",
+        "_macro_moves",
         "_language_dfa",
     )
 
@@ -101,11 +174,11 @@ class Process:
         self._weak_kernel: WeakKernel | None = None
         self._weak_view: WeakTransitionView | None = None
         self._saturated_lts: dict[str, LTS] = {}
-        self._branching: tuple[LTS, list[int]] | None = None
-        self._strong_partitions: dict[tuple[Solver, str], Partition] = {}
-        self._observational_partitions: dict[tuple[Solver, str], Partition] = {}
-        self._minimized_strong: dict[tuple[Solver, str], FSP] = {}
-        self._minimized_observational: dict[tuple[Solver, str], FSP] = {}
+        self._branching: Quotient | None = None
+        self._quotients: dict[Key, Quotient] = {}
+        self._partitions: dict[Key, Partition] = {}
+        self._minimized: dict[Key, FSP] = {}
+        self._macro_moves: MacroMoves | None = None
         self._language_dfa: DFA | None = None
 
     # ------------------------------------------------------------------
@@ -160,92 +233,114 @@ class Process:
         """The saturated kernel ``P_hat`` of Theorem 4.1(a) (cached per backend).
 
         This saturates the *whole* process, as the paper's direct route does;
-        :meth:`observational_partition` saturates only the branching
+        :meth:`observational_quotient` saturates only the branching
         pre-quotient and does not use it.  Both backends produce
         byte-identical CSR arrays; they are cached separately only so a
         vector-backend pipeline never silently reuses an artifact the Python
         oracle produced (and vice versa) when the two are being cross-checked
         against each other.
         """
-        backend = _backend(backend, self.fsp.num_states)
+        backend = resolve_backend(backend, self.fsp.num_states)
         saturated = self._saturated_lts.get(backend)
         if saturated is None:
             saturated = saturate_lts(self.lts(), backend=backend)
             self._saturated_lts[backend] = saturated
         return saturated
 
-    def _branching_quotient(self) -> tuple[LTS, list[int]]:
+    def _branching_quotient(self) -> Quotient:
         """The branching-bisimulation quotient of :meth:`lts` and each state's block."""
         if self._branching is None:
             self._branching = branching_quotient(self.lts())
         return self._branching
 
+    def strong_quotient(
+        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
+    ) -> Quotient:
+        """The quotient by strong equivalence (tau as a label) and each state's block.
+
+        ``backend="auto"`` resolves on the number of states, which is what
+        gets refined; an auto call and an explicit call to the backend it
+        picked share one cache slot.
+        """
+        return self._quotient("strong", method, backend)[1]
+
+    def observational_quotient(
+        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
+    ) -> Quotient:
+        """The saturated quotient by observational equivalence and each state's block.
+
+        Theorem 4.1(a) runs on the branching pre-quotient: it is saturated
+        and refined strongly, and the saturated arcs are collapsed, so the
+        quotient's arcs are the weak moves ``=>^a`` and ``=>^epsilon``.
+        ``backend="auto"`` resolves on the size of the pre-quotient, which is
+        what gets saturated and refined.
+        """
+        return self._quotient("observational", method, backend)[1]
+
+    def _quotient(self, notion: str, method: Solver | str, backend: str) -> tuple[Key, Quotient]:
+        """The cache key of a strong or observational quotient, and the quotient."""
+        lts = self.lts()
+        strong = notion == "strong"
+        reduced, reduced_of = (lts, None) if strong else self._branching_quotient()
+        key = (notion, _solver(method), resolve_backend(backend, reduced.n))
+        cached = self._quotients.get(key)
+        if cached is None:
+            arcs = reduced if strong else saturate_lts(reduced, backend=key[2])
+            blocks = refine_lts(arcs, *key[1:])
+            lifted = blocks if strong else [blocks[block] for block in reduced_of]
+            cached = _collapse(arcs, blocks, lifted, lts.state_names)
+            self._quotients[key] = cached
+        return key, cached
+
+    def macro_moves(self) -> MacroMoves:
+        """The explored subset moves of ``L(start)`` over :meth:`weak_kernel`."""
+        if self._macro_moves is None:
+            self._macro_moves = MacroMoves.from_fsp(self.fsp, self.weak_kernel())
+        return self._macro_moves
+
+    def _partition(self, notion: str, method: Solver | str, backend: str) -> Partition:
+        key, (_, block_of) = self._quotient(notion, method, backend)
+        partition = self._partitions.get(key)
+        if partition is None:
+            partition = partition_of_blocks(block_of, self.lts().state_names)
+            self._partitions[key] = partition
+        return partition
+
+    def _minimized_fsp(self, notion: str, method: Solver | str, backend: str) -> FSP:
+        key = self._quotient(notion, method, backend)[0]
+        minimal = self._minimized.get(key)
+        if minimal is None:
+            minimal = quotient(self.fsp, self._partition(notion, method, backend))
+            self._minimized[key] = minimal
+        return minimal
+
     def strong_partition(
         self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
     ) -> Partition:
         """The strong-equivalence partition (cached per solver and backend)."""
-        method = _solver(method)
-        backend = _backend(backend, self.fsp.num_states)
-        key = (method, backend)
-        partition = self._strong_partitions.get(key)
-        if partition is None:
-            instance = GeneralizedPartitioningInstance.from_lts(self.lts())
-            partition = solve(instance, method=method, backend=backend)
-            self._strong_partitions[key] = partition
-        return partition
+        return self._partition("strong", method, backend)
 
     def observational_partition(
         self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
     ) -> Partition:
-        """The observational-equivalence partition (cached per solver and backend).
-
-        Theorem 4.1(a) runs on the branching pre-quotient: it is saturated
-        and refined strongly, and each of its blocks is lifted back onto the
-        states it stands for.  ``backend="auto"`` resolves on the size of
-        that quotient, which is what gets saturated and refined.
-        """
-        method = _solver(method)
-        reduced, block_of = self._branching_quotient()
-        backend = _backend(backend, reduced.n)
-        key = (method, backend)
-        partition = self._observational_partitions.get(key)
-        if partition is None:
-            saturated = saturate_lts(reduced, backend=backend)
-            weak = solve(
-                GeneralizedPartitioningInstance.from_lts(saturated), method=method, backend=backend
-            )
-            lifted: dict[int, list[str]] = {}
-            for name, block in zip(self.lts().state_names, block_of):
-                lifted.setdefault(weak.block_id_of(reduced.state_names[block]), []).append(name)
-            partition = Partition(lifted.values())
-            self._observational_partitions[key] = partition
-        return partition
+        """The observational-equivalence partition (cached per solver and backend)."""
+        return self._partition("observational", method, backend)
 
     def minimized_strong(
         self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
     ) -> FSP:
-        """The quotient by strong equivalence (cached per solver and backend)."""
-        method = _solver(method)
-        backend = _backend(backend, self.fsp.num_states)
-        key = (method, backend)
-        minimal = self._minimized_strong.get(key)
-        if minimal is None:
-            minimal = quotient(self.fsp, self.strong_partition(method, backend))
-            self._minimized_strong[key] = minimal
-        return minimal
+        """The quotient FSP by strong equivalence (cached per solver and backend)."""
+        return self._minimized_fsp("strong", method, backend)
 
     def minimized_observational(
         self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
     ) -> FSP:
-        """The quotient by observational equivalence (cached per solver and backend)."""
-        method = _solver(method)
-        backend = _backend(backend, self._branching_quotient()[0].n)
-        key = (method, backend)
-        minimal = self._minimized_observational.get(key)
-        if minimal is None:
-            minimal = quotient(self.fsp, self.observational_partition(method, backend))
-            self._minimized_observational[key] = minimal
-        return minimal
+        """The quotient FSP by observational equivalence (cached per solver and backend).
+
+        Its arcs are the original transitions between blocks, not the
+        saturated arcs of :meth:`observational_quotient`.
+        """
+        return self._minimized_fsp("observational", method, backend)
 
     def language_dfa(self) -> "DFA":
         """The minimal DFA of ``L(start)`` (subset construction + Hopcroft)."""
@@ -290,10 +385,11 @@ class Process:
             "weak_view": self._weak_view is not None,
             "saturated_lts": bool(self._saturated_lts),
             "branching_quotient": self._branching is not None,
-            "strong_partitions": len(self._strong_partitions),
-            "observational_partitions": len(self._observational_partitions),
-            "minimized_strong": len(self._minimized_strong),
-            "minimized_observational": len(self._minimized_observational),
+            "strong_partitions": sum(key[0] == "strong" for key in self._quotients),
+            "observational_partitions": sum(key[0] == "observational" for key in self._quotients),
+            "minimized_strong": sum(key[0] == "strong" for key in self._minimized),
+            "minimized_observational": sum(key[0] == "observational" for key in self._minimized),
+            "macrostates": len(self._macro_moves) if self._macro_moves is not None else 0,
             "language_dfa": self._language_dfa is not None,
         }
 

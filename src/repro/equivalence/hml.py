@@ -15,20 +15,29 @@ extension atom ``ext(V)`` asserting that the state's extension set equals
 
 :func:`distinguishing_formula` produces a formula satisfied by the first state
 but not the second whenever they are distinguished by the chosen equivalence
-(strong or observational); it works level by level along the refinement chain,
-which guarantees termination and yields formulas of modal depth equal to the
-separation level.
+(strong or observational).  It reads the formula off the refinement chain
+``simeq_0, simeq_1, ...`` (Definition 2.2.2), computed by
+:func:`lts_distinguishing_formula` as round-synchronous signature refinement
+on the integer CSR kernel: one block-id list per round, each round
+recomputing only the predecessors of states that moved, stopping at the
+first round that separates the two states.  The formula's modal depth is
+that separation level, the least any distinguishing formula can have.  The
+engine runs the same code on the CSR union of two quotients; weak formulas
+run on saturated kernels, whose arcs are the weak moves.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Union
 
 from repro.core.derivatives import WeakTransitionView
-from repro.core.fsp import FSP, TAU
-from repro.partition.partition import Partition
+from repro.core.errors import InvalidProcessError
+from repro.core.fsp import EPSILON, FSP, TAU
+from repro.core.lts import LTS
+from repro.core.weak import saturate_lts
+from repro.partition.branching import split_blocks
 
 
 # ----------------------------------------------------------------------
@@ -249,120 +258,149 @@ def distinguishing_formula(fsp: FSP, first: str, second: str, weak: bool = False
     treated as a label), ``weak=True`` with respect to observational
     equivalence (weak diamonds).  Returns None when the states are equivalent
     in the chosen sense, in which case no HML formula can separate them.
+
+    The process is interned (and, for ``weak=True``, saturated) and handed
+    to :func:`lts_distinguishing_formula`.
     """
-    moves = _moves(fsp, weak)
-    levels = _refinement_levels(fsp, moves)
-    separation = None
-    for index, partition in enumerate(levels):
-        if not partition.same_block(first, second):
-            separation = index
-            break
-    if separation is None:
+    lts = LTS.from_fsp(fsp, include_tau=True)
+    if weak:
+        lts = saturate_lts(lts)
+    index = {name: i for i, name in enumerate(lts.state_names)}
+    for state in (first, second):
+        if state not in index:
+            raise InvalidProcessError(f"{state!r} is not a state of this process")
+    return lts_distinguishing_formula(lts, index[first], index[second], weak)
+
+
+def lts_distinguishing_formula(
+    lts: LTS, first: int, second: int, weak: bool = False
+) -> Formula | None:
+    """A formula satisfied by state ``first`` of ``lts`` but not ``second``, or None.
+
+    The modalities range over the arcs of ``lts``: single transitions, tau
+    as a label, for strong diamonds (``weak=False``); for weak diamonds
+    (``weak=True``) ``lts`` must be saturated
+    (:func:`repro.core.weak.saturate_lts`), so that its arcs are the weak
+    moves ``=>^a`` and its epsilon-arcs the moves ``=>^epsilon`` (rendered
+    ``<<ε>>``).  The formula's modal depth is the separation level of the
+    two states, the least one possible.
+    """
+    levels = _separating_rounds(lts, first, second)
+    if levels is None:
         return None
-    formula = _distinguish_at_level(fsp, first, second, separation, levels, weak, moves)
-    return formula
+    return _formula_from_rounds(lts, first, second, levels, weak)
 
 
-#: The actions of one step relation and its successor function.
-_Moves = tuple[list[str], Callable[[str, str], frozenset[str]]]
+def _separating_rounds(lts: LTS, first: int, second: int) -> list[list[int]] | None:
+    """The block ids of ``simeq_0, simeq_1, ...`` up to the first that separates.
 
-
-def _moves(fsp: FSP, weak: bool) -> _Moves:
-    """The actions and the successor function of single strong or weak moves.
-
-    Strong moves treat tau as a label; weak moves are ``=>^a`` for each
-    observable ``a`` plus ``=>^epsilon`` under the empty action name.
+    Round ``r`` splits every block of round ``r - 1`` by the signature
+    ``{(a, block(t)) | s -a-> t}``, so two states share a block id after
+    round ``r`` iff they are ``simeq_r`` (Definition 2.2.2 when the arcs are
+    weak moves).  A round recomputes only the signatures of predecessors of
+    states that moved in the previous one (the worklist of
+    :mod:`repro.partition.branching`).  Returns one block-id list per round,
+    ending with the first round in which ``first`` and ``second`` differ, or
+    None when the refinement stabilises with them together.
     """
-    if not weak:
-        return sorted(fsp.alphabet) + ([TAU] if fsp.has_tau() else []), fsp.successors
-    view = WeakTransitionView(fsp)
-
-    def successors(state: str, action: str) -> frozenset[str]:
-        if action == "":
-            return view.epsilon_closure(state)
-        return view.weak_successors(state, action)
-
-    return sorted(fsp.alphabet) + [""], successors
-
-
-def _refinement_levels(fsp: FSP, moves: _Moves) -> list[Partition]:
-    """The chain of partitions ``simeq_0, simeq_1, ...`` until it stabilises.
-
-    For the strong case the refinement uses single strong transitions (tau as
-    a label); for the weak case it uses single weak moves, i.e. the ``simeq_k``
-    chain of Definition 2.2.2.
-    """
-    actions, successors = moves
-    levels = [Partition.from_key(fsp.states, key=fsp.extension)]
+    block, num = lts.extension_block_ids()
+    levels = [block]
+    if block[first] != block[second]:
+        return levels
+    block = list(block)
+    members: list[set[int]] = [set() for _ in range(num)]
+    for state, b in enumerate(block):
+        members[b].add(state)
+    ref: list[frozenset[int] | None] = [None] * num
+    width = lts.num_actions
+    offsets = lts.fwd_offsets
+    arc_actions = lts.fwd_actions.tolist()
+    arc_targets = lts.fwd_targets.tolist()
+    rev_offsets, _, rev_sources = lts.reverse_index()
+    dirty: Iterable[int] = range(lts.n)
     while True:
-        current = levels[-1]
-        signatures = {}
-        for state in fsp.states:
-            signature = set()
-            for action in actions:
-                for target in successors(state, action):
-                    signature.add((action, current.block_id_of(target)))
-            signatures[state] = frozenset(signature)
-        next_partition = Partition(list(_split_groups(current, signatures)))
-        levels.append(next_partition)
-        if len(next_partition) == len(current):
+        changed: dict[int, dict[frozenset[int], list[int]]] = {}
+        for s in dirty:
+            sig = frozenset(
+                block[arc_targets[i]] * width + arc_actions[i]
+                for i in range(offsets[s], offsets[s + 1])
+            )
+            if sig != ref[block[s]]:
+                changed.setdefault(block[s], {}).setdefault(sig, []).append(s)
+        moved = split_blocks(changed, block, members, ref)
+        if not moved:
+            return None
+        levels.append(list(block))
+        if block[first] != block[second]:
             return levels
+        dirty = {rev_sources[i] for t in moved for i in range(rev_offsets[t], rev_offsets[t + 1])}
 
 
-def _split_groups(partition: Partition, signatures: dict[str, frozenset]) -> list[set[str]]:
-    groups: list[set[str]] = []
-    for block in partition:
-        by_signature: dict[frozenset, set[str]] = {}
-        for state in block:
-            by_signature.setdefault(signatures[state], set()).add(state)
-        groups.extend(by_signature.values())
-    return groups
-
-
-def _distinguish_at_level(
-    fsp: FSP,
-    first: str,
-    second: str,
-    level: int,
-    levels: list[Partition],
-    weak: bool,
-    moves: _Moves,
+def _formula_from_rounds(
+    lts: LTS, first: int, second: int, levels: list[list[int]], weak: bool
 ) -> Formula:
-    """Build a formula of modal depth ``level`` separating the two states.
+    """Build a formula of modal depth ``len(levels) - 1`` separating the two states.
 
+    At level ``k`` a move of one state that the other cannot match up to
+    ``simeq_{k-1}`` becomes a diamond (negated when the move is the second
+    state's) over one separating formula per matching candidate.  Actions
+    are tried in the order observable names sorted, then tau or epsilon.
     The formula nests one modality per level, so it is built with an
     explicit stack of pending diamonds rather than by recursion.
     """
-    actions, successors = moves
+    names = lts.action_names
+    silent = [a for a, name in enumerate(names) if name in (TAU, EPSILON)]
+    order = sorted((a for a in range(len(names)) if a not in silent), key=names.__getitem__)
+    order += silent
+    labels = ["" if names[a] == EPSILON else names[a] for a in range(len(names))]
+    ext_sets = lts.ext_sets
+    offsets, arc_actions, arc_targets = lts.fwd_offsets, lts.fwd_actions, lts.fwd_targets
 
-    def separate(first: str, second: str, level: int) -> Formula | list:
+    def moves(state: int, action: int) -> list[int]:
+        return [
+            arc_targets[i]
+            for i in range(offsets[state], offsets[state + 1])
+            if arc_actions[i] == action
+        ]
+
+    def level_of(x: int, y: int, below: int) -> int:
+        """The first round separating ``x`` and ``y``, known to be ``<= below``."""
+        low, high = 0, below
+        while low < high:
+            middle = (low + high) // 2
+            blocks = levels[middle]
+            if blocks[x] != blocks[y]:
+                high = middle
+            else:
+                low = middle + 1
+        return low
+
+    def separate(x: int, y: int, level: int) -> Formula | list:
         """The leaf formula at level 0, else a frame for the diamond to build.
 
         A frame is ``[negated, action, pending pairs, built conjuncts]``: a
-        move of ``first`` that ``second`` cannot match up to the previous
-        level, or failing that a move of ``second`` (and the diamond is
-        negated); each pending pair still needs its own separating formula.
+        move of ``x`` that ``y`` cannot match up to the previous level, or
+        failing that a move of ``y`` (and the diamond is negated); each
+        pending pair still needs its own separating formula.
         """
         if level == 0:
-            return ExtensionIs(fsp.extension(first))
+            return ExtensionIs(ext_sets[x] if ext_sets is not None else frozenset())
         previous = levels[level - 1]
         for swap in (False, True):
-            left, right = (second, first) if swap else (first, second)
-            for action in actions:
-                for target in successors(left, action):
-                    candidates = successors(right, action)
-                    if any(previous.same_block(target, other) for other in candidates):
-                        continue
-                    pending = [
-                        (target, other, _separation_level(levels, target, other))
-                        for other in candidates
-                    ]
-                    return [swap, action, pending, []]
-        # The two states are not separated at this level after all (should not
-        # happen when the caller picked the true separation level).
+            mover, other = (y, x) if swap else (x, y)
+            for action in order:
+                targets = moves(mover, action)
+                if not targets:
+                    continue
+                answers = moves(other, action)
+                matched = {previous[t] for t in answers}
+                for target in targets:
+                    if previous[target] not in matched:
+                        pending = [(target, t, level_of(target, t, level - 1)) for t in answers]
+                        return [swap, labels[action], pending, []]
         raise AssertionError("states are not distinguishable at the requested level")
 
-    top = separate(first, second, level)
+    top = separate(first, second, len(levels) - 1)
     if not isinstance(top, list):
         return top
     stack = [top]
@@ -383,10 +421,3 @@ def _distinguish_at_level(
         if not stack:
             return formula
         stack[-1][3].append(formula)
-
-
-def _separation_level(levels: list[Partition], first: str, second: str) -> int:
-    for index, partition in enumerate(levels):
-        if not partition.same_block(first, second):
-            return index
-    raise AssertionError("states are equivalent; no separation level exists")

@@ -6,7 +6,9 @@ that already hold an interned system (e.g. DFA minimisation), while the
 ``*_refine`` functions accept a :class:`GeneralizedPartitioningInstance` and
 return a string-keyed :class:`Partition`.
 
-Two execution backends solve every instance (``solve(..., backend=...)``):
+One dispatch, :func:`refine_lts`, runs a solver on an interned kernel and
+returns a block id per state; :func:`solve` wraps it for instances.  Two
+execution backends solve every instance (``backend=...``):
 ``"python"`` -- the sequential worklist solvers (naive / Kanellakis-Smolka /
 Paige-Tarjan), which remain the cross-check oracles -- and ``"vector"`` --
 the numpy whole-array kernel of :mod:`repro.partition.vectorized`, which
@@ -20,6 +22,7 @@ from repro.partition.generalized import (
     Solver,
     is_stable,
     is_valid_solution,
+    refine_lts,
     solve,
 )
 from repro.partition.kanellakis_smolka import (
@@ -54,6 +57,7 @@ __all__ = [
     "paige_tarjan_refine",
     "paige_tarjan_refine_lts",
     "partition_from_refinable",
+    "refine_lts",
     "solve",
     "vector_refine",
     "vector_refine_arrays",

@@ -60,6 +60,45 @@ from repro.core.lts import LTS
 from repro.core.weak import tau_action_index, tau_scc, tau_successor_lists
 
 
+def split_blocks(
+    changed: dict[int, dict[frozenset[int], list[int]]],
+    block: list[int],
+    members: list[set[int]],
+    ref: list[frozenset[int] | None],
+) -> list[int]:
+    """Apply one round of signature splits in place; returns what moved.
+
+    ``changed`` groups, per block, the members whose fresh signature differs
+    from the block's reference signature ``ref[b]``; every other member
+    still has ``ref[b]``.  Per block, the largest of these groups keeps the
+    block id (the unchanged members then move to a new block under the old
+    reference); every other group gets a new block.  Returns the elements
+    whose block id changed, the only ones whose predecessors can change
+    signature in the next round.
+    """
+    moved: list[int] = []
+    for b, by_sig in changed.items():
+        split = list(by_sig.items())
+        sizes = [len(group) for _, group in split]
+        unchanged = len(members[b]) - sum(sizes)
+        largest = sizes.index(max(sizes))
+        if sizes[largest] > unchanged:
+            # The largest group keeps the block; the unchanged members move.
+            old = ref[b]
+            ref[b], kept = split.pop(largest)
+            if unchanged:
+                split.append((old, members[b].difference(kept, *(g for _, g in split))))
+        for sig, group in split:
+            new = len(ref)
+            ref.append(sig)
+            members.append(set(group))
+            members[b].difference_update(group)
+            for c in group:
+                block[c] = new
+            moved.extend(group)
+    return moved
+
+
 def branching_quotient(lts: LTS) -> tuple[LTS, list[int]]:
     """The quotient of ``lts`` by its coarsest branching bisimulation.
 
@@ -82,10 +121,7 @@ def branching_quotient(lts: LTS) -> tuple[LTS, list[int]]:
         [t for t in targets if ext_of[t] == ext_of[s]] if targets else targets
         for s, targets in enumerate(tau_successor_lists(lts))
     ]
-    if any(local_tau):
-        scc_of, sccs = tau_scc(lts, local_tau)
-    else:
-        scc_of, sccs = list(range(n)), [[s] for s in range(n)]
+    scc_of, sccs = tau_scc(lts, local_tau)
 
     # The condensed graph: observable arcs, tau-arcs and predecessors per component.
     num = len(sccs)
@@ -136,26 +172,7 @@ def branching_quotient(lts: LTS) -> tuple[LTS, list[int]]:
             if frozen != ref[own]:
                 changed.setdefault(own, {}).setdefault(frozen, []).append(c)
 
-        moved: list[int] = []
-        for b, by_sig in changed.items():
-            split = list(by_sig.items())
-            sizes = [len(group) for _, group in split]
-            unchanged = len(members[b]) - sum(sizes)
-            largest = sizes.index(max(sizes))
-            if sizes[largest] > unchanged:
-                # The largest group keeps the block; the unchanged members move.
-                old = ref[b]
-                ref[b], kept = split.pop(largest)
-                if unchanged:
-                    split.append((old, members[b].difference(kept, *(g for _, g in split))))
-            for sig, group in split:
-                new = len(ref)
-                ref.append(sig)
-                members.append(set(group))
-                members[b].difference_update(group)
-                for c in group:
-                    block[c] = new
-                moved.extend(group)
+        moved = split_blocks(changed, block, members, ref)
 
         # Whatever moved, its predecessors, and what reaches those inertly.
         dirty = set(moved)

@@ -20,7 +20,8 @@ successor set.
 
 This module defines the instance representation, the Lemma 3.1 reduction, a
 reference correctness check (:func:`is_valid_solution`) and the
-solver dispatcher :func:`solve` used throughout the library.
+solver dispatch: :func:`refine_lts` over the integer kernel, returning block
+ids, and :func:`solve`, its name-keyed wrapper.
 
 Internally every instance is backed by the integer-indexed
 :class:`~repro.core.lts.LTS` kernel (elements and function names interned to
@@ -40,6 +41,7 @@ from repro.core.errors import ReproError
 from repro.core.fsp import FSP
 from repro.core.lts import LTS
 from repro.partition.partition import Partition
+from repro.partition.refinable import partition_of_blocks
 
 
 class GeneralizedPartitioningError(ReproError):
@@ -361,15 +363,23 @@ def resolve_backend(backend: str, num_states: int) -> str:
     return backend
 
 
-def solve(
-    instance: GeneralizedPartitioningInstance,
+def refine_lts(
+    lts: LTS,
     method: Solver | str = Solver.PAIGE_TARJAN,
     backend: str = "python",
-) -> Partition:
-    """Solve a generalized partitioning instance with the chosen method.
+    initial: tuple[list[int], int] | None = None,
+) -> list[int]:
+    """The coarsest stable refinement of an interned kernel, as block ids.
 
-    The three methods produce identical partitions (the coarsest stable
-    refinement is unique); they differ only in running time:
+    ``initial`` is the starting partition as ``(block_of, num_blocks)``; by
+    default the Lemma 3.1 grouping by extension set
+    (:meth:`~repro.core.lts.LTS.extension_block_ids`).  Returns one dense
+    block id per state: two states share an id iff they are strongly
+    equivalent.  The ids are otherwise arbitrary.
+
+    This is the one dispatch over the integer solvers.  ``backend`` resolves
+    on ``lts.n`` (:func:`resolve_backend`); ``"vector"`` runs the numpy
+    kernel, ``"python"`` the worklist solver named by ``method``:
 
     * :attr:`Solver.NAIVE` -- the O(nm) method of Lemma 3.2;
     * :attr:`Solver.KANELLAKIS_SMOLKA` -- the splitter-queue refinement in the
@@ -377,32 +387,38 @@ def solve(
     * :attr:`Solver.PAIGE_TARJAN` -- the O(m log n) three-way splitting
       algorithm of Paige and Tarjan (1987), the default.
 
-    All three run on the instance's integer :attr:`~GeneralizedPartitioningInstance.kernel`.
-
-    ``backend`` selects the execution engine: ``"python"`` (default) runs the
-    sequential worklist solver named by ``method``; ``"vector"`` runs the
-    numpy whole-array kernel (:mod:`repro.partition.vectorized`), which
-    computes the same unique partition -- ``method`` is then irrelevant to
-    the result and ignored.  The Python solvers double as the vector
-    kernel's cross-check oracles.  ``"auto"`` dispatches by instance size
-    (:func:`resolve_backend`): vector above
-    :data:`VECTOR_STATE_THRESHOLD` states when numpy is available, python
-    otherwise.
+    All of them compute the same unique partition; the Python solvers double
+    as the vector kernel's cross-check oracles.
     """
-    backend = resolve_backend(backend, len(instance.elements))
-    if backend == "vector":
-        from repro.partition.vectorized import vector_refine
+    block_of, num_blocks = initial if initial is not None else lts.extension_block_ids()
+    if resolve_backend(backend, lts.n) == "vector":
+        from repro.partition.vectorized import vector_refine_lts
 
-        return vector_refine(instance)
+        return vector_refine_lts(lts, block_of, num_blocks).tolist()
     method = Solver(method)
     if method is Solver.NAIVE:
-        from repro.partition.naive import naive_refine
+        from repro.partition.naive import naive_refine_lts as refine
+    elif method is Solver.KANELLAKIS_SMOLKA:
+        from repro.partition.kanellakis_smolka import kanellakis_smolka_refine_lts as refine
+    else:
+        from repro.partition.paige_tarjan import paige_tarjan_refine_lts as refine
+    return refine(lts, block_of, num_blocks).blk
 
-        return naive_refine(instance)
-    if method is Solver.KANELLAKIS_SMOLKA:
-        from repro.partition.kanellakis_smolka import kanellakis_smolka_refine
 
-        return kanellakis_smolka_refine(instance)
-    from repro.partition.paige_tarjan import paige_tarjan_refine
+def solve(
+    instance: GeneralizedPartitioningInstance,
+    method: Solver | str = Solver.PAIGE_TARJAN,
+    backend: str = "python",
+) -> Partition:
+    """Solve a generalized partitioning instance with the chosen method.
 
-    return paige_tarjan_refine(instance)
+    A wrapper around :func:`refine_lts` on the instance's integer
+    :attr:`~GeneralizedPartitioningInstance.kernel`, returning the answer as
+    a name-keyed :class:`Partition`.  ``backend`` is ``"python"`` (default),
+    ``"vector"``, or ``"auto"``, which dispatches by instance size: vector at
+    or above :data:`VECTOR_STATE_THRESHOLD` states when numpy is available,
+    python otherwise.
+    """
+    lts, block_of, num_blocks = instance.kernel
+    blocks = refine_lts(lts, method, backend, (block_of, num_blocks))
+    return partition_of_blocks(blocks, lts.state_names)

@@ -10,8 +10,9 @@ no hashing -- exactly the constant-factor discipline the string/dict based
 :class:`~repro.partition.partition.Partition` cannot offer.
 
 The string-keyed :class:`~repro.partition.partition.Partition` remains the
-*interface* type returned to callers; :func:`partition_from_refinable`
-converts a finished refinement back to it.
+*interface* type returned to callers; :func:`partition_of_blocks` converts a
+block id per element back to it, and :func:`partition_from_refinable` a
+finished refinement.
 """
 
 from __future__ import annotations
@@ -118,6 +119,14 @@ class RefinablePartition:
         return new_block
 
 
+def partition_of_blocks(blocks: Sequence[int], names: Sequence[str]) -> Partition:
+    """The string-keyed :class:`Partition` of a block id per element, in id order."""
+    groups: dict[int, list[str]] = {}
+    for name, block in zip(names, blocks):
+        groups.setdefault(block, []).append(name)
+    return Partition(groups[block] for block in sorted(groups))
+
+
 def partition_from_refinable(part: RefinablePartition, names: Sequence[str]) -> Partition:
     """Render a finished integer refinement as a string-keyed :class:`Partition`."""
-    return Partition([names[s] for s in part.block_elems(b)] for b in range(part.num_blocks()))
+    return partition_of_blocks(part.blk, names)

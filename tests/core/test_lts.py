@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.errors import InvalidProcessError
 from repro.core.fsp import TAU, from_transitions
-from repro.core.lts import LTS
+from repro.core.lts import LTS, disjoint_union
 from repro.generators.random_fsp import (
     random_deterministic_fsp,
     random_fsp,
@@ -107,3 +107,23 @@ class TestStructure:
         by_name = dict(zip(lts.state_names, block_of))
         assert by_name["s"] == by_name["l"] == by_name["r"]
         assert by_name["t"] != by_name["s"]
+
+
+class TestDisjointUnion:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_interned_fsp_union(self, seed):
+        left = random_fsp(7, alphabet=("a", "b"), tau_probability=0.3, seed=seed)
+        right = random_fsp(5, alphabet=("b", "c"), tau_probability=0.3 * (seed % 2), seed=seed + 50)
+        union = disjoint_union(LTS.from_fsp(left), LTS.from_fsp(right))
+        expected = LTS.from_fsp(left.disjoint_union(right))
+        assert union.state_names == expected.state_names
+        assert union.action_names == expected.action_names
+        assert union.fwd_offsets == expected.fwd_offsets
+        assert union.fwd_actions == expected.fwd_actions
+        assert union.fwd_targets == expected.fwd_targets
+        assert union.to_fsp() == left.disjoint_union(right)
+
+    def test_rejects_an_action_table_out_of_interning_order(self):
+        kernel = LTS(["p", "q"], ["b", "a"], [(0, 0, 1)])
+        with pytest.raises(InvalidProcessError, match="not sorted"):
+            disjoint_union(kernel, kernel)

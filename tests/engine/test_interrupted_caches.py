@@ -1,0 +1,131 @@
+"""Interrupted checks leave the process caches answering like a fresh engine.
+
+A deadline (``flow.deadline_scope``) can preempt a check at any bytecode
+boundary, including inside the fill of a :class:`~repro.engine.Process`
+cache: the strong quotient, the saturated observational quotient, the
+language macro-moves.  Each cache slot is written once with a finished
+value, so an abort must leave either nothing or a complete value behind.
+Each test aborts one fill partway -- by raising from an inner helper on its
+first, second, middle or last call (counted in a dry run), or by a short
+deadline -- and then asks the same engine every notion: each verdict must
+equal a fresh engine's, and each witness verify.
+"""
+
+from __future__ import annotations
+
+import time
+
+import pytest
+
+from repro.engine import Engine
+from repro.engine import process as process_module
+from repro.equivalence.language import MacroMoves
+from repro.generators.families import shift_register, with_snag
+from repro.generators.random_fsp import random_equivalent_copy, random_fsp
+from repro.partition.refinable import RefinablePartition
+from repro.service import flow
+
+NOTIONS = (
+    ("strong", {}),
+    ("observational", {}),
+    ("language", {}),
+    ("k-observational", {"k": 2}),
+    ("failure", {}),
+)
+
+
+class Abort(Exception):
+    """Raised by a patched helper to interrupt a cache fill."""
+
+
+def _aligned(left, right):
+    alphabet = left.alphabet | right.alphabet
+    return left.with_alphabet(alphabet), right.with_alphabet(alphabet)
+
+
+def _pairs():
+    """An equivalent and an inequivalent pair of restricted processes with tau."""
+    base = random_fsp(14, tau_probability=0.3, all_accepting=True, seed=7)
+    copy = random_equivalent_copy(base, duplicates=4, seed=3)
+    return [_aligned(base, copy), _aligned(base, with_snag(copy, copy.start))]
+
+
+def _assert_answers_like_fresh(engine: Engine) -> None:
+    for left, right in _pairs():
+        for notion, params in NOTIONS:
+            verdict = engine.check(left, right, notion, **params)
+            fresh = Engine().check(left, right, notion, **params)
+            assert verdict.equivalent == fresh.equivalent, notion
+            if not verdict.equivalent:
+                assert verdict.verify_witness() is True, notion
+
+
+def _patch_calls(monkeypatch, owner, name: str, abort_at: int = 0) -> list[int]:
+    """Count the calls of ``owner.name``, raising :class:`Abort` on call ``abort_at``."""
+    original = getattr(owner, name)
+    calls = [0]
+
+    def patched(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == abort_at:
+            raise Abort(f"{name} call {abort_at}")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, patched)
+    return calls
+
+
+def _check_pairs(engine: Engine, notion: str) -> bool:
+    """Check both pairs under ``notion``; whether any check was aborted."""
+    aborted = False
+    for left, right in _pairs():
+        try:
+            engine.check(left, right, notion)
+        except Abort:
+            aborted = True
+    return aborted
+
+
+#: (cache being filled, notion whose check fills it, owner, helper name)
+FILLS = (
+    ("strong quotient", "strong", RefinablePartition, "split_marked"),
+    ("strong quotient", "strong", process_module, "_collapse"),
+    ("observational quotient", "observational", process_module, "saturate_lts"),
+    ("observational quotient", "observational", process_module, "_collapse"),
+    ("language macro-moves", "language", MacroMoves, "intern"),
+)
+
+
+@pytest.mark.parametrize("call", ("first", "second", "middle", "last"))
+@pytest.mark.parametrize(("cache", "notion", "owner", "helper"), FILLS)
+def test_abort_inside_a_cache_fill(monkeypatch, cache, notion, owner, helper, call):
+    with monkeypatch.context() as patch:
+        calls = _patch_calls(patch, owner, helper)
+        assert not _check_pairs(Engine(), notion)
+    total = calls[0]
+    assert total >= 2, f"{helper} ran {total} times while filling the {cache}"
+    k = {"first": 1, "second": 2, "middle": total // 2 + 1, "last": total}[call]
+    engine = Engine()
+    with monkeypatch.context() as patch:
+        _patch_calls(patch, owner, helper, abort_at=k)
+        assert _check_pairs(engine, notion), f"{helper} call {k} of {total} did not abort"
+    _assert_answers_like_fresh(engine)
+
+
+def test_abort_by_deadline():
+    left, right = _aligned(shift_register(9), with_snag(shift_register(9), "s5"))
+    engine = Engine()
+    aborted = 0
+    for notion, params in NOTIONS[:3]:
+        for seconds in (0.001, 0.004, 0.015):
+            try:
+                with flow.deadline_scope(time.monotonic() + seconds):
+                    engine.check(left, right, notion, **params)
+            except flow.DeadlineExceeded:
+                aborted += 1
+    assert aborted
+    for notion, params in NOTIONS[:3]:
+        verdict = engine.check(left, right, notion, **params)
+        assert verdict.equivalent == Engine().check(left, right, notion, **params).equivalent
+        assert verdict.verify_witness() is True
+    _assert_answers_like_fresh(engine)

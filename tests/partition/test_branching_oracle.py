@@ -268,10 +268,10 @@ def test_tau_cycle_across_extension_sets_is_not_collapsed():
 def test_auto_resolves_on_the_prequotient(monkeypatch):
     # tau_ladder(300) has 601 states, over the vector threshold, but its
     # branching quotient has 2: auto must not send that to the vector kernel.
-    def refuse(instance):
+    def refuse(lts, block_of, num_blocks):
         raise AssertionError("auto sent a 2-state quotient to the vector kernel")
 
-    monkeypatch.setattr(vectorized, "vector_refine", refuse)
+    monkeypatch.setattr(vectorized, "vector_refine_lts", refuse)
     process = tau_ladder(300)
     assert Engine().check(process, process, "observational").equivalent
     assert Process(process).minimized_observational(backend="auto").num_states == 2
@@ -280,13 +280,13 @@ def test_auto_resolves_on_the_prequotient(monkeypatch):
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy is not installed")
 def test_explicit_vector_backend_is_honoured(monkeypatch):
     calls = []
-    original = vectorized.vector_refine
+    original = vectorized.vector_refine_lts
 
-    def spy(instance):
-        calls.append(len(instance.elements))
-        return original(instance)
+    def spy(lts, block_of, num_blocks):
+        calls.append(lts.n)
+        return original(lts, block_of, num_blocks)
 
-    monkeypatch.setattr(vectorized, "vector_refine", spy)
+    monkeypatch.setattr(vectorized, "vector_refine_lts", spy)
     partition = Process(tau_ladder(20)).observational_partition(backend="vector")
     assert calls == [2]
     assert partition == observational_partition(tau_ladder(20))

@@ -154,11 +154,16 @@ def test_process_pickles_lean(workload):
     handle.lts()
     handle.weak_kernel()
     handle.minimized_observational()
+    handle.strong_quotient()
+    handle.observational_quotient()
+    handle.macro_moves().successors(0)
     clone = pickle.loads(pickle.dumps(handle))
     assert clone.fsp == base
     # Snapshots ship only the FSP; artifacts rebuild lazily on arrival.
     summary = clone.artifact_summary()
     assert not summary["lts"] and not summary["weak_kernel"]
+    assert summary["strong_partitions"] == summary["observational_partitions"] == 0
+    assert summary["macrostates"] == 0 and not summary["branching_quotient"]
     assert clone.minimized_observational() == handle.minimized_observational()
     # And the pickle really is smaller than one carrying the caches would be.
     assert len(pickle.dumps(handle)) == len(pickle.dumps(Process(base)))
