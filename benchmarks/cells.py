@@ -29,31 +29,11 @@ import bench_service_load
 from seed_baseline import seed_kanellakis_smolka
 
 from repro.automata.equivalence import nfa_equivalent
-from repro.ccs.stdlib import (
-    alternating_bit_protocol,
-    compile_system,
-    mutual_exclusion,
-    two_place_buffer_impl,
-)
-from repro.core.classify import classify
-from repro.core.derivatives import saturate, saturate_reference
-from repro.core.lts import LTS
-from repro.core.paper_figures import fig2_language_pair
-from repro.core.weak import saturate_lts, tau_closure_bits
+from repro.core.derivatives import saturate_reference
 from repro.engine import Engine
-from repro.equivalence.failure import (
-    failure_equivalent,
-    failure_equivalent_processes,
-    tree_failure_equivalent,
-)
-from repro.equivalence.kobs import k_observational_equivalent_processes
-from repro.equivalence.language import is_universal, language_equivalent, language_nfa
-from repro.equivalence.minimize import minimize_observational, minimize_strong
-from repro.equivalence.observational import (
-    observational_partition,
-    observationally_equivalent,
-    observationally_equivalent_processes,
-)
+from repro.equivalence.language import language_nfa
+from repro.equivalence.minimize import minimize_observational
+from repro.equivalence.observational import observational_partition, observationally_equivalent
 from repro.equivalence.strong import strongly_equivalent
 from repro.explore import (
     build_implicit,
@@ -63,24 +43,14 @@ from repro.explore import (
     reachable_stats,
 )
 from repro.explore.reduce import REDUCTIONS, structural_state_estimate
-from repro.expressions.ccs_equivalence import ccs_equivalent
-from repro.expressions.semantics import representative_fsp
-from repro.generators.expressions import (
-    alternating_expression,
-    random_star_expression,
-    starred_unions,
-)
 from repro.generators.families import (
-    binary_tree,
     comb,
     dining_philosophers_system,
     duplicated_chain,
     interleaved_cycles_pair,
     interleaved_cycles_product_size,
     milner_scheduler_system,
-    nondeterministic_counter,
     redundant_interleaving_system,
-    restricted_counter,
     shift_register,
     shift_register_csr,
     tau_diamond_tower,
@@ -89,33 +59,13 @@ from repro.generators.families import (
     token_ring_pair,
     token_ring_system,
 )
-from repro.generators.random_fsp import (
-    perturb,
-    random_deterministic_fsp,
-    random_equivalent_copy,
-    random_fsp,
-    random_observable_fsp,
-    random_restricted_observable_fsp,
-)
+from repro.generators.random_fsp import perturb, random_equivalent_copy, random_fsp
 from repro.partition.generalized import GeneralizedPartitioningInstance, Solver, solve
-from repro.partition.naive import naive_refinement_passes
 from repro.partition.partition import Partition
-from repro.partition.vectorized import vector_refine, vector_refine_csr
+from repro.partition.vectorized import vector_refine_csr
 from repro.protocols import Crash, apply_fault, apply_faults, build_scenario, sweep_crashes
 from repro.protocols.check import check_conformance, find_stuck
-from repro.reductions.lemma42 import (
-    decide_universality_via_lemma42,
-    lemma42_transform,
-    normalize_for_lemma42,
-)
-from repro.reductions.theorem41b import separating_pair, theorem41b_iterate
-from repro.reductions.theorem41c import make_restricted
-from repro.reductions.theorem51 import theorem51_transform
-from repro.reductions.universality import (
-    approx1_equals_trivial,
-    approx2_equals_trivial_characterisation,
-)
-from repro.utils.matrices import HAVE_NUMPY, MmapCSR, require_numpy, weak_transition_matrices
+from repro.utils.matrices import HAVE_NUMPY, MmapCSR, require_numpy
 
 #: A cell is timed until it has MIN_SAMPLES samples or its samples have
 #: spent SAMPLE_BUDGET_SECONDS, and keeps the fastest.  One sample of a
@@ -237,16 +187,6 @@ def best_of(sample: Callable[[], tuple[float, object]]) -> tuple[dict, object]:
         seconds, result = sample()
         times.append(seconds)
     return {"seconds": round(min(times), 6), "samples": len(times)}, result
-
-
-def timed_cell(layer, solver, family, n, fn, measure=None) -> Cell:
-    """A cell timing ``fn``; ``measure`` reads extra metrics off its result."""
-
-    def run() -> dict:
-        metrics, result = best_of(timed(fn))
-        return {**metrics, **(measure(result) if measure else {})}
-
-    return Cell(cell_key(solver, family, n), layer, {}, run)
 
 
 def compared(layer, family, n, routes, params=None, measure=None, same=operator.eq) -> list[Cell]:
@@ -659,194 +599,6 @@ def cluster_cells(quick: bool) -> Iterator[Cell]:
     yield Cell(key, "cluster", cluster.PARAMS, run)
 
 
-# ----------------------------------------------------------------------
-# experiments: the paper's E-series, ungated
-# ----------------------------------------------------------------------
-def _census(process) -> dict:
-    """E14: how often each notion holds over the state pairs of one process."""
-    states = sorted(process.states)
-    counts = {"observational": 0, "failure": 0, "language": 0}
-    for i, first in enumerate(states):
-        for second in states[i + 1 :]:
-            counts["observational"] += observationally_equivalent(process, first, second)
-            counts["failure"] += failure_equivalent(process, first, second)
-            counts["language"] += language_equivalent(process, first, second)
-    return counts
-
-
-def _collapse(process) -> int:
-    """E14: state pairs where language and observational equivalence differ."""
-    states = sorted(process.states)
-    return sum(
-        language_equivalent(process, p, q) != observationally_equivalent(process, p, q)
-        for i, p in enumerate(states)
-        for q in states[i + 1 :]
-    )
-
-
-def _renamed_pair(builder, size: int) -> tuple:
-    return builder(size), builder(size).rename_states(prefix="o")
-
-
-def _answer(value) -> dict:
-    return {"answer": value}
-
-
-def _transitions(process) -> dict:
-    return {"transitions": process.num_transitions}
-
-
-def _classes(classes) -> dict:
-    return {"classes": len(classes)}
-
-
-def _pair_states(pair) -> dict:
-    return {"states": pair[0].num_states + pair[1].num_states}
-
-
-def experiment_cells(quick: bool) -> Iterator[Cell]:
-    """The E-series experiments and kernel micro-measurements, one timed cell each.
-
-    They carry no gate: the measurement is the growth shape across sizes
-    (exponential for the PSPACE-hard notions, polynomial for the partition
-    routes), and the properties they exhibit are asserted by the tier-1
-    tests.
-    """
-    cell = partial(timed_cell, "experiments")
-    kobs = k_observational_equivalent_processes
-    failure = failure_equivalent_processes
-    for bits in (4, 6, 8):  # E8, E9, E11: determinisation doubles with every bit
-        first, second = _renamed_pair(restricted_counter, bits)
-        family = "restricted_counter"
-        yield cell("approx_1", family, bits, partial(kobs, first, second, 1), _answer)
-        decide = partial(observationally_equivalent_processes, first, second)
-        yield cell("observational", family, bits, decide, _answer)
-        decide = partial(approx2_equals_trivial_characterisation, first)
-        yield cell("approx2_trivial", family, bits, decide, _answer)
-        counter, family = nondeterministic_counter(bits), "nondeterministic_counter"
-        decide = partial(approx1_equals_trivial, make_restricted(counter))
-        yield cell("approx1_trivial", family, bits, decide, _answer)
-        yield cell("universality", family, bits, partial(is_universal, counter), _answer)
-        transform = partial(lemma42_transform, normalize_for_lemma42(counter))
-        yield cell("lemma42_transform", family, bits, transform, _size)
-    for bits in (3, 5):
-        decide = partial(decide_universality_via_lemma42, nondeterministic_counter(bits))
-        yield cell("universality_via_lemma42", "nondeterministic_counter", bits, decide, _answer)
-    for level in (1, 2, 3):  # E8: the Theorem 4.1(b) gadget is polynomial in the level
-        build = partial(theorem41b_iterate, *fig2_language_pair(), level)
-        yield cell("theorem41b_iterate", "fig2_language_pair", level, build, _pair_states)
-    for level in (1, 2):
-        decide = partial(kobs, *separating_pair(level), level + 1)
-        yield cell(f"approx_{level + 1}", "separating_pair", level, decide, _answer)
-    for depth in (3, 5, 7):  # E12: failure equivalence, exponential in general, easy on trees
-        counters = _renamed_pair(restricted_counter, depth)
-        yield cell("failure", "restricted_counter", depth, partial(failure, *counters), _answer)
-        trees = _renamed_pair(binary_tree, depth)
-        yield cell("failure", "binary_tree", depth, partial(failure, *trees), _answer)
-        fast = partial(tree_failure_equivalent, *trees)
-        yield cell("failure_tree_fast_path", "binary_tree", depth, fast, _answer)
-    for size in (20, 60):
-        process = random_restricted_observable_fsp(size, transition_density=2.0, seed=size)
-        transform = partial(theorem51_transform, process)
-        yield cell("theorem51_transform", "random_restricted_observable", size, transform, _size)
-    for size in (6, 10):  # E14: the inclusion chain, pair by pair
-        process = random_restricted_observable_fsp(size, transition_density=1.6, seed=size)
-        census = partial(_census, process)
-        yield cell("inclusion_census", "random_restricted_observable", size, census, dict)
-        collapse = partial(_collapse, random_deterministic_fsp(size, seed=size))
-        yield cell("deterministic_collapse", "random_deterministic", size, collapse, _answer)
-    for size in (20, 50):
-        process = random_restricted_observable_fsp(size, transition_density=2.0, seed=size)
-        partition = partial(observational_partition, process)
-        family = "random_restricted_observable"
-        yield cell("observational_partition", family, size, partition, _blocks)
-    for size in (50, 200):  # E1: classification is a structural scan
-        process = random_fsp(size, tau_probability=0.2, transition_density=2.0, seed=size)
-        yield cell("classify", "random_fsp", size, partial(classify, process), _classes)
-    for rungs in (10, 30, 60):  # E7: saturation, its matrix form, and the partition on top
-        process = tau_ladder(rungs)
-        yield cell("saturate", "tau_ladder", rungs, partial(saturate, process), _transitions)
-        matrices = partial(weak_transition_matrices, process)
-        yield cell("weak_transition_matrices", "tau_ladder", rungs, matrices)
-        partition = partial(observational_partition, process)
-        yield cell("observational_partition", "tau_ladder", rungs, partition, _blocks)
-    for size in (15, 40):
-        options = {"tau_probability": 0.25, "transition_density": 2.0, "all_accepting": True}
-        base = random_fsp(size, seed=size, **options)
-        others = {
-            "equivalent": random_equivalent_copy(base, duplicates=size // 3, seed=size),
-            "inequivalent": random_fsp(size, seed=size + 999, **options),
-        }
-        for relation, other in others.items():
-            decide = partial(observationally_equivalent_processes, base, other)
-            yield cell("observational_decision", relation, size, decide, _answer)
-    for size in (30, 90):  # E6: Lemma 3.1 instances and the naive method's passes
-        process = random_observable_fsp(size, transition_density=3.0, seed=size)
-        build = partial(GeneralizedPartitioningInstance.from_fsp, process)
-        yield cell("lemma31_instance", "random_observable", size, build)
-        instance = GeneralizedPartitioningInstance.from_fsp(duplicated_chain(size, 2))
-        passes = partial(naive_refinement_passes, instance)
-        yield cell("naive_passes", "duplicated_chain", size, passes, _answer)
-    for fanout in (2, 6, 12):
-        process = random_observable_fsp(40, transition_density=float(fanout), seed=fanout * 40)
-        refine = partial(solve, GeneralizedPartitioningInstance.from_fsp(process))
-        yield cell("paige_tarjan", "fanout", fanout, partial(refine, Solver.PAIGE_TARJAN), _blocks)
-    for size in (40, 120, 240):  # E5 on random inputs; the kernel layer has the structured ones
-        process = random_observable_fsp(size, transition_density=2.5, seed=size // 2)
-        refine = partial(solve, GeneralizedPartitioningInstance.from_fsp(process))
-        for method in (Solver.NAIVE, Solver.KANELLAKIS_SMOLKA, Solver.PAIGE_TARJAN):
-            yield cell(method.value, "random_observable", size, partial(refine, method), _blocks)
-    for size in (8, 16, 32, 64):  # E4: Lemma 2.3.1, O(n) states and O(n^2) transitions
-        expressions = {
-            "random": random_star_expression(size, seed=size),
-            "alternating": alternating_expression(size // 2),
-            "starred_unions": starred_unions(size),
-        }
-        for family, expression in expressions.items():
-            build = partial(representative_fsp, expression)
-            yield cell("representative_fsp", family, size, build, _size)
-    for size in (8, 16, 32):
-        left = random_star_expression(size, seed=size)
-        right = random_star_expression(size, seed=size + 1)
-        for family, pair in (("random_pair", (left, right)), ("reflexive", (left, left))):
-            yield cell("ccs_equivalent", family, size, partial(ccs_equivalent, *pair), _answer)
-    systems = {  # minimisation of compiled CCS systems
-        "two_place_buffer": partial(compile_system, two_place_buffer_impl()),
-        "mutex_2": partial(compile_system, mutual_exclusion(2)),
-        "mutex_3": partial(compile_system, mutual_exclusion(3)),
-        "abp_lossy": partial(
-            compile_system, alternating_bit_protocol(lossy=True), max_states=20_000
-        ),
-    }
-    minimisers = {"strong": minimize_strong, "observational": minimize_observational}
-    for family, build in systems.items():
-        process = build()
-        yield cell("compile_system", family, process.num_states, build, _size)
-        for notion, minimise in minimisers.items():
-            minimal = partial(minimise, process)
-            yield cell(f"minimize_{notion}", family, process.num_states, minimal, _size)
-    for size in (60, 150):  # the weak kernel's stages against the dict reference
-        for family, (builder, _cap) in WEAK_FAMILIES.items():
-            process = builder(size)
-            lts = LTS.from_fsp(process, include_tau=True)
-            yield cell("saturate_lts", family, lts.n, partial(saturate_lts, lts), _transitions)
-            reference = partial(saturate_reference, process)
-            yield cell("saturate_reference", family, lts.n, reference, _transitions)
-        lts = LTS.from_fsp(tau_mesh(size), include_tau=True)
-        yield cell("tau_closure_bits", "tau_mesh", lts.n, partial(tau_closure_bits, lts))
-    if not HAVE_NUMPY:
-        return
-    for size in (60, 150):  # the packed-uint64 closure backend
-        for family in ("tau_ladder", "tau_mesh"):
-            lts = LTS.from_fsp(WEAK_FAMILIES[family][0](size), include_tau=True)
-            vector = partial(saturate_lts, lts, backend="vector")
-            yield cell("saturate_lts_vector", family, lts.n, vector, _transitions)
-    for bits in (8, 11):  # solve(backend="vector") end to end, names included
-        instance = GeneralizedPartitioningInstance.from_fsp(shift_register(bits))
-        refine = partial(vector_refine, instance)
-        yield cell("vector_refine", "shift_register", 1 << bits, refine, _blocks)
-
-
 #: layer name -> generator of its cells, given the ``--quick`` flag.
 LAYERS: dict[str, Callable[[bool], Iterator[Cell]]] = {
     "kernel": kernel_cells,
@@ -862,7 +614,6 @@ LAYERS: dict[str, Callable[[bool], Iterator[Cell]]] = {
     "scale": lambda quick: shift_register_cells("scale", VECTOR_SCALE_BITS),
     "soak": soak_cells,
     "cluster": cluster_cells,
-    "experiments": experiment_cells,
 }
 
 #: the layers of a plain run, each with committed expected seconds.

@@ -17,7 +17,6 @@ Usage::
     python benchmarks/run_all.py --layers scale          # 10^5/10^6-state vector tiers
     python benchmarks/run_all.py --layers soak           # open-loop service soak
     python benchmarks/run_all.py --layers cluster        # 3-node cluster load
-    python benchmarks/run_all.py --layers experiments    # the paper's E-series, ungated
 
 ``--quick`` shrinks the kernel, weak and vector sizes; every cell is timed
 until it has 3 samples or has spent 1 s in either mode.

@@ -59,10 +59,6 @@ def pair_name(left: str, right: str) -> str:
     return f"({left}{PAIR_SEPARATOR}{right})"
 
 
-#: Backwards-compatible private alias (pre-explore callers).
-_pair_name = pair_name
-
-
 def _combine_extensions(
     first: FSP, second: FSP, left: str, right: str, mode: str
 ) -> frozenset[str]:
@@ -93,7 +89,7 @@ def _explore_product(
     owners: dict[str, tuple[str, str]] = {}
 
     def name_of(pair: tuple[str, str]) -> str:
-        name = _pair_name(*pair)
+        name = pair_name(*pair)
         previous = owners.setdefault(name, pair)
         if previous != pair:
             raise InvalidProcessError(
@@ -121,7 +117,7 @@ def _explore_product(
                 queue.append(target)
     return FSP(
         states=states,
-        start=_pair_name(*start),
+        start=pair_name(*start),
         alphabet=alphabet,
         transitions=transitions,
         variables=first.variables | second.variables,

@@ -42,7 +42,7 @@ def tau_closure_reference(fsp: FSP) -> dict[State, frozenset[State]]:
     kept as the oracle for :func:`tau_closure` (which computes the same map on
     the CSR kernel via tau-SCC condensation and bitset propagation).  The
     matrix-product formulation the paper uses for its ``n^2.376`` bound is
-    available in :mod:`repro.utils.matrices` for the benchmark harness.
+    :func:`repro.utils.matrices.weak_transition_matrices`.
     """
     closure: dict[State, frozenset[State]] = {}
     for origin in fsp.states:
@@ -236,16 +236,6 @@ def saturate(fsp: FSP, epsilon_action: str = EPSILON) -> FSP:
         If ``epsilon_action`` collides with an existing action.
     """
     return saturate_lts(LTS.from_fsp(fsp, include_tau=True), epsilon_action).to_fsp()
-
-
-def observable_quotient_transitions(fsp: FSP) -> int:
-    """Number of transitions of the saturated process (the ``|Delta_hat|`` of Theorem 4.1a).
-
-    Exposed separately so benchmarks can report the saturation blow-up without
-    materialising ``P_hat`` at all (the count is read off the saturated CSR
-    kernel).
-    """
-    return saturate_lts(LTS.from_fsp(fsp, include_tau=True)).num_transitions
 
 
 class WeakTransitionView:

@@ -24,7 +24,6 @@ for incremental construction.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Mapping
 from typing import Any
 
@@ -505,14 +504,6 @@ class FSPBuilder:
 # ----------------------------------------------------------------------
 # Convenience constructors used across examples, tests and reductions.
 # ----------------------------------------------------------------------
-_FRESH_COUNTER = itertools.count()
-
-
-def fresh_state(prefix: str = "s") -> State:
-    """Return a globally fresh state name (used by inductive constructions)."""
-    return f"{prefix}{next(_FRESH_COUNTER)}"
-
-
 def single_state_process(
     alphabet: Iterable[Action] = (),
     accepting: bool = True,

@@ -36,10 +36,9 @@ equivalent to its input, state by state at the start.
   refines both failure equivalence and every ``approx_k`` (``approx`` is
   the intersection of the decreasing ``approx_k`` chain; weak-bisimilar
   states have matching weak derivatives, hence equal refusal information).
-  Caller-supplied search bounds (``max_macro_states``,
-  ``max_subset_states``) are honoured by running the original,
-  un-quotiented route, so bounded calls raise
-  :class:`~repro.core.errors.StateSpaceLimitError` exactly as before.
+  A search bound (``max_macro_states``, ``max_subset_states``) limits that
+  search, so it counts states of the search over the quotients, not over
+  the operands.
 * Language equivalence runs Hopcroft-Karp on the fly over the two weak
   kernels (:func:`repro.equivalence.language.language_search`); neither
   side is determinised or minimised beyond what the search visits.
@@ -227,7 +226,11 @@ class ObservationalNotion(Notion):
 
 
 class KObservationalNotion(Notion):
-    """``k``-observational equivalence ``approx_k`` (Definition 2.2.1)."""
+    """``k``-observational equivalence ``approx_k`` (Definition 2.2.1).
+
+    ``max_subset_states`` bounds the subset states of each language
+    comparison over the observational quotients, not over the operands.
+    """
 
     name = "k-observational"
     aliases = ("kobs",)
@@ -242,13 +245,8 @@ class KObservationalNotion(Notion):
         k: int = 1,
         max_subset_states: int | None = None,
     ) -> NotionResult:
-        if max_subset_states is None:
-            left_fsp = left.minimized_observational()
-            right_fsp = right.minimized_observational()
-        else:
-            # Honour the caller's subset-construction bound on the original
-            # state space, so the bound means what it always meant.
-            left_fsp, right_fsp = left.fsp, right.fsp
+        left_fsp = left.minimized_observational()
+        right_fsp = right.minimized_observational()
         combined = left_fsp.disjoint_union(right_fsp)
         first, second = _LEFT + left_fsp.start, _RIGHT + right_fsp.start
         equivalent = k_observational_equivalent(
@@ -312,7 +310,11 @@ class LanguageNotion(Notion):
 
 
 class FailureNotion(Notion):
-    """Failure equivalence (Section 5 / Theorem 5.1) on the restricted model."""
+    """Failure equivalence (Section 5 / Theorem 5.1) on the restricted model.
+
+    ``max_macro_states`` bounds the macro-state pairs of the subset search
+    over the observational quotients, not over the operands.
+    """
 
     name = "failure"
     aliases = ("failures",)
@@ -328,13 +330,10 @@ class FailureNotion(Notion):
     ) -> NotionResult:
         require(left.fsp, ModelClass.RESTRICTED, context="failure equivalence")
         require(right.fsp, ModelClass.RESTRICTED, context="failure equivalence")
-        if max_macro_states is None:
-            # Observational equivalence refines failure equivalence, so the
-            # observational quotients have the same failure sets.
-            left_fsp = left.minimized_observational()
-            right_fsp = right.minimized_observational()
-        else:
-            left_fsp, right_fsp = left.fsp, right.fsp
+        # Observational equivalence refines failure equivalence, so the
+        # observational quotients have the same failure sets.
+        left_fsp = left.minimized_observational()
+        right_fsp = right.minimized_observational()
         combined = left_fsp.disjoint_union(right_fsp)
         first, second = _LEFT + left_fsp.start, _RIGHT + right_fsp.start
         string = failure_distinguishing_string(

@@ -39,8 +39,14 @@ the start, each named ``[min member]`` like
 the block of every state ``s`` of :meth:`lts` (blocks the start cannot reach
 number from ``quotient.n`` up).  The strong and observational notions decide
 a pair on the disjoint union of two such quotients; the partitions and FSPs
-of the table are built from them only when a caller asks.  The strong and
-observational artifacts are cached per ``(solver, backend)``.
+of the table are built from them only when a caller asks.
+
+Each artifact has one cache slot per notion.  The coarsest stable
+refinement is unique (Section 3), so the solver ``method`` and the
+``backend`` only choose how a missing artifact is computed; a cached one
+answers every later call, whatever they say.  ``backend="auto"`` resolves on
+what gets refined: :meth:`lts` for strong, the branching pre-quotient for
+observational.
 
 Every weak notion the engine decides (observational, failure,
 ``k``-observational) goes through :meth:`Process.observational_quotient`.
@@ -80,14 +86,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: A cached quotient: the collapsed kernel and the block of every state.
 Quotient = tuple[LTS, list[int]]
-
-#: The cache key of a quotient and of what is built from it: the notion
-#: (``"strong"`` or ``"observational"``), the solver and the concrete backend.
-Key = tuple[str, Solver, str]
-
-
-def _solver(method: Solver | str) -> Solver:
-    return method if isinstance(method, Solver) else Solver(method)
 
 
 def _collapse(arcs: LTS, blocks: list[int], lifted: list[int], names: tuple[str, ...]) -> Quotient:
@@ -173,11 +171,12 @@ class Process:
         self._lts: LTS | None = None
         self._weak_kernel: WeakKernel | None = None
         self._weak_view: WeakTransitionView | None = None
-        self._saturated_lts: dict[str, LTS] = {}
+        self._saturated_lts: LTS | None = None
         self._branching: Quotient | None = None
-        self._quotients: dict[Key, Quotient] = {}
-        self._partitions: dict[Key, Partition] = {}
-        self._minimized: dict[Key, FSP] = {}
+        # keyed by notion: "strong" or "observational"
+        self._quotients: dict[str, Quotient] = {}
+        self._partitions: dict[str, Partition] = {}
+        self._minimized: dict[str, FSP] = {}
         self._macro_moves: MacroMoves | None = None
         self._language_dfa: DFA | None = None
 
@@ -230,22 +229,18 @@ class Process:
         return self._weak_view
 
     def saturated_lts(self, backend: str = "python") -> LTS:
-        """The saturated kernel ``P_hat`` of Theorem 4.1(a) (cached per backend).
+        """The saturated kernel ``P_hat`` of Theorem 4.1(a).
 
         This saturates the *whole* process, as the paper's direct route does;
         :meth:`observational_quotient` saturates only the branching
         pre-quotient and does not use it.  Both backends produce
-        byte-identical CSR arrays; they are cached separately only so a
-        vector-backend pipeline never silently reuses an artifact the Python
-        oracle produced (and vice versa) when the two are being cross-checked
-        against each other.
+        byte-identical CSR arrays, so there is one slot: ``backend`` applies
+        only when the kernel is first computed.
         """
-        backend = resolve_backend(backend, self.fsp.num_states)
-        saturated = self._saturated_lts.get(backend)
-        if saturated is None:
-            saturated = saturate_lts(self.lts(), backend=backend)
-            self._saturated_lts[backend] = saturated
-        return saturated
+        if self._saturated_lts is None:
+            backend = resolve_backend(backend, self.fsp.num_states)
+            self._saturated_lts = saturate_lts(self.lts(), backend=backend)
+        return self._saturated_lts
 
     def _branching_quotient(self) -> Quotient:
         """The branching-bisimulation quotient of :meth:`lts` and each state's block."""
@@ -258,11 +253,11 @@ class Process:
     ) -> Quotient:
         """The quotient by strong equivalence (tau as a label) and each state's block.
 
-        ``backend="auto"`` resolves on the number of states, which is what
-        gets refined; an auto call and an explicit call to the backend it
-        picked share one cache slot.
+        ``method`` and ``backend`` apply only when the quotient is first
+        computed; ``backend="auto"`` resolves on the number of states, which
+        is what gets refined.
         """
-        return self._quotient("strong", method, backend)[1]
+        return self._quotient("strong", method, backend)
 
     def observational_quotient(
         self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
@@ -272,25 +267,26 @@ class Process:
         Theorem 4.1(a) runs on the branching pre-quotient: it is saturated
         and refined strongly, and the saturated arcs are collapsed, so the
         quotient's arcs are the weak moves ``=>^a`` and ``=>^epsilon``.
-        ``backend="auto"`` resolves on the size of the pre-quotient, which is
-        what gets saturated and refined.
+        ``method`` and ``backend`` apply only when the quotient is first
+        computed; ``backend="auto"`` resolves on the size of the
+        pre-quotient, which is what gets saturated and refined.
         """
-        return self._quotient("observational", method, backend)[1]
+        return self._quotient("observational", method, backend)
 
-    def _quotient(self, notion: str, method: Solver | str, backend: str) -> tuple[Key, Quotient]:
-        """The cache key of a strong or observational quotient, and the quotient."""
-        lts = self.lts()
-        strong = notion == "strong"
-        reduced, reduced_of = (lts, None) if strong else self._branching_quotient()
-        key = (notion, _solver(method), resolve_backend(backend, reduced.n))
-        cached = self._quotients.get(key)
+    def _quotient(self, notion: str, method: Solver | str, backend: str) -> Quotient:
+        """The cached strong or observational quotient, computed on a miss."""
+        cached = self._quotients.get(notion)
         if cached is None:
-            arcs = reduced if strong else saturate_lts(reduced, backend=key[2])
-            blocks = refine_lts(arcs, *key[1:])
+            lts = self.lts()
+            strong = notion == "strong"
+            reduced, reduced_of = (lts, None) if strong else self._branching_quotient()
+            backend = resolve_backend(backend, reduced.n)
+            arcs = reduced if strong else saturate_lts(reduced, backend=backend)
+            blocks = refine_lts(arcs, method, backend)
             lifted = blocks if strong else [blocks[block] for block in reduced_of]
             cached = _collapse(arcs, blocks, lifted, lts.state_names)
-            self._quotients[key] = cached
-        return key, cached
+            self._quotients[notion] = cached
+        return cached
 
     def macro_moves(self) -> MacroMoves:
         """The explored subset moves of ``L(start)`` over :meth:`weak_kernel`."""
@@ -299,43 +295,42 @@ class Process:
         return self._macro_moves
 
     def _partition(self, notion: str, method: Solver | str, backend: str) -> Partition:
-        key, (_, block_of) = self._quotient(notion, method, backend)
-        partition = self._partitions.get(key)
+        partition = self._partitions.get(notion)
         if partition is None:
+            block_of = self._quotient(notion, method, backend)[1]
             partition = partition_of_blocks(block_of, self.lts().state_names)
-            self._partitions[key] = partition
+            self._partitions[notion] = partition
         return partition
 
     def _minimized_fsp(self, notion: str, method: Solver | str, backend: str) -> FSP:
-        key = self._quotient(notion, method, backend)[0]
-        minimal = self._minimized.get(key)
+        minimal = self._minimized.get(notion)
         if minimal is None:
             minimal = quotient(self.fsp, self._partition(notion, method, backend))
-            self._minimized[key] = minimal
+            self._minimized[notion] = minimal
         return minimal
 
     def strong_partition(
         self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
     ) -> Partition:
-        """The strong-equivalence partition (cached per solver and backend)."""
+        """The strong-equivalence partition (hints as for :meth:`strong_quotient`)."""
         return self._partition("strong", method, backend)
 
     def observational_partition(
         self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
     ) -> Partition:
-        """The observational-equivalence partition (cached per solver and backend)."""
+        """The observational-equivalence partition (hints as for :meth:`observational_quotient`)."""
         return self._partition("observational", method, backend)
 
     def minimized_strong(
         self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
     ) -> FSP:
-        """The quotient FSP by strong equivalence (cached per solver and backend)."""
+        """The quotient FSP by strong equivalence (hints as for :meth:`strong_quotient`)."""
         return self._minimized_fsp("strong", method, backend)
 
     def minimized_observational(
         self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
     ) -> FSP:
-        """The quotient FSP by observational equivalence (cached per solver and backend).
+        """The quotient FSP by observational equivalence (hints as for the quotient).
 
         Its arcs are the original transitions between blocks, not the
         saturated arcs of :meth:`observational_quotient`.
@@ -383,12 +378,12 @@ class Process:
             "lts": self._lts is not None,
             "weak_kernel": self._weak_kernel is not None,
             "weak_view": self._weak_view is not None,
-            "saturated_lts": bool(self._saturated_lts),
+            "saturated_lts": self._saturated_lts is not None,
             "branching_quotient": self._branching is not None,
-            "strong_partitions": sum(key[0] == "strong" for key in self._quotients),
-            "observational_partitions": sum(key[0] == "observational" for key in self._quotients),
-            "minimized_strong": sum(key[0] == "strong" for key in self._minimized),
-            "minimized_observational": sum(key[0] == "observational" for key in self._minimized),
+            "strong_partitions": int("strong" in self._quotients),
+            "observational_partitions": int("observational" in self._quotients),
+            "minimized_strong": int("strong" in self._minimized),
+            "minimized_observational": int("observational" in self._minimized),
             "macrostates": len(self._macro_moves) if self._macro_moves is not None else 0,
             "language_dfa": self._language_dfa is not None,
         }

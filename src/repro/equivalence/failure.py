@@ -185,12 +185,10 @@ def failure_equivalent_processes(
 ) -> bool:
     """Decide failure equivalence of the start states of two restricted FSPs.
 
-    A thin shim over the engine facade (:mod:`repro.engine`): with the
-    default unbounded search, the subset construction runs on the cached
-    observational quotients (observational equivalence refines failure
-    equivalence, so the quotients have the same failure sets); a
-    ``max_macro_states`` bound runs on the original state spaces so the
-    bound keeps its meaning.
+    A thin shim over the engine facade (:mod:`repro.engine`): the subset
+    construction runs on the cached observational quotients (observational
+    equivalence refines failure equivalence, so the quotients have the same
+    failure sets), and ``max_macro_states`` bounds that search.
     """
     from repro.engine import default_engine
 

@@ -101,14 +101,18 @@ def k_observational_partition(fsp: FSP, k: int, max_subset_states: int | None = 
     accepting at ``B_i``.  The NFAs are the epsilon-free kernel automata of
     :func:`repro.equivalence.language.weak_language_nfa`, all sharing one
     interned :class:`~repro.core.weak.WeakKernel` (no saturated dict FSP is
-    materialised).
+    materialised).  Refinement stops at the first round that splits no
+    block, so at most ``|K|`` rounds run whatever ``k`` is.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     view = WeakTransitionView(fsp)
     partition = Partition.from_key(fsp.states, key=fsp.extension)
     for _ in range(k):
-        partition = _refine_by_block_languages(fsp, view, partition, max_subset_states)
+        refined = _refine_by_block_languages(fsp, view, partition, max_subset_states)
+        if len(refined) == len(partition):
+            break  # approx_{j+1} depends on approx_j alone: a fixed point
+        partition = refined
     return partition
 
 
@@ -169,11 +173,10 @@ def k_observational_equivalent_processes(
 ) -> bool:
     """Decide ``approx_k`` for the start states of two FSPs.
 
-    A thin shim over the engine facade (:mod:`repro.engine`): with the
-    default unbounded search, the per-block language comparisons run on the
-    cached observational quotients (observational equivalence refines every
-    ``approx_k``); a ``max_subset_states`` bound runs on the original state
-    spaces so the bound keeps its meaning.
+    A thin shim over the engine facade (:mod:`repro.engine`): the per-block
+    language comparisons run on the cached observational quotients
+    (observational equivalence refines every ``approx_k``), and
+    ``max_subset_states`` bounds those comparisons.
     """
     from repro.engine import default_engine
 

@@ -108,8 +108,3 @@ def limited_observational_partition_reference(fsp: FSP) -> Partition:
             signatures[state] = frozenset(signature)
         changed = partition.split_by_key(lambda state: signatures[state])
     return partition
-
-
-def observational_equivalence_classes(fsp: FSP) -> frozenset[frozenset[str]]:
-    """The set of observational-equivalence classes of the process's states."""
-    return observational_partition(fsp).as_frozen()

@@ -22,8 +22,7 @@ expressions but deliberately introduces **no tau/epsilon moves**, because the
 semantics is a *strong*-equivalence class and must therefore be represented by
 an observable process.  Lemma 2.3.1: the representative FSP of an expression
 of length ``n`` has ``O(n)`` states and ``O(n^2)`` transitions and is built in
-``O(n^2)`` time -- the ``representative_fsp`` cells of the benchmark's
-``experiments`` layer (experiment E4) measure exactly these quantities.
+``O(n^2)`` time; :func:`construction_size` reports the two sizes.
 
 Note on the concatenation case: the journal text displays the extension set of
 ``r1 . r2`` as ``E2`` only; read literally that would make the representative
@@ -180,8 +179,7 @@ def construction_size(expression: StarExpression) -> tuple[int, int]:
     """The ``(states, transitions)`` size of the representative FSP.
 
     Lemma 2.3.1 bounds these by ``O(n)`` and ``O(n^2)`` respectively in the
-    length ``n`` of the expression; experiment E4 plots the measured values
-    against those bounds.
+    length ``n`` of the expression.
     """
     process = representative_fsp(expression)
     return process.num_states, process.num_transitions

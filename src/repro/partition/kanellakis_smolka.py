@@ -40,9 +40,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from repro.core.lts import LTS
-from repro.partition.generalized import GeneralizedPartitioningInstance
-from repro.partition.partition import Partition
-from repro.partition.refinable import RefinablePartition, partition_from_refinable
+from repro.partition.refinable import RefinablePartition
 
 
 def kanellakis_smolka_refine_lts(
@@ -120,10 +118,3 @@ def kanellakis_smolka_refine_lts(
                     in_pending[b] = True
                     in_pending[new_block] = True
     return part
-
-
-def kanellakis_smolka_refine(instance: GeneralizedPartitioningInstance) -> Partition:
-    """Solve a generalized partitioning instance with splitter-queue refinement."""
-    lts, block_of, num_blocks = instance.kernel
-    part = kanellakis_smolka_refine_lts(lts, block_of, num_blocks)
-    return partition_from_refinable(part, lts.state_names)

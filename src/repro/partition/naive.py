@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from repro.core.lts import LTS
 from repro.partition.generalized import GeneralizedPartitioningInstance
-from repro.partition.partition import Partition
-from repro.partition.refinable import RefinablePartition, partition_from_refinable
+from repro.partition.refinable import RefinablePartition
 
 #: Shift packing an action id and a block id into one signature integer.
 #: Block ids are bounded by ``2n`` which is far below ``2**40``.
@@ -78,22 +77,11 @@ def _refine_counting_passes(
     return part, passes
 
 
-def naive_refine(instance: GeneralizedPartitioningInstance) -> Partition:
-    """Solve a generalized partitioning instance with the naive method.
-
-    Returns the coarsest stable refinement of the instance's initial
-    partition.
-    """
-    lts, block_of, num_blocks = instance.kernel
-    return partition_from_refinable(naive_refine_lts(lts, block_of, num_blocks), lts.state_names)
-
-
 def naive_refinement_passes(instance: GeneralizedPartitioningInstance) -> int:
     """The number of global passes the naive method performs on this instance.
 
-    Exposed for the benchmark's ``experiments`` layer (experiment E6), which
-    contrasts the pass count and total work of the naive method with the
-    splitter-driven algorithms.
+    Lemma 3.2 bounds it by ``n``: every pass that changes anything adds a
+    block.
     """
     lts, block_of, num_blocks = instance.kernel
     _part, passes = _refine_counting_passes(lts, block_of, num_blocks)

@@ -29,9 +29,7 @@ a dict keyed by a single packed integer ``(x_block * k + action) * n + state``
 from __future__ import annotations
 
 from repro.core.lts import LTS
-from repro.partition.generalized import GeneralizedPartitioningInstance
-from repro.partition.partition import Partition
-from repro.partition.refinable import RefinablePartition, partition_from_refinable
+from repro.partition.refinable import RefinablePartition
 
 
 def paige_tarjan_refine_lts(lts: LTS, block_of: list[int], num_blocks: int) -> RefinablePartition:
@@ -172,10 +170,3 @@ def paige_tarjan_refine_lts(lts: LTS, block_of: list[int], num_blocks: int) -> R
                 register_split(b, new_block)
 
     return part
-
-
-def paige_tarjan_refine(instance: GeneralizedPartitioningInstance) -> Partition:
-    """Solve a generalized partitioning instance with the Paige-Tarjan algorithm."""
-    lts, block_of, num_blocks = instance.kernel
-    part = paige_tarjan_refine_lts(lts, block_of, num_blocks)
-    return partition_from_refinable(part, lts.state_names)

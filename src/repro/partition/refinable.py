@@ -11,8 +11,7 @@ no hashing -- exactly the constant-factor discipline the string/dict based
 
 The string-keyed :class:`~repro.partition.partition.Partition` remains the
 *interface* type returned to callers; :func:`partition_of_blocks` converts a
-block id per element back to it, and :func:`partition_from_refinable` a
-finished refinement.
+block id per element (such as a finished refinement's ``blk``) back to it.
 """
 
 from __future__ import annotations
@@ -74,10 +73,6 @@ class RefinablePartition:
         """A snapshot copy of the block's members (safe to hold across splits)."""
         return self.elems[self.first[block] : self.end[block]]
 
-    def to_blocks(self) -> list[list[int]]:
-        """All blocks as lists of element ids."""
-        return [self.block_elems(b) for b in range(len(self.first))]
-
     # ------------------------------------------------------------------
     # refinement
     # ------------------------------------------------------------------
@@ -125,8 +120,3 @@ def partition_of_blocks(blocks: Sequence[int], names: Sequence[str]) -> Partitio
     for name, block in zip(names, blocks):
         groups.setdefault(block, []).append(name)
     return Partition(groups[block] for block in sorted(groups))
-
-
-def partition_from_refinable(part: RefinablePartition, names: Sequence[str]) -> Partition:
-    """Render a finished integer refinement as a string-keyed :class:`Partition`."""
-    return partition_of_blocks(part.blk, names)

@@ -47,15 +47,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.lts import LTS
-from repro.partition.generalized import GeneralizedPartitioningInstance
-from repro.partition.partition import Partition
 from repro.utils.matrices import CSRArrays, require_numpy
 
 __all__ = [
     "vector_refine_arrays",
     "vector_refine_csr",
     "vector_refine_lts",
-    "vector_refine",
 ]
 
 
@@ -189,24 +186,3 @@ def vector_refine_lts(lts: LTS, block_of: Sequence[int], num_blocks: int):
     partition it computes is identical up to block renumbering.
     """
     return vector_refine_csr(CSRArrays.from_lts(lts), block_of, num_blocks)
-
-
-def vector_refine(instance: GeneralizedPartitioningInstance) -> Partition:
-    """Solve a generalized partitioning instance with the vector kernel.
-
-    The string-keyed interface twin of ``kanellakis_smolka_refine`` /
-    ``paige_tarjan_refine``: accepts the Lemma 3.1 instance, returns a
-    :class:`~repro.partition.partition.Partition` over the element names.
-    """
-    np = require_numpy()
-    lts, block_of, _num_blocks = instance.kernel
-    if lts.n == 0:
-        return Partition([])
-    assignment = vector_refine_lts(lts, block_of, _num_blocks)
-    names = lts.state_names
-    order = np.argsort(assignment, kind="stable")
-    boundaries = np.flatnonzero(
-        np.concatenate(([True], assignment[order][1:] != assignment[order][:-1]))
-    )
-    groups = np.split(order, boundaries[1:])
-    return Partition([names[int(i)] for i in group] for group in groups)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import ModelClassError
-from repro.core.fsp import from_transitions
+from repro.core.errors import ModelClassError, StateSpaceLimitError
+from repro.core.fsp import TAU, from_transitions
 from repro.core.paper_figures import fig2_language_pair
 from repro.engine import (
     Engine,
@@ -20,6 +20,8 @@ from repro.engine import (
     reset_default_engine,
     unregister_notion,
 )
+from repro.equivalence.failure import failure_distinguishing_string
+from repro.equivalence.kobs import k_observational_equivalent
 from repro.utils import serialization
 
 
@@ -131,6 +133,45 @@ class TestCaching:
         engine.check(*pair, "language", align=True)
         engine.clear()
         assert engine.cache_info() == {"processes": 0, "verdicts": 0, "hits": 0, "misses": 0}
+
+
+def _universal_pair(n: int = 8):
+    """Two processes whose every state is weakly bisimilar to one a,b-loop.
+
+    The left one has ``n`` states and a subset construction that reaches
+    dozens of macro-states; both observational quotients have one state.
+    """
+    arcs = []
+    for i in range(n):
+        arcs += [
+            (f"u{i}", "a", f"u{(i + 1) % n}"),
+            (f"u{i}", "a", "u0"),
+            (f"u{i}", "b", f"u{2 * i % n}"),
+            (f"u{i}", "b", f"u{(3 * i + 1) % n}"),
+        ]
+    left = from_transitions(arcs, start="u0", all_accepting=True)
+    right = from_transitions(
+        [("v", TAU, "w"), ("w", "a", "v"), ("w", "b", "v")], start="v", all_accepting=True
+    )
+    return left, right
+
+
+class TestSearchBounds:
+    """A caller's bound limits the search over the observational quotients."""
+
+    def test_bounded_failure_check_answers_on_the_quotients(self, engine):
+        left, right = _universal_pair()
+        assert engine.check(left, right, "failure", max_macro_states=4).equivalent
+        union = left.disjoint_union(right)
+        with pytest.raises(StateSpaceLimitError):
+            failure_distinguishing_string(union, "L:u0", "R:v", max_macro_states=4)
+
+    def test_bounded_k_observational_check_answers_on_the_quotients(self, engine):
+        left, right = _universal_pair()
+        assert engine.check(left, right, "k-observational", k=2, max_subset_states=4).equivalent
+        union = left.disjoint_union(right)
+        with pytest.raises(StateSpaceLimitError):
+            k_observational_equivalent(union, "L:u0", "R:v", 2, max_subset_states=4)
 
 
 class TestCheckMany:

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.fsp import TAU, from_transitions
 from repro.core.paper_figures import fig2_language_pair
+from repro.engine import Engine
+from repro.equivalence import kobs
 from repro.equivalence.kobs import (
     k_limited_equivalent,
     k_limited_partition,
@@ -21,6 +23,12 @@ from repro.equivalence.observational import (
     observationally_equivalent_processes,
 )
 from repro.generators.families import restricted_counter
+from repro.generators.random_fsp import random_equivalent_copy, random_fsp
+
+
+def _random_pair():
+    first = random_fsp(10, tau_probability=0.3, transition_density=1.8, seed=3)
+    return first, random_equivalent_copy(first, duplicates=3, seed=3)
 
 
 class TestLevelZero:
@@ -109,6 +117,25 @@ class TestLimits:
         )
         n = len(process.states)
         assert k_limited_partition(process, n) == k_limited_partition(process, n + 3)
+
+    @pytest.mark.parametrize("pair", [_random_pair, fig2_language_pair])
+    def test_approx_chain_stops_at_its_fixed_point(self, pair, monkeypatch):
+        # approx_{k+1} is a function of approx_k alone (Theorem 4.1(b)), so a
+        # large k must not cost a round per level.
+        refine = kobs._refine_by_block_languages
+        sizes: list[int] = []
+
+        def counting(fsp, *args):
+            sizes.append(len(fsp.states))
+            return refine(fsp, *args)
+
+        monkeypatch.setattr(kobs, "_refine_by_block_languages", counting)
+        first, second = pair()
+        deep = Engine().check(first, second, "k-observational", align=True, k=50)
+        n = sizes[0]  # the states of the refined quotient union
+        assert len(sizes) <= n
+        exact = Engine().check(first, second, "k-observational", align=True, k=n)
+        assert deep.equivalent == exact.equivalent
 
 
 class TestSeparationLevel:

@@ -30,7 +30,7 @@ from repro.partition.generalized import (
 from repro.partition.kanellakis_smolka import kanellakis_smolka_refine_lts
 from repro.partition.naive import naive_refine_lts
 from repro.partition.paige_tarjan import paige_tarjan_refine_lts
-from repro.partition.refinable import partition_from_refinable
+from repro.partition.refinable import partition_of_blocks
 
 from tests.property.strategies import fsp_strategy
 
@@ -44,7 +44,7 @@ def _assert_all_solvers_agree(instance: GeneralizedPartitioningInstance) -> None
     lts, block_of, num_blocks = instance.kernel
     for refine in (naive_refine_lts, kanellakis_smolka_refine_lts, paige_tarjan_refine_lts):
         part = refine(lts, list(block_of), num_blocks)
-        assert partition_from_refinable(part, lts.state_names) == reference, refine
+        assert partition_of_blocks(part.blk, lts.state_names) == reference, refine
 
 
 @pytest.mark.parametrize("seed", range(12))

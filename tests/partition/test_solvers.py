@@ -13,7 +13,8 @@ from repro.partition.generalized import (
     is_valid_solution,
     solve,
 )
-from repro.partition.naive import naive_refine, naive_refinement_passes
+from repro.partition.naive import naive_refine_lts, naive_refinement_passes
+from repro.partition.refinable import partition_of_blocks
 
 
 def _instances():
@@ -89,8 +90,10 @@ def test_naive_pass_count_is_bounded_by_n():
     # refinement information travels one chain link per pass
     assert passes >= 6 // 2
 
-    # and the counting helper computes the same partition as naive_refine
-    assert naive_refine(instance) == solve(instance, Solver.NAIVE)
+    # and the naive method whose passes were counted reaches the coarsest partition
+    lts, block_of, num_blocks = instance.kernel
+    part = naive_refine_lts(lts, list(block_of), num_blocks)
+    assert partition_of_blocks(part.blk, lts.state_names) == solve(instance, Solver.PAIGE_TARJAN)
 
 
 def test_empty_element_set():

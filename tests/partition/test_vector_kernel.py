@@ -36,11 +36,7 @@ from repro.partition.generalized import (  # noqa: E402
     Solver,
     solve,
 )
-from repro.partition.vectorized import (  # noqa: E402
-    vector_refine,
-    vector_refine_csr,
-    vector_refine_lts,
-)
+from repro.partition.vectorized import vector_refine_csr, vector_refine_lts  # noqa: E402
 from repro.utils.matrices import CSRArrays, MmapCSR  # noqa: E402
 
 from tests.property.strategies import fsp_strategy  # noqa: E402
@@ -55,7 +51,6 @@ STRUCTURED = [
 
 def _assert_vector_matches_oracle(instance: GeneralizedPartitioningInstance) -> None:
     oracle = solve(instance, Solver.PAIGE_TARJAN)
-    assert vector_refine(instance).as_frozen() == oracle.as_frozen()
     assert solve(instance, backend="vector").as_frozen() == oracle.as_frozen()
 
 
