@@ -493,7 +493,7 @@ def _sweep(scenario) -> dict:
 
 
 def protocol_cells(quick: bool) -> Iterator[Cell]:
-    """Conformance at n = 5 on the fly, f + 1 faults caught, a crash wedge found."""
+    """Conformance at n = 5 on the fly, f + 1 faults and a mutant caught, a crash wedge found."""
     for family, kwargs in CONFORMANCE_SCENARIOS.items():
         scenario = build_scenario(family, **kwargs)
         states = reachable_stats(build_implicit(scenario.system)).states
@@ -505,6 +505,11 @@ def protocol_cells(quick: bool) -> Iterator[Cell]:
         # the sweep checks 0 .. f + 1 crashes
         key = cell_key("protocol_crash_sweep", family, scenario.f + 2)
         yield Cell(key, "protocol", kwargs, partial(_sweep, scenario))
+    # the mutant's start closure holds ~1,900 states: the replay that
+    # verifies its trace steps that whole macrostate at every action
+    scenario = build_scenario("quorum_voting", n=6)
+    key = cell_key("protocol_mutant_exit", "quorum_voting", 6)
+    yield Cell(key, "protocol", {"n": 6}, partial(_fault_exit, scenario.spec, scenario.mutant))
     scenario = build_scenario("two_phase_commit", n=5)
     crashed = apply_fault(scenario.system, Crash("coordinator", 0))
     # the key's n is the number of states the search explores

@@ -21,15 +21,18 @@ systems lazily, in the local / on-the-fly style of Fernandez & Mounier:
    assumption set is itself a bisimulation.
 
 For the observational notion the challenger plays strong moves and the
-defender answers with weak ones (``=a=>`` via memoised tau-closures), with
-extension sets compared pairwise -- the asymmetric formulation of weak
-bisimulation, equivalent to strong equivalence of the saturated systems of
-Theorem 4.1(a).
+defender answers with weak ones, with extension sets compared pairwise --
+the asymmetric formulation of weak bisimulation, equivalent to strong
+equivalence of the saturated systems of Theorem 4.1(a).  ``=a=>`` is
+``=>^ε ->^a =>^ε``, so the weak ``a``-moves of a whole set of states are the
+tau-closure of the strong ``a``-targets of its closure: one closure search,
+not one per member.
 
 On inequivalence the checker returns the challenger's action path and
 *verifies* it: the path is replayed macro-state by macro-state on both
-systems, and when it is a genuine distinguishing trace (one side admits it,
-or the reachable extension profiles after it differ) the result is marked
+systems (each weak step one closure search over the whole macro-state), and
+when it is a genuine distinguishing trace (one side admits it, or the
+reachable extension profiles after it differ) the result is marked
 ``trace_verified`` -- a certificate checkable without trusting the search.
 Branching-only distinctions (``a.(b+c)`` vs ``a.b + a.c``) keep the path as
 an unverified explanation.
@@ -124,19 +127,41 @@ class _Explorer:
             self._ext[state] = ext
         return ext
 
+    def targets(self, states, action: str):
+        """The strong ``action``-successors of ``states`` (with repeats)."""
+        for state in states:
+            for label, target in self.successors(state):
+                if label == action:
+                    yield target
+
+    def close(self, seeds) -> frozenset[State]:
+        """The tau-closure of a set of states: one search over tau-moves.
+
+        A state whose closure is already memoised contributes it whole
+        instead of being searched again.
+        """
+        known = self._closure
+        seen: set[State] = set()
+        frontier = list(seeds)
+        while frontier:
+            state = frontier.pop()
+            if state in seen:
+                continue
+            closed = known.get(state)
+            if closed is not None:
+                seen |= closed
+                continue
+            seen.add(state)
+            for action, target in self.successors(state):
+                if action == TAU and target not in seen:
+                    frontier.append(target)
+        return frozenset(seen)
+
     def closure(self, state: State) -> frozenset[State]:
         """The tau-closure of ``state`` (always contains ``state``)."""
         cached = self._closure.get(state)
         if cached is None:
-            seen = {state}
-            frontier = [state]
-            while frontier:
-                current = frontier.pop()
-                for action, target in self.successors(current):
-                    if action == TAU and target not in seen:
-                        seen.add(target)
-                        frontier.append(target)
-            cached = frozenset(seen)
+            cached = self.close((state,))
             self._closure[state] = cached
         return cached
 
@@ -145,19 +170,14 @@ class _Explorer:
         key = (state, action)
         cached = self._weak.get(key)
         if cached is None:
-            out: set[State] = set()
-            for source in self.closure(state):
-                for label, target in self.successors(source):
-                    if label == action:
-                        out |= self.closure(target)
-            cached = frozenset(out)
+            cached = self.close(self.targets(self.closure(state), action))
             self._weak[key] = cached
         return cached
 
     def responses(self, state: State, action: str, weak: bool) -> tuple[State, ...]:
         """Defender responses to a challenger ``action``-move against ``state``."""
         if not weak:
-            return tuple(t for a, t in self.successors(state) if a == action)
+            return tuple(self.targets((state,), action))
         if action == TAU:
             return tuple(self.closure(state))
         return tuple(self.weak_successors(state, action))
@@ -376,16 +396,11 @@ class _Search:
 
 def _replay_step(explorer: _Explorer, macro: frozenset, action: str, weak: bool) -> frozenset:
     if weak:
-        out: set = set()
-        for state in macro:
-            out |= explorer.weak_successors(state, action)
-        return frozenset(out)
-    return frozenset(
-        target
-        for state in macro
-        for label, target in explorer.successors(state)
-        if label == action
-    )
+        # Every weak macrostate is tau-closed (the replay starts at a
+        # closure and each step returns one), so its weak ``action``-successors
+        # are the closure of its strong ``action``-targets: one search.
+        return explorer.close(explorer.targets(macro, action))
+    return frozenset(explorer.targets(macro, action))
 
 
 def _verify_trace(

@@ -54,6 +54,12 @@ _HAVE_ITIMER = hasattr(signal, "setitimer") and hasattr(signal, "SIGALRM")
 #: narrow window between the job body finishing and the timer being cleared).
 _ARMED = False
 
+#: Once the deadline passes the timer keeps firing at this interval until
+#: the scope exits.  Python discards an exception raised inside a gc
+#: callback, ``__del__`` or weakref callback, so an alarm that lands there is
+#: lost; the next one raises again.
+_REARM_SECONDS = 0.05
+
 
 def _on_alarm(signum, frame) -> None:
     if _ARMED:
@@ -97,11 +103,20 @@ def deadline_scope(deadline: float | None) -> Iterator[None]:
         return
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     _ARMED = True
-    signal.setitimer(signal.ITIMER_REAL, max(deadline - time.monotonic(), 1e-6))
+    signal.setitimer(
+        signal.ITIMER_REAL, max(deadline - time.monotonic(), 1e-6), _REARM_SECONDS
+    )
     try:
         yield
     finally:
-        _ARMED = False
+        # An alarm landing before the flag clears would skip the disarm
+        # below and leave the repeating timer and the handler behind.
+        while True:
+            try:
+                _ARMED = False
+                break
+            except DeadlineExceeded:
+                continue
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
 

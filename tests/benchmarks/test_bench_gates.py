@@ -107,7 +107,7 @@ def test_a_run_meeting_every_row_passes():
     assert failures == []
     assert normaliser == pytest.approx(1.0)
     expected = sum(len(cells) for cells in BASELINE["expected_seconds"].values())
-    assert sum(status == "ok" for *_rest, status, _metrics in rows) == expected == 73
+    assert sum(status == "ok" for *_rest, status, _metrics in rows) == expected == 74
 
 
 @pytest.mark.parametrize(
@@ -186,11 +186,11 @@ def test_a_layer_that_ran_without_a_metric_fails():
 
 
 def test_the_normaliser_ignores_clamped_cells():
-    # Unclamped cells at 1x and 2x their expectation, half each: their
-    # median is 1.5.  Clamped cells at a fifth of the 0.05 s clamp would
-    # drag a median over all cells down to 1.0.
+    # Unclamped cells at 1x and 2x their expectation, half each (the last at
+    # 1.5x when their count is odd): their median is 1.5.  Clamped cells at a
+    # fifth of the 0.05 s clamp would drag a median over all cells down to 1.0.
     payload = passing_payload()
-    unclamped = 0
+    unclamped = []
     for record in payload["records"]:
         seconds = BASELINE["expected_seconds"].get(record["layer"], {}).get(record["key"])
         if seconds is None:
@@ -198,9 +198,11 @@ def test_the_normaliser_ignores_clamped_cells():
         if seconds < gate.MIN_EXPECTED_SECONDS:
             record["metrics"]["seconds"] = 0.2 * gate.MIN_EXPECTED_SECONDS
         else:
-            record["metrics"]["seconds"] = (1 + unclamped % 2) * seconds
-            unclamped += 1
-    assert unclamped % 2 == 0
+            unclamped.append((record, seconds))
+    for index, (record, seconds) in enumerate(unclamped):
+        odd_one_out = len(unclamped) % 2 == 1 and index == len(unclamped) - 1
+        record["metrics"]["seconds"] = (1.5 if odd_one_out else 1 + index % 2) * seconds
+    assert len(unclamped) >= 3
     failures, _rows, normaliser = gate.evaluate(payload, BASELINE)
     assert failures == []
     assert normaliser == pytest.approx(1.5)

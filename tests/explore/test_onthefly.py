@@ -14,11 +14,13 @@ from repro.explore import (
     check_implicit,
     verify_trace,
 )
+from repro.explore.onthefly import _Explorer, _verify_trace
 from repro.generators.families import (
     interleaved_cycles_pair,
     interleaved_cycles_product_size,
     token_ring_pair,
 )
+from repro.protocols.library import build_scenario
 
 
 def cycle(n, action="a"):
@@ -139,3 +141,23 @@ class TestVerifyTrace:
     def test_unknown_notion_rejected(self):
         with pytest.raises(ValueError, match="verification"):
             verify_trace(cycle(1), cycle(1), ("a",), "language")
+
+    def test_weak_replay_steps_each_macrostate_with_one_closure_search(self, monkeypatch):
+        # The mutant's start closure holds 669 states.  One closure search
+        # per step asks for each explored state's successors about once per
+        # step; a closure per member would be quadratic in the closure size.
+        scenario = build_scenario("quorum_voting", n=5)
+        left = _Explorer(build_implicit(scenario.spec))
+        right = _Explorer(build_implicit(scenario.mutant))
+        calls = [0]
+        successors = _Explorer.successors
+
+        def counted(explorer, state):
+            calls[0] += 1
+            return successors(explorer, state)
+
+        monkeypatch.setattr(_Explorer, "successors", counted)
+        verified, _in_left = _verify_trace(left, right, ("decide", "decide"), weak=True)
+        assert verified
+        explored = left.states_explored + right.states_explored
+        assert calls[0] <= 3 * explored, f"{calls[0]} successor calls for {explored} states"

@@ -1,5 +1,6 @@
 """Unit tests for the flow-control primitives: deadlines and token buckets."""
 
+import signal
 import threading
 import time
 
@@ -62,6 +63,30 @@ def test_deadline_scope_restores_state_for_the_next_scope():
     with deadline_scope(time.monotonic() + 60.0):
         pass
     time.sleep(0.1)
+
+
+def _spin(seconds: float) -> None:
+    until = time.monotonic() + seconds
+    while time.monotonic() < until:
+        pass
+
+
+def test_deadline_scope_raises_again_after_a_swallowed_alarm():
+    # Python discards an exception raised in a gc callback, __del__ or
+    # weakref callback; the alarm that lands there must not be the last one.
+    handler = signal.getsignal(signal.SIGALRM)
+    swallowed = []
+    with pytest.raises(DeadlineExceeded):
+        with deadline_scope(time.monotonic() + 0.02):
+            try:
+                _spin(2.0)
+            except DeadlineExceeded:
+                swallowed.append(time.monotonic())
+            _spin(2.0)
+    assert swallowed, "the first alarm never arrived"
+    assert time.monotonic() - swallowed[0] < 1.0
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is handler
 
 
 def test_deadline_scope_off_the_main_thread_checks_at_the_edges():
