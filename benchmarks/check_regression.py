@@ -25,9 +25,10 @@ apply to a layer exactly when it ran (``meta.layers``):
 
 The script prints the per-cell table and, when ``$GITHUB_STEP_SUMMARY`` is
 set, appends the same table as markdown to the job summary.  ``--update``
-rewrites the expected seconds of every baselined layer that ran and leaves
-the gate rows alone; review the diff before committing.  The module imports
-nothing from ``repro`` or the bench modules.
+rewrites the expected seconds of every baselined layer that ran, divided by
+the run's hardware normaliser, and leaves the gate rows alone; review the
+diff before committing.  The module imports nothing from ``repro`` or the
+bench modules.
 
 Usage::
 
@@ -86,6 +87,27 @@ def row_failures(row: dict, records: list[dict]) -> list[str]:
     ]
 
 
+def cell_ratios(payload: dict, baseline: dict) -> tuple[dict, dict, float]:
+    """The expected seconds of the layers that ran, each timed cell's
+    ``current / expected`` ratio and the hardware normaliser (module docstring)."""
+    ran = set(payload["meta"]["layers"])
+    expected = {
+        (layer, key): seconds
+        for layer, cells in baseline["expected_seconds"].items()
+        if layer in ran
+        for key, seconds in cells.items()
+    }
+    current = {(record["layer"], record["key"]): record for record in payload["records"]}
+    ratios = {
+        cell: current[cell]["metrics"]["seconds"] / max(seconds, MIN_EXPECTED_SECONDS)
+        for cell, seconds in expected.items()
+        if "seconds" in current.get(cell, {}).get("metrics", {})
+    }
+    unclamped = [ratio for cell, ratio in ratios.items() if expected[cell] >= MIN_EXPECTED_SECONDS]
+    normaliser = max(statistics.median(unclamped), 0.1) if len(unclamped) >= 3 else 1.0
+    return expected, ratios, normaliser
+
+
 def evaluate(payload: dict, baseline: dict) -> tuple[list[str], list[tuple], float]:
     """All violations, the per-cell rows and the hardware normaliser.
 
@@ -99,20 +121,8 @@ def evaluate(payload: dict, baseline: dict) -> tuple[list[str], list[tuple], flo
         if row["layer"] in ran
         for failure in row_failures(row, records)
     ]
-    expected = {
-        (layer, key): seconds
-        for layer, cells in baseline["expected_seconds"].items()
-        if layer in ran
-        for key, seconds in cells.items()
-    }
+    expected, ratios, normaliser = cell_ratios(payload, baseline)
     current = {(record["layer"], record["key"]): record for record in records}
-    ratios = {
-        cell: current[cell]["metrics"]["seconds"] / max(seconds, MIN_EXPECTED_SECONDS)
-        for cell, seconds in expected.items()
-        if "seconds" in current.get(cell, {}).get("metrics", {})
-    }
-    unclamped = [ratio for cell, ratio in ratios.items() if expected[cell] >= MIN_EXPECTED_SECONDS]
-    normaliser = max(statistics.median(unclamped), 0.1) if len(unclamped) >= 3 else 1.0
     allowed = baseline["factor"] * normaliser
     rows = []
     for layer, key in sorted(set(current) | set(expected)):
@@ -183,11 +193,18 @@ def render(rows: list[tuple], normaliser: float, factor: float, failures, markdo
 
 
 def updated(payload: dict, baseline: dict) -> dict:
-    """The baseline with this run's seconds for every baselined layer that ran."""
+    """The baseline with this run's seconds, divided by its hardware normaliser,
+    for every baselined layer that ran.
+
+    A machine uniformly slower than the one the expectations were recorded on
+    then leaves them where they are, and only a cell that moved against the
+    rest moves its expectation.
+    """
+    normaliser = cell_ratios(payload, baseline)[2]
     expected = dict(baseline["expected_seconds"])
     for layer in set(payload["meta"]["layers"]) & set(expected):
         expected[layer] = {
-            record["key"]: record["metrics"]["seconds"]
+            record["key"]: round(record["metrics"]["seconds"] / normaliser, 6)
             for record in sorted(payload["records"], key=lambda record: record["key"])
             if record["layer"] == layer
         }
@@ -220,7 +237,11 @@ def main(argv: list[str] | None = None) -> int:
     baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
     if args.update:
         BASELINE.write_text(dumps_baseline(updated(payload, baseline)), encoding="utf-8")
-        print(f"wrote {BASELINE} (expected seconds of {payload['meta']['layers']})")
+        normaliser = cell_ratios(payload, baseline)[2]
+        print(
+            f"wrote {BASELINE} (expected seconds of {payload['meta']['layers']}, "
+            f"divided by hardware factor {normaliser:.2f})"
+        )
         return 0
 
     failures, rows, normaliser = evaluate(payload, baseline)

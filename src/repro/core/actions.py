@@ -6,10 +6,9 @@ CCS pairs each channel ``a`` with a complementary *co-action* (Milner's
 exactly between an action and its complement and produces the unobservable
 ``tau``.
 
-Historically the term layer (:mod:`repro.ccs.syntax`) and the state-machine
-layer (:mod:`repro.core.composition`) each carried a private copy of this
-convention; this module is the single home both now import, and the lazy
-product constructions of :mod:`repro.explore` build on it as well.
+The term layer (:mod:`repro.ccs.syntax`) and the state-machine operators
+(the lazy products of :mod:`repro.explore.products`) both import this one
+copy of the convention.
 
 The helpers are deliberately tau-agnostic: neither ``tau`` spelling (the
 term-level ``"tau"`` or the kernel-level ``"τ"``) is special-cased here, so

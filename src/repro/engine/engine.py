@@ -8,7 +8,9 @@ An :class:`Engine` owns two bounded LRU caches:
   language macro-moves -- are each computed at most once;
 * a **verdict cache** mapping ``(left, right, notion, params)`` to the
   :class:`~repro.engine.verdict.Verdict`, so a repeated check costs a
-  dictionary lookup.
+  dictionary lookup.  Execution hints (the solver and backend,
+  :attr:`~repro.engine.notions.Notion.hint_names`) are not part of the key:
+  they never change a verdict.
 
 ``check`` decides one pair, ``check_many`` drives a whole manifest through
 the shared caches (the server-style batch shape), ``check_expressions``
@@ -129,11 +131,12 @@ class Engine:
             left_p, right_p = self._aligned(left_p, right_p)
         require_same_signature(left_p.fsp, right_p.fsp)
 
+        hints = notion_obj.hint_names
         key = (
             left_p.fsp,
             right_p.fsp,
             notion_obj.name,
-            tuple(sorted(params.items())),
+            tuple(sorted((name, value) for name, value in params.items() if name not in hints)),
         )
         cached = self._verdicts.get(key)
         if cached is not None:

@@ -98,6 +98,9 @@ class Notion(ABC):
     #: these defaults before caching, so ``check(p, q, "failure")`` and
     #: ``check(p, q, "failure", max_macro_states=None)`` share one verdict.
     param_defaults: dict[str, Any] = {}
+    #: the parameters among :attr:`param_defaults` that only choose how an
+    #: artifact is computed, never the verdict; the verdict cache ignores them.
+    hint_names: frozenset[str] = frozenset()
     #: whether expressions can be compared under this notion.
     supports_expressions: bool = True
     #: whether :meth:`check` can produce a witness on inequivalence.
@@ -132,6 +135,12 @@ class Notion(ABC):
 
     def __repr__(self) -> str:
         return f"<Notion {self.name!r}>"
+
+
+#: the execution hints of the strong and observational notions and their
+#: defaults: the solver and the backend of a missing quotient (the coarsest
+#: stable refinement is unique, Section 3).
+_HINT_DEFAULTS = {"method": Solver.PAIGE_TARJAN, "backend": "auto"}
 
 
 def _normalize_method(params: dict[str, Any]) -> dict[str, Any]:
@@ -171,11 +180,8 @@ class StrongNotion(Notion):
     name = "strong"
     aliases = ("bisimulation",)
     description = "strong (bisimulation) equivalence; tau treated as a label"
-    param_defaults = {
-        "method": Solver.PAIGE_TARJAN,
-        "require_observable": False,
-        "backend": "auto",
-    }
+    param_defaults = {**_HINT_DEFAULTS, "require_observable": False}
+    hint_names = frozenset(_HINT_DEFAULTS)
 
     def normalize_params(self, params: dict[str, Any]) -> dict[str, Any]:
         return _normalize_method(params)
@@ -205,7 +211,8 @@ class ObservationalNotion(Notion):
     name = "observational"
     aliases = ("weak",)
     description = "observational (weak bisimulation) equivalence"
-    param_defaults = {"method": Solver.PAIGE_TARJAN, "backend": "auto"}
+    param_defaults = dict(_HINT_DEFAULTS)
+    hint_names = frozenset(_HINT_DEFAULTS)
 
     def normalize_params(self, params: dict[str, Any]) -> dict[str, Any]:
         return _normalize_method(params)

@@ -36,7 +36,6 @@ from repro.equivalence.language import (
 )
 from repro.equivalence.minimize import minimize_observational, minimize_strong, quotient
 from repro.equivalence.observational import (
-    limited_observational_partition_reference,
     observational_partition,
     observationally_equivalent,
     observationally_equivalent_processes,
@@ -87,7 +86,6 @@ __all__ = [
     "language_included",
     "largest_strong_bisimulation",
     "largest_weak_bisimulation",
-    "limited_observational_partition_reference",
     "maximal_refusals",
     "minimize_observational",
     "minimize_strong",

@@ -15,16 +15,15 @@ algorithm:
 Two states of ``P`` are observationally equivalent iff they are strongly
 equivalent in ``P_hat``.
 
-A direct fixed-point implementation of Definition 2.2.2
-(:func:`limited_observational_partition_reference`) is retained as a reference
-oracle; property-based tests check that it always agrees with the saturation
+The direct fixed point of Definition 2.2.2
+(:func:`repro.equivalence.kobs.limited_observational_partition`) is the
+oracle: property-based tests check that it always agrees with the saturation
 route (experiment E13).
 """
 
 from __future__ import annotations
 
-from repro.core.derivatives import WeakTransitionView
-from repro.core.fsp import EPSILON, FSP
+from repro.core.fsp import FSP
 from repro.core.lts import LTS
 from repro.core.weak import saturate_lts
 from repro.partition.generalized import GeneralizedPartitioningInstance, Solver, solve
@@ -81,30 +80,3 @@ def observationally_equivalent_processes(
     return default_engine().check(
         first, second, "observational", witness=False, method=method
     ).equivalent
-
-
-def limited_observational_partition_reference(fsp: FSP) -> Partition:
-    """Reference implementation of ``simeq`` by direct fixed-point iteration.
-
-    Starting from the partition by extension sets, states are repeatedly
-    separated when some weak single-action move of one cannot be matched by
-    the other into the current partition.  This follows Definition 2.2.2
-    literally (each iteration computes ``simeq_{k+1}`` from ``simeq_k``) and
-    stops at the fixed point, which by Proposition 2.2.1(c) equals
-    observational equivalence.  It is asymptotically slower than the
-    saturation route and exists for cross-checking.
-    """
-    view = WeakTransitionView(fsp)
-    actions = sorted(fsp.alphabet) + [EPSILON]
-    partition = Partition.from_key(fsp.states, key=fsp.extension)
-    changed = True
-    while changed:
-        signatures: dict[str, frozenset[tuple[str, int]]] = {}
-        for state in fsp.states:
-            signature = set()
-            for action in actions:
-                for target in view.weak_successors(state, action):
-                    signature.add((action, partition.block_id_of(target)))
-            signatures[state] = frozenset(signature)
-        changed = partition.split_by_key(lambda state: signatures[state])
-    return partition

@@ -11,8 +11,8 @@ one of them before any solver runs.  This layer sits between
   and direct SOS exploration of CCS terms (:class:`CCSAdapter`);
 * lazy products and operators (:class:`LazyCCSProduct`,
   :class:`LazyInterleavingProduct`, :class:`LazySynchronousProduct`,
-  :class:`LazyRestriction`, :class:`LazyHiding`, :class:`LazyRelabeling`)
-  mirroring :mod:`repro.core.composition` move for move;
+  :class:`LazyRestriction`, :class:`LazyHiding`, :class:`LazyRelabeling`),
+  the library's one implementation of the Section 6 operators;
 * :func:`check_implicit` -- on-the-fly strong / observational equivalence
   (bounded-game deepening plus assumption-set depth-first search), returning
   early with a verified distinguishing trace on inequivalence;
@@ -44,12 +44,13 @@ True
 >>> result.equivalent, result.trace_verified
 (False, True)
 
-and the lazy product materialises to exactly the eager construction:
+and materialising the lazy product builds the eager process, here every
+interleaving of the two self-loops from one product state:
 
->>> from repro.core.composition import interleaving_product
 >>> from repro.explore import materialize
->>> materialize(good) == interleaving_product(ping, pong)
-True
+>>> product = materialize(good)
+>>> product.states, sorted(product.transitions_from(product.start))
+(frozenset({'(i|o)'}), [('ping', '(i|o)'), ('pong', '(i|o)')])
 """
 
 from repro.explore.implicit import (

@@ -3,9 +3,9 @@
 Section 6 of Kanellakis-Smolka extends star expressions with CCS composition,
 whose "direct product of states" semantics is exactly where state explosion
 lives: the reachable product of ``k`` components can be exponentially larger
-than any component.  Every eager route in the library (``core.composition``,
-``ccs.semantics.compile_to_fsp``) materialises that product *before* an
-equivalence question is even asked.
+than any component.  An eager route (``ccs.semantics.compile_to_fsp``, or
+:func:`materialize` of a lazy product) builds that whole product *before*
+an equivalence question is even asked.
 
 An :class:`ImplicitLTS` instead describes a state space by an initial state
 and a successor function; states are arbitrary hashable values and nothing is

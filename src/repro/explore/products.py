@@ -1,19 +1,31 @@
-"""Lazy products and operators over implicit state spaces.
+"""The Section 6 operators on processes: products and wrappers, explored lazily.
 
-These mirror the eager constructions of :mod:`repro.core.composition` --
-synchronous (intersection) product, pure interleaving, CCS parallel
-composition, restriction, hiding and relabelling -- but defer all work to
-successor queries: a product state ``(l, r)`` exists only while somebody
-holds it, and its moves are computed from the component moves on demand.
+The paper's closing discussion extends star expressions with the concurrent
+operators of CCS, above all composition, whose semantics is a "direct
+product of states": the representative process of the whole is a product
+of the representative processes of the parts.  This module is the one
+state-machine implementation of those operators, independent of the CCS
+term language:
 
-The mirroring is exact: materialising a lazy product
-(:func:`repro.explore.implicit.materialize`) yields an FSP *equal* to the
-eager construction on the same components (same pair-naming via
-:func:`repro.core.composition.pair_name`, same alphabet and extension
-combination), which is what the property tests check on random process
-pairs.  The wrappers (:class:`LazyRestriction`, :class:`LazyHiding`,
-:class:`LazyRelabeling`) compose freely with the products and with each
-other, so an entire composition tree stays implicit end to end.
+* :class:`LazySynchronousProduct` -- both components move together on
+  shared actions (the *intersection* operator of Section 6);
+* :class:`LazyInterleavingProduct` -- pure asynchronous interleaving;
+* :class:`LazyCCSProduct` -- CCS parallel composition: interleaving plus
+  synchronisation of complementary actions (``a`` with ``a!``) into tau;
+* :class:`LazyRestriction` and :class:`LazyHiding` -- the restriction
+  operator and tau-hiding, the two ways of internalising channels;
+* :class:`LazyRelabeling` -- action renaming.
+
+Every operator defers its work to successor queries: a product state
+``(l, r)`` exists only while somebody holds it, and its moves are computed
+from the component moves on demand.  The wrappers compose freely with the
+products and with each other, so an entire composition tree stays implicit
+end to end; :func:`repro.explore.implicit.materialize` turns one into an
+eager :class:`~repro.core.fsp.FSP` over its reachable states (product
+states named by :func:`pair_name`).  Extensions of a product state are the
+union of the component extensions (so acceptance in the standard model
+means "some component accepts"), or their intersection with
+``extension_mode="intersection"``, the default of the synchronous product.
 """
 
 from __future__ import annotations
@@ -21,7 +33,6 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 
 from repro.core.actions import channel_closure, co_action
-from repro.core.composition import pair_name
 from repro.core.errors import InvalidProcessError
 from repro.core.fsp import TAU
 from repro.explore.implicit import ImplicitLTS, Move, State, as_implicit
@@ -33,15 +44,26 @@ __all__ = [
     "LazyRelabeling",
     "LazyRestriction",
     "LazySynchronousProduct",
+    "pair_name",
 ]
+
+
+def pair_name(left: str, right: str) -> str:
+    """The canonical name of a product state, e.g. ``(p|q)``.
+
+    The separator is plain ASCII so that composed processes survive every
+    serialisation path (``.aut`` headers, JSON with ``ensure_ascii``, DOT
+    labels) without escaping.
+    """
+    return f"({left}|{right})"
 
 
 class _LazyProduct(ImplicitLTS):
     """Shared scaffolding of the three binary products.
 
-    Product states are ``(left_state, right_state)`` tuples; names, alphabets
-    and extension sets combine exactly as in the eager constructions
-    (:func:`repro.core.composition._explore_product`).
+    Product states are ``(left_state, right_state)`` tuples, named by
+    :func:`pair_name`; variables are the union of the components' and
+    extension sets combine by ``extension_mode``.
     """
 
     __slots__ = ("left", "right", "extension_mode")
@@ -83,11 +105,11 @@ class LazySynchronousProduct(_LazyProduct):
     """The fully synchronous (intersection) product, explored lazily.
 
     Both components must move together on shared observable actions; tau
-    moves of either side are local.  Mirrors
-    :func:`repro.core.composition.synchronous_product` (default extension
-    mode ``"intersection"``, the language-intersection reading of
-    Section 6).  Both components must declare their alphabets -- the set of
-    shared actions cannot be discovered lazily.
+    moves of either side are local.  With the default extension mode
+    ``"intersection"`` and standard components the product accepts exactly
+    the intersection of the two languages, the "intersection operator"
+    reading of Section 6.  Both components must declare their alphabets --
+    the set of shared actions cannot be discovered lazily.
     """
 
     def __init__(self, left, right, extension_mode: str = "intersection") -> None:
@@ -119,10 +141,7 @@ class LazySynchronousProduct(_LazyProduct):
 
 
 class LazyInterleavingProduct(_LazyProduct):
-    """Pure asynchronous interleaving: either component moves, never both at once.
-
-    Mirrors :func:`repro.core.composition.interleaving_product`.
-    """
+    """Pure asynchronous interleaving: either component moves, never both at once."""
 
     def __init__(self, left, right, extension_mode: str = "union") -> None:
         super().__init__(left, right, extension_mode)
@@ -143,9 +162,10 @@ class LazyCCSProduct(_LazyProduct):
     """CCS parallel composition ``left | right``, explored lazily.
 
     Interleaving of all moves plus a tau move whenever the components can
-    perform complementary actions (``a`` with ``a!``) simultaneously.
-    Mirrors :func:`repro.core.composition.ccs_composition` and the SOS rules
-    of :mod:`repro.ccs.semantics`.
+    perform complementary actions (``a`` with ``a!``) simultaneously: the
+    SOS rule of :mod:`repro.ccs.semantics` applied to processes that need
+    not come from CCS terms (for example representative FSPs of star
+    expressions, the "extended star expressions" of Section 6).
     """
 
     def __init__(self, left, right, extension_mode: str = "union") -> None:
@@ -197,8 +217,7 @@ class _LazyWrapper(ImplicitLTS):
 
 class LazyRestriction(_LazyWrapper):
     """CCS restriction ``P \\ L``: moves on the listed channels (and their
-    co-actions) are pruned; tau moves pass.  Mirrors
-    :func:`repro.core.composition.restrict`."""
+    co-actions) are pruned; tau moves pass."""
 
     __slots__ = ("blocked",)
 
@@ -218,9 +237,9 @@ class LazyRestriction(_LazyWrapper):
 
 
 class LazyHiding(_LazyWrapper):
-    """Hiding: moves on the listed channels become tau moves.  Mirrors
-    :func:`repro.core.composition.hide` -- the step that produces the
-    tau-rich systems observational equivalence is about."""
+    """Hiding: moves on the listed channels (and their co-actions) become tau
+    moves -- the step that produces the tau-rich systems observational
+    equivalence is about."""
 
     __slots__ = ("hidden",)
 
@@ -239,8 +258,9 @@ class LazyHiding(_LazyWrapper):
 
 
 class LazyRelabeling(_LazyWrapper):
-    """Relabelling ``P[f]``: co-actions follow their channel, tau is fixed.
-    Mirrors :func:`repro.core.composition.relabel`."""
+    """Relabelling ``P[f]``: actions not in the mapping keep their name,
+    co-actions follow their channel (renaming ``a`` to ``b`` also renames
+    ``a!`` to ``b!``) and tau cannot be renamed."""
 
     __slots__ = ("mapping",)
 

@@ -9,8 +9,8 @@ handle a composed system:
 * :func:`build_implicit` -- the *lazy* route: an
   :class:`~repro.explore.implicit.ImplicitLTS` whose states materialise only
   as the on-the-fly checker touches them;
-* :func:`compose_eager` -- the *eager* route: the classic
-  :mod:`repro.core.composition` constructions, building the full product;
+* :func:`compose_eager` -- the *eager* route: the same lazy operators
+  (:mod:`repro.explore.products`) materialised into the full product FSP;
 * :func:`minimize_compositionally` -- minimise each component under
   observational equivalence *before* composing, re-minimising after every
   operator.  Observational equivalence is a congruence for all the spec
@@ -28,17 +28,16 @@ inline processes, store digests) is delegated to the caller.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.ccs.parser import parse_definitions, parse_process
 from repro.ccs.semantics import compile_to_fsp
 from repro.ccs.syntax import Definitions, Process as CCSTerm
-from repro.core import composition
 from repro.core.errors import InvalidProcessError
 from repro.core.fsp import FSP
 from repro.equivalence.minimize import minimize_observational
-from repro.explore.implicit import CCSAdapter, FSPAdapter, ImplicitLTS
+from repro.explore.implicit import CCSAdapter, FSPAdapter, ImplicitLTS, materialize
 from repro.explore.products import (
     LazyCCSProduct,
     LazyHiding,
@@ -97,12 +96,8 @@ class TermSpec(SystemSpec):
         return str(self.term)
 
 
-#: eager constructor and default extension mode per product operator.
-_PRODUCT_OPS = {
-    "ccs": (composition.ccs_composition, "union"),
-    "interleave": (composition.interleaving_product, "union"),
-    "sync": (composition.synchronous_product, "intersection"),
-}
+#: default extension mode per product operator.
+_DEFAULT_MODES = {"ccs": "union", "interleave": "union", "sync": "intersection"}
 
 _LAZY_PRODUCTS = {
     "ccs": LazyCCSProduct,
@@ -121,14 +116,14 @@ class ProductSpec(SystemSpec):
     extension_mode: str | None = None
 
     def __post_init__(self) -> None:
-        if self.op not in _PRODUCT_OPS:
+        if self.op not in _DEFAULT_MODES:
             raise InvalidProcessError(
-                f"unknown product operator {self.op!r}; known: {sorted(_PRODUCT_OPS)}"
+                f"unknown product operator {self.op!r}; known: {sorted(_DEFAULT_MODES)}"
             )
 
     @property
     def mode(self) -> str:
-        return self.extension_mode or _PRODUCT_OPS[self.op][1]
+        return self.extension_mode or _DEFAULT_MODES[self.op]
 
     def describe(self) -> str:
         return f"({self.left.describe()} {self.op} {self.right.describe()})"
@@ -194,23 +189,38 @@ def build_implicit(spec: SystemSpec | FSP | ImplicitLTS) -> ImplicitLTS:
 
 
 def compose_eager(spec: SystemSpec | FSP) -> FSP:
-    """The eager route: materialise the full composition bottom-up."""
+    """The eager route: materialise the full composition.
+
+    An FSP or a :class:`LeafSpec` is returned unchanged.  Any other spec is
+    the lazy route materialised, once every :class:`TermSpec` leaf has been
+    compiled (:func:`~repro.ccs.semantics.compile_to_fsp`): a compiled leaf
+    declares its alphabet, which the synchronous product needs.
+    """
     if isinstance(spec, FSP):
         return spec
     if isinstance(spec, LeafSpec):
         return spec.fsp
+    if not isinstance(spec, SystemSpec):
+        raise InvalidProcessError(f"not a system spec: {type(spec).__name__}")
+    return materialize(build_implicit(_compile_terms(spec)))
+
+
+def _compile_terms(spec: SystemSpec) -> SystemSpec:
+    """``spec`` with every :class:`TermSpec` leaf replaced by its compiled process."""
     if isinstance(spec, TermSpec):
-        return compile_to_fsp(spec.term, spec.definitions, max_states=spec.max_states)
+        return LeafSpec(compile_to_fsp(spec.term, spec.definitions, max_states=spec.max_states))
+    return _with_children(spec, _compile_terms)
+
+
+def _with_children(
+    spec: SystemSpec | FSP, rebuild: Callable[[SystemSpec], SystemSpec]
+) -> SystemSpec | FSP:
+    """``spec`` with each operand of an operator node passed through ``rebuild``."""
     if isinstance(spec, ProductSpec):
-        build = _PRODUCT_OPS[spec.op][0]
-        return build(compose_eager(spec.left), compose_eager(spec.right), spec.mode)
-    if isinstance(spec, RestrictSpec):
-        return composition.restrict(compose_eager(spec.of), spec.channels)
-    if isinstance(spec, HideSpec):
-        return composition.hide(compose_eager(spec.of), spec.channels)
-    if isinstance(spec, RelabelSpec):
-        return composition.relabel(compose_eager(spec.of), spec.mapping)
-    raise InvalidProcessError(f"not a system spec: {type(spec).__name__}")
+        return replace(spec, left=rebuild(spec.left), right=rebuild(spec.right))
+    if isinstance(spec, (RestrictSpec, HideSpec, RelabelSpec)):
+        return replace(spec, of=rebuild(spec.of))
+    return spec
 
 
 def minimize_compositionally(
@@ -238,23 +248,11 @@ def minimize_compositionally(
     Python solvers.
     """
 
-    def shrink(process: FSP) -> FSP:
-        return minimize_observational(process, method=method, backend=backend)
-
     def reduce(node: SystemSpec | FSP) -> FSP:
-        if isinstance(node, (FSP, LeafSpec, TermSpec)):
-            return shrink(compose_eager(node))
-        if isinstance(node, ProductSpec):
-            build = _PRODUCT_OPS[node.op][0]
-            product = build(reduce(node.left), reduce(node.right), node.mode)
-            return shrink(product)
-        if isinstance(node, RestrictSpec):
-            return shrink(composition.restrict(reduce(node.of), node.channels))
-        if isinstance(node, HideSpec):
-            return shrink(composition.hide(reduce(node.of), node.channels))
-        if isinstance(node, RelabelSpec):
-            return shrink(composition.relabel(reduce(node.of), node.mapping))
-        raise InvalidProcessError(f"not a system spec: {type(node).__name__}")
+        operands_reduced = _with_children(node, lambda child: LeafSpec(reduce(child)))
+        return minimize_observational(
+            compose_eager(operands_reduced), method=method, backend=backend
+        )
 
     return reduce(spec)
 
@@ -319,7 +317,7 @@ def spec_from_document(
     op = document.get("op")
     if op is None:
         return LeafSpec(resolve(document), label=str(document.get("label", "")))
-    if op in _PRODUCT_OPS:
+    if op in _DEFAULT_MODES:
         for side in ("left", "right"):
             if side not in document:
                 raise InvalidProcessError(f"product node {op!r} is missing {side!r}")
@@ -346,7 +344,7 @@ def spec_from_document(
         )
     raise InvalidProcessError(
         f"unknown system operator {op!r}; known: "
-        f"{sorted([*_PRODUCT_OPS, 'restrict', 'hide', 'relabel'])}"
+        f"{sorted([*_DEFAULT_MODES, 'restrict', 'hide', 'relabel'])}"
     )
 
 

@@ -109,193 +109,6 @@ def dump(fsp: FSP, path: str | Path, accepting_label: str | None = None) -> None
     Path(path).write_text(dumps(fsp, accepting_label=accepting_label), encoding="utf-8")
 
 
-# ----------------------------------------------------------------------
-# streaming CSR ingestion (the out-of-core path)
-# ----------------------------------------------------------------------
-
-#: number of transition lines parsed per chunk by :func:`load_csr`.
-_CSR_CHUNK_LINES = 200_000
-
-
-def _parse_transition_fast(line: str) -> tuple[int, str, int]:
-    """Parse one ``(src, "label", dst)`` line without the regex machinery.
-
-    The grammar is simple enough for ``str.split`` (~5x faster than the
-    regex, which matters at ``10^6+`` lines); malformed lines fall back to
-    the regex so error messages stay identical to :func:`loads`.
-    """
-    try:
-        src_text, label, dst_text = line[1:-1].split(",", 2)
-        label = label.strip()
-        if label.startswith('"') and label.endswith('"') and len(label) >= 2:
-            label = label[1:-1]
-        return int(src_text), label, int(dst_text)
-    except ValueError:
-        match = _TRANSITION_RE.match(line)
-        if match is None:
-            raise InvalidProcessError(f"malformed .aut transition: {line!r}") from None
-        return int(match.group(1)), match.group(2), int(match.group(3))
-
-
-def load_csr(path: str | Path, mmap_dir: str | Path | None = None):
-    """Stream an Aldebaran file straight into CSR edge arrays.
-
-    This is the out-of-core ingestion path of the vectorized kernel: the
-    file is parsed chunk by chunk and the edges land directly in numpy
-    arrays -- no dict-of-frozensets FSP, no string state names, no
-    per-transition Python objects retained.  With ``mmap_dir`` the arrays
-    are :class:`~repro.utils.matrices.MmapCSR` memmaps on disk (two passes
-    over the file: counting pass for the offsets, filling pass for the
-    arcs), so an LTS bigger than RAM can be ingested and refined; without
-    it a single in-memory pass builds a :class:`~repro.utils.matrices.CSRArrays`.
-
-    Labels are interned to dense action ids in first-seen order;
-    ``AUT_TAU_LABELS`` collapse to one tau action whose id is returned as
-    ``tau_id`` (or ``-1``).  Returns ``(csr, action_names, tau_id)``.
-    """
-    from repro.utils.matrices import CSRArrays, MmapCSR, require_numpy
-
-    np = require_numpy()
-    path = Path(path)
-
-    action_ids: dict[str, int] = {}
-    action_names: list[str] = []
-
-    def intern(label: str) -> int:
-        if label in AUT_TAU_LABELS:
-            label = "tau"
-        action_id = action_ids.get(label)
-        if action_id is None:
-            action_id = len(action_names)
-            action_ids[label] = action_id
-            action_names.append(label)
-        return action_id
-
-    def chunks(handle):
-        header = handle.readline()
-        match = _HEADER_RE.match(header.strip())
-        if match is None:
-            raise InvalidProcessError(f"malformed .aut header: {header.strip()!r}")
-        while True:
-            lines = handle.readlines(_CSR_CHUNK_LINES * 24)
-            if not lines:
-                break
-            rows = [
-                _parse_transition_fast(stripped)
-                for line in lines
-                if (stripped := line.strip())
-            ]
-            if rows:
-                yield (
-                    np.array([row[0] for row in rows], dtype=np.int64),
-                    np.array([intern(row[1]) for row in rows], dtype=np.int64),
-                    np.array([row[2] for row in rows], dtype=np.int64),
-                )
-
-    with path.open("r", encoding="utf-8") as handle:
-        header = _HEADER_RE.match(handle.readline().strip())
-        if header is None:
-            raise InvalidProcessError(f"malformed .aut header: {path.name}")
-        initial, declared_transitions, declared_states = (int(g) for g in header.groups())
-
-    n = declared_states
-    if mmap_dir is None:
-        src_parts, act_parts, dst_parts = [], [], []
-        with path.open("r", encoding="utf-8") as handle:
-            for src, act, dst in chunks(handle):
-                src_parts.append(src)
-                act_parts.append(act)
-                dst_parts.append(dst)
-        if src_parts:
-            sources = np.concatenate(src_parts)
-            actions = np.concatenate(act_parts)
-            targets = np.concatenate(dst_parts)
-        else:
-            sources = actions = targets = np.zeros(0, dtype=np.int64)
-        if len(sources) != declared_transitions:
-            raise InvalidProcessError(
-                f".aut header declares {declared_transitions} transitions, "
-                f"found {len(sources)}"
-            )
-        if len(sources):
-            n = max(n, int(sources.max()) + 1, int(targets.max()) + 1)
-        n = max(n, initial + 1, 1)
-        csr = CSRArrays.from_edges(
-            n, max(len(action_names), 1), sources, actions, targets, start=initial
-        )
-    else:
-        # Pass 1: count arcs per source (offsets) and intern the labels.
-        n = max(n, initial + 1, 1)
-        counts = np.zeros(n + 1, dtype=np.int64)
-        seen = 0
-        with path.open("r", encoding="utf-8") as handle:
-            for src, act, dst in chunks(handle):
-                seen += len(src)
-                hi = int(max(src.max(), dst.max()))
-                if hi >= n:
-                    grown = np.zeros(hi + 2, dtype=np.int64)
-                    grown[: len(counts)] = counts
-                    counts = grown
-                    n = hi + 1
-                np.add.at(counts, src + 1, 1)
-        if seen != declared_transitions:
-            raise InvalidProcessError(
-                f".aut header declares {declared_transitions} transitions, found {seen}"
-            )
-        store = MmapCSR.create(
-            mmap_dir, n, max(len(action_names), 1), seen, start=initial
-        )
-        np.cumsum(counts[: n + 1], out=store.offsets)
-        # Pass 2: scatter each chunk's arcs into its source slices.
-        cursor = store.offsets[:-1].copy()
-        with path.open("r", encoding="utf-8") as handle:
-            for src, act, dst in chunks(handle):
-                order = np.lexsort((dst, act, src))
-                src, act, dst = src[order], act[order], dst[order]
-                slots = _chunk_slots(np, cursor, src)
-                store.actions[slots] = act
-                store.targets[slots] = dst
-        _sort_state_slices(np, store)
-        store.flush()
-        csr = store
-    return csr, tuple(action_names), action_ids.get("tau", -1)
-
-
-def _chunk_slots(np, cursor, src):
-    """Per-arc destination slots for one sorted chunk, advancing ``cursor``.
-
-    ``cursor[s]`` is the next free slot of state ``s``'s CSR slice; the chunk
-    is sorted by source, so each state's arcs occupy consecutive slots:
-    ``slot[i] = cursor[src[i]] + (rank of i within its source run)``.
-    """
-    counts = np.bincount(src, minlength=len(cursor))
-    run_starts = np.ones(len(src), dtype=bool)
-    run_starts[1:] = src[1:] != src[:-1]
-    run_index = np.flatnonzero(run_starts)
-    within = np.arange(len(src), dtype=np.int64) - np.repeat(
-        run_index, np.diff(np.concatenate([run_index, [len(src)]]))
-    )
-    slots = cursor[src] + within
-    cursor += counts
-    return slots
-
-
-def _sort_state_slices(np, store) -> None:
-    """Restore the canonical per-state ``(action, target)`` sort order.
-
-    Chunked scattering preserves source grouping but interleaves chunks
-    within a state's slice; one global stable sort keyed by
-    ``(source, action, target)`` fixes every slice at ``O(m log m)``.
-    """
-    m = len(store.targets)
-    if m == 0:
-        return
-    sources = np.repeat(np.arange(store.n, dtype=np.int64), np.diff(store.offsets))
-    order = np.lexsort((store.targets[:], store.actions[:], sources))
-    store.actions[:] = store.actions[:][order]
-    store.targets[:] = store.targets[:][order]
-
-
 def load(path: str | Path, accepting_label: str | None = None, all_accepting: bool = False) -> FSP:
     """Read an FSP from an Aldebaran file."""
     return loads(

@@ -118,38 +118,6 @@ class CSRArrays:
             start=lts.start,
         )
 
-    @classmethod
-    def from_edges(cls, n, num_actions, sources, actions, targets, start=0) -> "CSRArrays":
-        """Build the canonical CSR layout from unsorted edge triples.
-
-        Sorts by ``(source, action, target)`` and removes duplicates -- the
-        vectorized equivalent of the :class:`~repro.core.lts.LTS` edge-triple
-        constructor, at ``O(m log m)`` whole-array cost.
-        """
-        np = require_numpy()
-        sources = np.asarray(sources, dtype=np.int64)
-        actions = np.asarray(actions, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        if len(sources):
-            if int(sources.min()) < 0 or int(sources.max()) >= n:
-                raise InvalidProcessError("edge with an out-of-range source state")
-            if int(targets.min()) < 0 or int(targets.max()) >= n:
-                raise InvalidProcessError("edge with an out-of-range target state")
-            if int(actions.min()) < 0 or int(actions.max()) >= num_actions:
-                raise InvalidProcessError("edge with an out-of-range action")
-            order = np.lexsort((targets, actions, sources))
-            sources, actions, targets = sources[order], actions[order], targets[order]
-            keep = np.ones(len(sources), dtype=bool)
-            keep[1:] = (
-                (sources[1:] != sources[:-1])
-                | (actions[1:] != actions[:-1])
-                | (targets[1:] != targets[:-1])
-            )
-            sources, actions, targets = sources[keep], actions[keep], targets[keep]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(sources, minlength=n), out=offsets[1:])
-        return cls(n, num_actions, offsets, actions, targets, start=start)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -187,7 +155,8 @@ class MmapCSR(CSRArrays):
     A store is a directory with three ``.npy`` files (``offsets.npy``,
     ``actions.npy``, ``targets.npy``) and a ``meta.json`` carrying
     ``(n, num_actions, start)``.  :meth:`create` pre-allocates the files so a
-    streaming producer (the ``.aut`` ingester, a generator) can fill them
+    streaming producer (a generator such as
+    :func:`~repro.generators.families.shift_register_csr`) can fill them
     chunk by chunk without ever holding the edge set in RAM; :meth:`open`
     maps an existing store read-only.  Everything a :class:`CSRArrays`
     accepts works on the mapped arrays, so the vectorized refinement runs

@@ -211,14 +211,50 @@ def test_the_normaliser_ignores_clamped_cells():
 def test_update_rewrites_only_the_expected_seconds_of_layers_that_ran():
     payload = passing_payload()
     payload["meta"].update(layers=["kernel", "soak"], python="3.x", platform="test")
-    for record in payload["records"]:
-        record["metrics"]["seconds"] *= 2
+    new_cell = {"layer": "kernel", "key": "naive|comb|9", "params": {}}
+    payload["records"].append({**new_cell, "metrics": {"seconds": 0.5}})
     updated = gate.updated(payload, BASELINE)
     assert updated["gates"] == BASELINE["gates"]
     assert updated["expected_seconds"]["weak"] == BASELINE["expected_seconds"]["weak"]
     assert "soak" not in updated["expected_seconds"]
-    for key, seconds in BASELINE["expected_seconds"]["kernel"].items():
-        assert updated["expected_seconds"]["kernel"][key] == pytest.approx(2 * seconds)
+    kernel = {**BASELINE["expected_seconds"]["kernel"], "naive|comb|9": 0.5}
+    assert updated["expected_seconds"]["kernel"] == pytest.approx(kernel)
+
+
+def _slower_run(factor: float) -> dict:
+    payload = passing_payload()
+    payload["meta"].update(python="3.x", platform="test")
+    for record in payload["records"]:
+        record["metrics"]["seconds"] *= factor
+    return payload
+
+
+def _expected_cells(expected_seconds: dict) -> dict:
+    return {
+        (layer, key): seconds
+        for layer, cells in expected_seconds.items()
+        for key, seconds in cells.items()
+    }
+
+
+def test_update_divides_out_a_uniformly_slower_machine():
+    updated = gate.updated(_slower_run(1.5), BASELINE)
+    before = _expected_cells(BASELINE["expected_seconds"])
+    after = _expected_cells(updated["expected_seconds"])
+    assert after == pytest.approx(before, rel=1e-3, abs=1e-6)
+
+
+def test_update_halves_the_expectation_of_a_cell_twice_as_fast_as_the_rest():
+    payload = _slower_run(1.5)
+    layer, key = "kernel", "seed_kanellakis_smolka|comb|2001"
+    seconds = BASELINE["expected_seconds"][layer][key]
+    assert seconds >= gate.MIN_EXPECTED_SECONDS
+    _record(payload, key)["metrics"]["seconds"] = 0.75 * seconds
+    after = _expected_cells(gate.updated(payload, BASELINE)["expected_seconds"])
+    before = _expected_cells(BASELINE["expected_seconds"])
+    assert after.pop((layer, key)) == pytest.approx(seconds / 2, rel=1e-3)
+    del before[(layer, key)]
+    assert after == pytest.approx(before, rel=1e-3, abs=1e-6)
 
 
 def test_committed_baseline_is_in_the_format_update_writes():

@@ -35,6 +35,7 @@ def test_term_layer_delegates_but_keeps_its_tau_check():
 
 
 def test_state_machine_layer_shares_the_convention():
-    from repro.core import composition
+    from repro.explore import products
 
-    assert composition.CO_SUFFIX is CO_SUFFIX
+    assert products.co_action is co_action
+    assert products.channel_closure is channel_closure

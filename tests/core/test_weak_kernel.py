@@ -31,10 +31,8 @@ from repro.core.weak import (
     tau_closure_bits,
     tau_scc,
 )
-from repro.equivalence.observational import (
-    limited_observational_partition_reference,
-    observational_partition,
-)
+from repro.equivalence.kobs import limited_observational_partition
+from repro.equivalence.observational import observational_partition
 from repro.generators.families import tau_diamond_tower, tau_ladder, tau_mesh
 from repro.generators.random_fsp import random_fsp
 from repro.partition.generalized import GeneralizedPartitioningInstance, Solver, solve
@@ -210,18 +208,14 @@ class TestWeakPipelinePartition:
     @pytest.mark.parametrize("seed", range(8))
     def test_kernel_route_matches_fixed_point_reference(self, seed):
         process = tau_dense(seed, num_states=9)
-        assert observational_partition(process) == limited_observational_partition_reference(
-            process
-        )
+        assert observational_partition(process) == limited_observational_partition(process)
 
     @pytest.mark.parametrize(
         "family", [lambda: tau_ladder(10), lambda: tau_mesh(25), lambda: tau_diamond_tower(4)]
     )
     def test_kernel_route_on_structured_families(self, family):
         process = family()
-        assert observational_partition(process) == limited_observational_partition_reference(
-            process
-        )
+        assert observational_partition(process) == limited_observational_partition(process)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_lts_to_saturated_to_partition_round_trip(self, seed):
@@ -229,7 +223,7 @@ class TestWeakPipelinePartition:
         process = tau_dense(seed, num_states=8)
         saturated = saturate_lts(LTS.from_fsp(process, include_tau=True))
         instance = GeneralizedPartitioningInstance.from_lts(saturated)
-        reference = limited_observational_partition_reference(process)
+        reference = limited_observational_partition(process)
         for method in (Solver.NAIVE, Solver.KANELLAKIS_SMOLKA, Solver.PAIGE_TARJAN):
             assert solve(instance, method=method) == reference
 

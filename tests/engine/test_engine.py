@@ -122,6 +122,15 @@ class TestCaching:
         )
         assert hit.stats.from_cache
 
+    def test_execution_hints_share_the_cache_entry(self, engine, pair):
+        """The solver and backend never change a verdict, so they are not in the key."""
+        engine.check(*pair, "observational", align=True, method="naive")
+        again = engine.check(
+            *pair, "observational", align=True, method="kanellakis-smolka", backend="python"
+        )
+        assert again.stats.from_cache
+        assert engine.cache_info()["verdicts"] == 1
+
     def test_process_cache_is_bounded(self, pair):
         small = Engine(max_processes=2, max_verdicts=2)
         for i in range(4):

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.fsp import TAU, from_transitions
+from repro.equivalence.kobs import limited_observational_partition
 from repro.equivalence.observational import (
-    limited_observational_partition_reference,
     observational_partition,
     observationally_equivalent,
     observationally_equivalent_processes,
@@ -58,7 +58,7 @@ class TestAgainstReferenceImplementation:
     def test_saturation_route_matches_fixed_point_reference(self, seed):
         process = random_fsp(num_states=8, tau_probability=0.3, transition_density=1.8, seed=seed)
         fast = observational_partition(process)
-        reference = limited_observational_partition_reference(process)
+        reference = limited_observational_partition(process)
         assert fast == reference
 
     def test_methods_agree(self, tau_process):

@@ -14,9 +14,7 @@ from repro.explore import (
     ProductSpec,
     RelabelSpec,
     RestrictSpec,
-    build_implicit,
     compose_eager,
-    materialize,
     minimize_compositionally,
     spec_from_document,
     spec_to_document,
@@ -27,12 +25,13 @@ from repro.generators.families import (
     redundant_interleaving_system,
     token_ring_system,
 )
+from tests.explore.test_operator_oracle import assert_matches_the_term_semantics
 
 
-def leaf(seed=0):
+def leaf(seed=0, alphabet=("a", "a!", "b")):
     from repro.generators.random_fsp import random_fsp
 
-    return LeafSpec(random_fsp(4, alphabet=("a", "a!", "b"), all_accepting=True, seed=seed))
+    return LeafSpec(random_fsp(4, alphabet=alphabet, all_accepting=True, seed=seed))
 
 
 def sample_spec():
@@ -40,20 +39,31 @@ def sample_spec():
 
 
 class TestRoutes:
-    def test_lazy_route_materialises_to_the_eager_route(self):
-        spec = sample_spec()
-        assert materialize(build_implicit(spec)) == (
-            compose_eager(spec).restrict_to_reachable()
-        )
+    def test_eager_route_matches_the_term_semantics(self):
+        assert_matches_the_term_semantics(sample_spec())
 
     def test_operator_specs_cover_all_constructors(self):
+        # no complementary pair between the operands, so CCS ``|`` interleaves
+        plain = ("a", "b")
         spec = RelabelSpec(
-            RestrictSpec(ProductSpec("interleave", leaf(3), leaf(4)), frozenset({"b"})),
+            RestrictSpec(
+                ProductSpec("interleave", leaf(3, plain), leaf(4, plain)), frozenset({"b"})
+            ),
             {"a": "c"},
         )
-        assert materialize(build_implicit(spec)) == (
-            compose_eager(spec).restrict_to_reachable()
-        )
+        assert_matches_the_term_semantics(spec)
+
+    def test_sync_over_term_leaves_compiles_them_first(self):
+        # CCS-term leaves declare no alphabet until compiled; the
+        # synchronous product needs both alphabets.
+        document = {
+            "op": "sync",
+            "left": {"term": "A", "definitions": "A := a.b.A"},
+            "right": {"term": "B", "definitions": "B := a.B"},
+        }
+        composed = compose_eager(spec_from_document(document))
+        assert composed.num_states == 2
+        assert composed.alphabet == frozenset({"a"})
 
     def test_unknown_product_operator_rejected(self):
         with pytest.raises(InvalidProcessError, match="operator"):

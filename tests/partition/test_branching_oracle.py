@@ -36,13 +36,9 @@ from repro.core.fsp import ACCEPT, FSP, TAU, from_transitions
 from repro.core.lts import LTS
 from repro.engine import Engine, Process
 from repro.equivalence.failure import failure_distinguishing_string
-from repro.equivalence.kobs import k_observational_equivalent
+from repro.equivalence.kobs import k_observational_equivalent, limited_observational_partition
 from repro.equivalence.minimize import minimize_observational
-from repro.equivalence.observational import (
-    limited_observational_partition_reference,
-    observational_partition,
-    observationally_equivalent,
-)
+from repro.equivalence.observational import observational_partition, observationally_equivalent
 from repro.generators.families import tau_ladder
 from repro.partition import vectorized
 from repro.partition.branching import branching_quotient
@@ -212,7 +208,7 @@ def test_partition_equals_the_direct_route(fsp):
         fast = Process(fsp).observational_partition(backend=backend)
         assert fast == observational_partition(fsp, backend=backend)
     if fsp.num_states <= 6:
-        assert fast == limited_observational_partition_reference(fsp)
+        assert fast == limited_observational_partition(fsp)
 
 
 @ORACLE_SETTINGS

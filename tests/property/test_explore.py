@@ -1,9 +1,8 @@
-"""Property tests: the lazy/on-the-fly routes agree with the eager ones.
+"""Property tests: the on-the-fly routes agree with the eager ones.
 
-Three cross-checks on random processes:
+Two cross-checks on random processes (the lazy products have their own
+oracles in ``tests/explore/test_operator_oracle.py``):
 
-* materialising a lazy product equals the eager product construction
-  (exactly, as FSP values);
 * the on-the-fly verdict equals ``Engine.check`` on the materialised
   systems, for both notions;
 * every verified trace reported on inequivalence replays as a genuine
@@ -15,31 +14,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.composition import ccs_composition, interleaving_product, synchronous_product
 from repro.engine import default_engine
-from repro.explore import (
-    LazyCCSProduct,
-    LazyInterleavingProduct,
-    LazySynchronousProduct,
-    check_implicit,
-    materialize,
-    verify_trace,
-)
+from repro.explore import check_implicit, verify_trace
 from tests.property.strategies import fsp_strategy
-
-_PAIRS = st.tuples(
-    fsp_strategy(max_states=4, alphabet=("a", "b"), max_transitions=7),
-    fsp_strategy(max_states=4, alphabet=("a", "a!", "b"), max_transitions=7),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_PAIRS)
-def test_lazy_products_materialise_to_the_eager_products(pair):
-    left, right = pair
-    assert materialize(LazyCCSProduct(left, right)) == ccs_composition(left, right)
-    assert materialize(LazyInterleavingProduct(left, right)) == interleaving_product(left, right)
-    assert materialize(LazySynchronousProduct(left, right)) == synchronous_product(left, right)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 
-from repro.equivalence.observational import (
-    limited_observational_partition_reference,
-    observational_partition,
-)
+from repro.equivalence.kobs import limited_observational_partition
+from repro.equivalence.observational import observational_partition
 from repro.equivalence.relations import (
     is_strong_bisimulation,
     is_weak_bisimulation,
@@ -39,7 +37,7 @@ SETTINGS = settings(max_examples=40, deadline=None)
 @given(fsp_strategy())
 @SETTINGS
 def test_saturation_route_equals_fixed_point_reference(process):
-    assert observational_partition(process) == limited_observational_partition_reference(process)
+    assert observational_partition(process) == limited_observational_partition(process)
 
 
 @given(fsp_strategy())
