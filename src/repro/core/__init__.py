@@ -1,14 +1,7 @@
 """Core process model: FSPs, model classification, weak derivatives, paper figures."""
 
 from repro.core.classify import ModelClass, belongs_to, classify, require
-from repro.core.derivatives import (
-    WeakTransitionView,
-    saturate,
-    saturate_reference,
-    tau_closure,
-    tau_closure_reference,
-    weak_successors,
-)
+from repro.core.derivatives import saturate, saturate_reference, tau_closure_reference
 from repro.core.errors import (
     ExpressionError,
     InvalidProcessError,
@@ -26,7 +19,7 @@ from repro.core.fsp import (
     single_state_process,
 )
 from repro.core.lts import LTS
-from repro.core.weak import WeakKernel, saturate_lts, tau_closure_bits, tau_scc
+from repro.core.weak import WeakKernel, saturate_lts, tau_scc
 
 __all__ = [
     "ACCEPT",
@@ -42,7 +35,6 @@ __all__ = [
     "StateSpaceLimitError",
     "TAU",
     "WeakKernel",
-    "WeakTransitionView",
     "belongs_to",
     "classify",
     "from_transitions",
@@ -51,9 +43,6 @@ __all__ = [
     "saturate_lts",
     "saturate_reference",
     "single_state_process",
-    "tau_closure",
-    "tau_closure_bits",
     "tau_closure_reference",
     "tau_scc",
-    "weak_successors",
 ]

@@ -60,12 +60,21 @@ tau-closure of ``p`` contains ``q``, so ``p`` has the weak ``a``-transition
 >>> saturated = saturate_lts(LTS.from_fsp(process, include_tau=True))
 >>> saturated.num_transitions, sorted(saturated.action_names)
 (6, ['a', 'ε'])
+
+The same kernel answers the other weak queries by name: the observable
+actions a state can weakly perform (its *weak initials*, from which Section
+5 reads refusals) and the derivatives ``p =>^s p'`` of a whole string ``s``:
+
+>>> sorted(kernel.weak_initials("p")), sorted(kernel.weak_initials("r"))
+(['a'], [])
+>>> sorted(kernel.string_derivatives("p", [])), sorted(kernel.string_derivatives("p", ["a"]))
+(['p', 'q'], ['r'])
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.core.errors import InvalidProcessError
 from repro.core.fsp import EPSILON, TAU
@@ -211,18 +220,6 @@ def _propagate(
     return out
 
 
-def tau_closure_bits(lts: LTS) -> list[int]:
-    """Per-state tau-closures ``{q | p =>^epsilon q}`` as Python-int bitsets.
-
-    Bit ``i`` of ``closure[s]`` is set iff state ``i`` is tau-reachable from
-    ``s`` (reflexively, so ``closure[s]`` always contains ``s``).
-    """
-    tau_succ = tau_successor_lists(lts)
-    scc_of, sccs = tau_scc(lts, tau_succ)
-    scc_bits = _propagate(sccs, _scc_successors(scc_of, sccs, tau_succ), None)
-    return [scc_bits[scc_of[s]] for s in range(lts.n)]
-
-
 def bits_to_indices(bits: int) -> list[int]:
     """The set bit positions of a bitset, ascending."""
     out: list[int] = []
@@ -231,14 +228,6 @@ def bits_to_indices(bits: int) -> list[int]:
         out.append(low.bit_length() - 1)
         bits ^= low
     return out
-
-
-def bits_iter(bits: int) -> Iterator[int]:
-    """Iterate the set bit positions of a bitset (ascending), without a list."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 #: Execution backends understood by :func:`saturate_lts`.
@@ -563,21 +552,21 @@ def _saturate_lts_vector(lts: LTS, epsilon_action: str = EPSILON) -> LTS:
 
 
 class WeakKernel:
-    """Cached kernel-side weak-transition queries for one FSP.
+    """The weak-transition queries of one process, answered from bitsets.
 
-    This is the engine room behind
-    :class:`repro.core.derivatives.WeakTransitionView` and the FSP-level
-    helpers: the process is interned once into the CSR kernel, the tau-SCC
-    condensation and closure bitsets are computed once, and each observable
-    action's weak relation is materialised lazily (per tau-SCC, not per
-    state) the first time it is queried.  All answers are translated back to
-    the string-named world at the boundary.
+    This is the library's one API for the weak relation ``p =>^s p'`` of
+    Section 2.1: the process is interned once into the CSR kernel, the
+    tau-SCC condensation and closure bitsets are computed once, and each
+    observable action's weak relation is materialised lazily (per tau-SCC,
+    not per state) the first time it is queried.  The bit-level queries take
+    interned state ids and return bitsets; the name-level ones take state
+    names and return frozensets of names, translated at the boundary.  The
+    action :data:`EPSILON` reads ``=>^epsilon``, the tau-closure.
     """
 
     __slots__ = (
         "lts",
         "_index",
-        "_tau_succ",
         "_scc_of",
         "_sccs",
         "_scc_succs",
@@ -585,19 +574,21 @@ class WeakKernel:
         "_weak_scc",
         "_action_id",
         "_names_cache",
+        "_initials",
         "_weak_arc_triples",
     )
 
     def __init__(self, lts: LTS) -> None:
         self.lts = lts
         self._index = {name: i for i, name in enumerate(lts.state_names)}
-        self._tau_succ = tau_successor_lists(lts)
-        self._scc_of, self._sccs = tau_scc(lts, self._tau_succ)
-        self._scc_succs = _scc_successors(self._scc_of, self._sccs, self._tau_succ)
+        tau_succ = tau_successor_lists(lts)
+        self._scc_of, self._sccs = tau_scc(lts, tau_succ)
+        self._scc_succs = _scc_successors(self._scc_of, self._sccs, tau_succ)
         self._closure_scc = _propagate(self._sccs, self._scc_succs, None)
         self._weak_scc: dict[str, list[int]] = {}
         self._action_id = {name: i for i, name in enumerate(lts.action_names)}
         self._names_cache: dict[int, frozenset[str]] = {}
+        self._initials: dict[str, frozenset[str]] = {}
         self._weak_arc_triples: list[tuple[str, str, str]] | None = None
 
     @classmethod
@@ -629,12 +620,13 @@ class WeakKernel:
             raise InvalidProcessError(
                 "weak successors are indexed by observable actions or EPSILON, not TAU"
             )
-        table = self._weak_scc.get(action)
-        if table is None:
-            table = self._build_weak_table(action)
-        return table[self._scc_of[state]]
+        return self._weak_table(action)[self._scc_of[state]]
 
-    def _build_weak_table(self, action: str) -> list[int]:
+    def _weak_table(self, action: str) -> list[int]:
+        """The weak ``action``-successors of every tau-SCC, built on first use."""
+        table = self._weak_scc.get(action)
+        if table is not None:
+            return table
         lts = self.lts
         scc_of, closure = self._scc_of, self._closure_scc
         act = self._action_id.get(action, -1)
@@ -666,21 +658,63 @@ class WeakKernel:
         return cached
 
     # ------------------------------------------------------------------
-    # string-named convenience layer
+    # name-level queries
     # ------------------------------------------------------------------
     def closure_dict(self) -> dict[str, frozenset[str]]:
         """The full tau-closure as the dict the reference implementation returns."""
         names = self.lts.state_names
-        return {
-            name: self.names_of(self._closure_scc[self._scc_of[i]])
-            for i, name in enumerate(names)
-        }
+        return {name: self.names_of(self.closure_bits(i)) for i, name in enumerate(names)}
 
     def epsilon_closure(self, state: str) -> frozenset[str]:
+        """The set ``{p' | state =>^epsilon p'}``."""
         return self.names_of(self.closure_bits(self.state_index(state)))
 
     def weak_successors(self, state: str, action: str) -> frozenset[str]:
+        """The set ``{p' | state =>^action p'}`` (the tau-closure for EPSILON)."""
         return self.names_of(self.weak_bits(self.state_index(state), action))
+
+    def weak_successors_of_set(self, states: Iterable[str], action: str) -> frozenset[str]:
+        """The weak ``action``-successors of a set of states (a subset-construction step)."""
+        bits = 0
+        for state in states:
+            bits |= self.weak_bits(self.state_index(state), action)
+        return self.names_of(bits)
+
+    def weak_initials(self, state: str) -> frozenset[str]:
+        """The observable actions ``a`` with ``state =>^a``; never :data:`EPSILON`.
+
+        A refusal set of Section 5 is valid at ``state`` exactly when it is
+        disjoint from these.  On a saturated process, whose alphabet holds
+        the EPSILON marker, ``=>^epsilon`` holds everywhere, so the marker is
+        skipped.  Memoised per state: the failure search asks for the
+        initials of every member of every macro-state it visits.
+        """
+        initials = self._initials.get(state)
+        if initials is None:
+            component = self._scc_of[self.state_index(state)]
+            initials = frozenset(
+                action
+                for action in self.lts.action_names
+                if action != TAU and action != EPSILON and self._weak_table(action)[component]
+            )
+            self._initials[state] = initials
+        return initials
+
+    def string_derivatives(self, state: str, string: Sequence[str]) -> frozenset[str]:
+        """The ``string``-derivatives ``{p' | state =>^string p'}``.
+
+        ``string`` is a sequence of observable actions; the empty string
+        yields the tau-closure of ``state``.
+        """
+        bits = self.closure_bits(self.state_index(state))
+        for action in string:
+            step = 0
+            for member in bits_to_indices(bits):
+                step |= self.weak_bits(member, action)
+            bits = step
+            if not bits:
+                break
+        return self.names_of(bits)
 
     def weak_arc_triples(self) -> list[tuple[str, str, str]]:
         """All observable weak arcs ``(source, action, target)`` as name triples.
@@ -697,13 +731,13 @@ class WeakKernel:
             for action in self.lts.action_names:
                 if action == TAU:
                     continue
-                table = self._weak_scc.get(action)
-                if table is None:
-                    table = self._build_weak_table(action)
+                table = self._weak_table(action)
                 for src in range(self.lts.n):
                     bits = table[scc_of[src]]
                     if bits:
                         src_name = names[src]
-                        triples.extend((src_name, action, names[t]) for t in bits_iter(bits))
+                        triples.extend(
+                            (src_name, action, names[t]) for t in bits_to_indices(bits)
+                        )
             self._weak_arc_triples = triples
         return self._weak_arc_triples

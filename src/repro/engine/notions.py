@@ -38,7 +38,9 @@ equivalent to its input, state by state at the start.
   states have matching weak derivatives, hence equal refusal information).
   A search bound (``max_macro_states``, ``max_subset_states``) limits that
   search, so it counts states of the search over the quotients, not over
-  the operands.
+  the operands.  A ``k``-observational witness is the observational one,
+  read off the CSR union of the saturated quotients; a failure witness is
+  read off the macro-states the failure search stopped at.
 * Language equivalence runs Hopcroft-Karp on the fly over the two weak
   kernels (:func:`repro.equivalence.language.language_search`); neither
   side is determinised or minimised beyond what the search visits.
@@ -56,10 +58,11 @@ from typing import Any
 from repro.core.classify import ModelClass, require
 from repro.core.fsp import FSP
 from repro.core.lts import LTS, disjoint_union
+from repro.core.weak import WeakKernel
 from repro.engine.process import Process
 from repro.engine.verdict import FormulaWitness, RefusalWitness, Witness, WordWitness
-from repro.equivalence.failure import failure_distinguishing_string, maximal_refusals
-from repro.equivalence.hml import distinguishing_formula, lts_distinguishing_formula
+from repro.equivalence.failure import failure_search, maximal_refusals
+from repro.equivalence.hml import lts_distinguishing_formula
 from repro.equivalence.kobs import k_observational_equivalent
 from repro.equivalence.language import language_nfa, language_search
 from repro.partition.generalized import Solver, refine_lts
@@ -151,6 +154,25 @@ def _normalize_method(params: dict[str, Any]) -> dict[str, Any]:
     return params
 
 
+def _quotient_union(left: LTS, right: LTS) -> tuple[LTS, int, int]:
+    """The CSR disjoint union of two quotients and the ids of their start states."""
+    union = disjoint_union(left, right)
+    return union, union.start, left.n + right.start
+
+
+def _formula_witness(union: LTS, first: int, second: int, weak: bool) -> Witness | None:
+    """A least-depth HML formula separating two states of a quotient union.
+
+    On the union of two saturated observational quotients (``weak=True``)
+    the formula's diamonds are weak, and it separates every pair that
+    ``approx`` separates -- hence every ``approx_k``-inequivalent pair too.
+    """
+    formula = lts_distinguishing_formula(union, first, second, weak)
+    if formula is None:  # only when the two states are equivalent
+        return None
+    return FormulaWitness(formula, weak=weak)
+
+
 def _decide_quotients(
     left: LTS,
     right: LTS,
@@ -160,15 +182,12 @@ def _decide_quotients(
     weak: bool,
 ) -> NotionResult:
     """Refine the CSR union of two quotients once and compare the start blocks."""
-    union = disjoint_union(left, right)
-    first, second = union.start, left.n + right.start
+    union, first, second = _quotient_union(left, right)
     blocks = refine_lts(union, method, backend)
     equivalent = blocks[first] == blocks[second]
     witness: Witness | None = None
     if want_witness and not equivalent:
-        formula = lts_distinguishing_formula(union, first, second, weak)
-        if formula is not None:  # always reachable on inequivalence
-            witness = FormulaWitness(formula, weak=weak)
+        witness = _formula_witness(union, first, second, weak)
     return NotionResult(
         equivalent, witness, {"left_min_states": left.n, "right_min_states": right.n}
     )
@@ -262,10 +281,12 @@ class KObservationalNotion(Notion):
         witness: Witness | None = None
         if want_witness and not equivalent:
             # approx refines every approx_k, so a level-k difference implies
-            # observational inequivalence and a weak distinguishing formula.
-            formula = distinguishing_formula(combined, first, second, weak=True)
-            if formula is not None:  # always reachable on inequivalence
-                witness = FormulaWitness(formula, weak=True)
+            # observational inequivalence and a weak distinguishing formula,
+            # read off the cached saturated quotients.
+            left_quotient, _ = left.observational_quotient()
+            right_quotient, _ = right.observational_quotient()
+            union = _quotient_union(left_quotient, right_quotient)
+            witness = _formula_witness(*union, weak=True)
         return NotionResult(equivalent, witness, {"k": k})
 
 
@@ -343,33 +364,27 @@ class FailureNotion(Notion):
         right_fsp = right.minimized_observational()
         combined = left_fsp.disjoint_union(right_fsp)
         first, second = _LEFT + left_fsp.start, _RIGHT + right_fsp.start
-        string = failure_distinguishing_string(
-            combined, first, second, max_macro_states=max_macro_states
-        )
-        if string is None:
+        found = failure_search(combined, first, second, max_macro_states=max_macro_states)
+        if found is None:
             return NotionResult(True)
-        witness = self._refusal_witness(combined, first, second, string) if want_witness else None
+        witness = self._refusal_witness(combined, *found) if want_witness else None
         return NotionResult(False, witness)
 
     @staticmethod
     def _refusal_witness(
-        combined: FSP, first: str, second: str, string: tuple[str, ...]
+        combined: FSP,
+        string: tuple[str, ...],
+        left_macro: frozenset[str],
+        right_macro: frozenset[str],
+        kernel: WeakKernel,
     ) -> RefusalWitness:
-        """Turn a distinguishing string into a concrete one-sided failure pair."""
-        from repro.core.derivatives import WeakTransitionView
-
-        view = WeakTransitionView(combined)
-        left_macro = view.epsilon_closure(first)
-        right_macro = view.epsilon_closure(second)
-        for action in string:
-            left_macro = view.weak_successors_of_set(left_macro, action)
-            right_macro = view.weak_successors_of_set(right_macro, action)
+        """A one-sided failure pair from the macro-states the search stopped at."""
         if bool(left_macro) != bool(right_macro):
             # Only one side has a string-derivative: (string, {}) is a
             # failure of that side alone.
             return RefusalWitness(string, frozenset(), in_left=bool(left_macro))
-        left_max = maximal_refusals(combined, left_macro, view)
-        right_max = maximal_refusals(combined, right_macro, view)
+        left_max = maximal_refusals(combined, left_macro, kernel)
+        right_max = maximal_refusals(combined, right_macro, kernel)
         for refusal in left_max:
             if not any(refusal <= other for other in right_max):
                 return RefusalWitness(string, refusal, in_left=True)

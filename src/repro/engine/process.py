@@ -10,9 +10,8 @@ and materialises each derived artifact lazily, exactly once:
 artifact                       producer
 =============================  ==================================================
 ``lts()``                      :meth:`repro.core.lts.LTS.from_fsp` (CSR kernel)
-``weak_kernel()``              :class:`repro.core.weak.WeakKernel` (tau-SCC+bitsets)
-``weak_view()``                :class:`repro.core.derivatives.WeakTransitionView`
-                               sharing the same kernel
+``weak_kernel()``              :class:`repro.core.weak.WeakKernel`: tau-SCC +
+                               bitsets, the weak-transition query API
 ``saturated_lts()``            :func:`repro.core.weak.saturate_lts` (``P_hat``)
                                of the whole process; not on the engine's path
 (branching pre-quotient)       :func:`repro.partition.branching.branching_quotient`
@@ -70,7 +69,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.core.derivatives import WeakTransitionView
 from repro.core.fsp import FSP
 from repro.core.lts import LTS
 from repro.core.weak import WeakKernel, saturate_lts
@@ -154,7 +152,6 @@ class Process:
         "fsp",
         "_lts",
         "_weak_kernel",
-        "_weak_view",
         "_saturated_lts",
         "_branching",
         "_quotients",
@@ -170,7 +167,6 @@ class Process:
         self.fsp = fsp
         self._lts: LTS | None = None
         self._weak_kernel: WeakKernel | None = None
-        self._weak_view: WeakTransitionView | None = None
         self._saturated_lts: LTS | None = None
         self._branching: Quotient | None = None
         # keyed by notion: "strong" or "observational"
@@ -221,12 +217,6 @@ class Process:
         if self._weak_kernel is None:
             self._weak_kernel = WeakKernel(self.lts())
         return self._weak_kernel
-
-    def weak_view(self) -> WeakTransitionView:
-        """The string-named weak-transition view, sharing :meth:`weak_kernel`."""
-        if self._weak_view is None:
-            self._weak_view = WeakTransitionView(self.fsp, kernel=self.weak_kernel())
-        return self._weak_view
 
     def saturated_lts(self, backend: str = "python") -> LTS:
         """The saturated kernel ``P_hat`` of Theorem 4.1(a).
@@ -377,7 +367,6 @@ class Process:
         return {
             "lts": self._lts is not None,
             "weak_kernel": self._weak_kernel is not None,
-            "weak_view": self._weak_view is not None,
             "saturated_lts": self._saturated_lts is not None,
             "branching_quotient": self._branching is not None,
             "strong_partitions": int("strong" in self._quotients),

@@ -7,8 +7,9 @@ re-check against the original processes without trusting the engine.  The
 paper's machinery already produces three kinds of certificates:
 
 * a Hennessy-Milner **distinguishing formula** satisfied by exactly one side
-  (:func:`repro.equivalence.hml.distinguishing_formula`) for strong,
-  observational and ``k``-observational inequivalence;
+  (:func:`repro.equivalence.hml.lts_distinguishing_formula` on the union of
+  the two quotients) for strong, observational and ``k``-observational
+  inequivalence;
 * a **distinguishing word** accepted by exactly one side's language
   (:func:`repro.equivalence.language.language_distinguishing_word`);
 * a **refusal pair** ``(s, Z)`` in exactly one side's failure set
@@ -29,8 +30,8 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.core.derivatives import WeakTransitionView
 from repro.core.fsp import FSP
+from repro.core.weak import WeakKernel
 from repro.equivalence.hml import Formula, satisfies
 
 
@@ -146,11 +147,9 @@ class RefusalWitness(Witness):
     in_left: bool
 
     def _has_pair(self, fsp: FSP) -> bool:
-        view = WeakTransitionView(fsp)
-        macro: frozenset[str] = view.epsilon_closure(fsp.start)
-        for action in self.string:
-            macro = view.weak_successors_of_set(macro, action)
-        return any(self.refusal <= (fsp.alphabet - view.weak_initials(state)) for state in macro)
+        kernel = WeakKernel.from_fsp(fsp)
+        macro = kernel.string_derivatives(fsp.start, self.string)
+        return any(self.refusal <= (fsp.alphabet - kernel.weak_initials(state)) for state in macro)
 
     def holds(self, left: FSP, right: FSP) -> bool:
         left_has = self._has_pair(left)

@@ -21,9 +21,8 @@ The module also exposes bounded enumeration of failure pairs (for display and
 exhaustive testing) and a purpose-built polynomial fast path for finite trees.
 
 All weak-transition queries (tau-closures, weak successor sets, weak
-initials) go through :class:`~repro.core.derivatives.WeakTransitionView`,
-which since the weak-transition engine landed answers from the tau-SCC +
-bitset kernel of :mod:`repro.core.weak` rather than per-state BFS dicts.
+initials) go to one :class:`~repro.core.weak.WeakKernel` per process, which
+answers them from its tau-SCC condensation and closure bitsets.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from collections import deque
 from collections.abc import Iterable
 
 from repro.core.classify import ModelClass, require, require_same_signature
-from repro.core.derivatives import WeakTransitionView
 from repro.core.errors import StateSpaceLimitError
 from repro.core.fsp import FSP
+from repro.core.weak import WeakKernel
 
 FailurePair = tuple[tuple[str, ...], frozenset[str]]
 
@@ -43,12 +42,9 @@ FailurePair = tuple[tuple[str, ...], frozenset[str]]
 # ----------------------------------------------------------------------
 # refusal bookkeeping
 # ----------------------------------------------------------------------
-def refusal_sets(
-    fsp: FSP, state: str, view: WeakTransitionView | None = None
-) -> frozenset[frozenset[str]]:
+def refusal_sets(fsp: FSP, state: str) -> frozenset[frozenset[str]]:
     """All refusal sets of a single state: subsets of ``Sigma`` it cannot weakly perform."""
-    view = view if view is not None else WeakTransitionView(fsp)
-    refusable = fsp.alphabet - view.weak_initials(state)
+    refusable = fsp.alphabet - WeakKernel.from_fsp(fsp).weak_initials(state)
     return frozenset(
         frozenset(combo)
         for size in range(len(refusable) + 1)
@@ -57,7 +53,7 @@ def refusal_sets(
 
 
 def maximal_refusals(
-    fsp: FSP, states: Iterable[str], view: WeakTransitionView | None = None
+    fsp: FSP, states: Iterable[str], kernel: WeakKernel | None = None
 ) -> frozenset[frozenset[str]]:
     """The maximal refusal sets offered by a set of ``s``-derivatives.
 
@@ -66,10 +62,11 @@ def maximal_refusals(
     with ``Z`` included in ``Sigma \\ weak_initials(p')`` for some ``p'`` in
     ``M``.  Two macro-states contribute the same failure pairs iff their sets
     of *maximal* refusals coincide, which is the canonical form compared by
-    the equivalence checker.
+    the equivalence checker.  Pass the process's ``kernel`` to share it
+    across calls.
     """
-    view = view if view is not None else WeakTransitionView(fsp)
-    candidates = {fsp.alphabet - view.weak_initials(state) for state in states}
+    kernel = kernel if kernel is not None else WeakKernel.from_fsp(fsp)
+    candidates = {fsp.alphabet - kernel.weak_initials(state) for state in states}
     maximal = {
         refusal
         for refusal in candidates
@@ -89,10 +86,10 @@ def failures_upto(fsp: FSP, state: str, max_length: int) -> frozenset[FailurePai
     cross-checks such as the Section 2.1 finite-tree example.
     """
     require(fsp, ModelClass.RESTRICTED, context="failures are defined on the restricted model")
-    view = WeakTransitionView(fsp)
+    kernel = WeakKernel.from_fsp(fsp)
     result: set[FailurePair] = set()
     frontier: deque[tuple[tuple[str, ...], frozenset[str]]] = deque(
-        [((), view.epsilon_closure(state))]
+        [((), kernel.epsilon_closure(state))]
     )
     seen: set[tuple[tuple[str, ...], frozenset[str]]] = set()
     while frontier:
@@ -100,14 +97,14 @@ def failures_upto(fsp: FSP, state: str, max_length: int) -> frozenset[FailurePai
         if not macro:
             continue
         for derivative in macro:
-            refusable = fsp.alphabet - view.weak_initials(derivative)
+            refusable = fsp.alphabet - kernel.weak_initials(derivative)
             for size in range(len(refusable) + 1):
                 for combo in itertools.combinations(sorted(refusable), size):
                     result.add((string, frozenset(combo)))
         if len(string) >= max_length:
             continue
         for action in sorted(fsp.alphabet):
-            nxt = view.weak_successors_of_set(macro, action)
+            nxt = kernel.weak_successors_of_set(macro, action)
             key = (string + (action,), nxt)
             if nxt and key not in seen:
                 seen.add(key)
@@ -147,9 +144,28 @@ def failure_distinguishing_string(
     StateSpaceLimitError
         If more than ``max_macro_states`` pairs of macro-states are explored.
     """
+    found = failure_search(fsp, first, second, max_macro_states)
+    return None if found is None else found[0]
+
+
+def failure_search(
+    fsp: FSP,
+    first: str,
+    second: str,
+    max_macro_states: int | None = None,
+) -> tuple[tuple[str, ...], frozenset[str], frozenset[str], WeakKernel] | None:
+    """The search behind :func:`failure_distinguishing_string`.
+
+    Returns the distinguishing string together with the two macro-states
+    the search held when it stopped -- the string-derivatives of ``first``
+    and of ``second`` -- and the kernel that computed them, so a caller can
+    read a refusal pair off them without replaying the string (the engine's
+    failure witness does).  None when the states are failure equivalent.
+    """
     require(fsp, ModelClass.RESTRICTED, context="failure equivalence")
-    view = WeakTransitionView(fsp)
-    start = (view.epsilon_closure(first), view.epsilon_closure(second))
+    kernel = WeakKernel.from_fsp(fsp)
+    actions = sorted(fsp.alphabet)
+    start = (kernel.epsilon_closure(first), kernel.epsilon_closure(second))
     queue: deque[tuple[frozenset[str], frozenset[str], tuple[str, ...]]] = deque(
         [(start[0], start[1], ())]
     )
@@ -159,14 +175,12 @@ def failure_distinguishing_string(
         if bool(left) != bool(right):
             # One state has an s-derivative (hence at least the failure (s, {}))
             # and the other has none.
-            return string
-        if not left:
-            continue
-        if maximal_refusals(fsp, left, view) != maximal_refusals(fsp, right, view):
-            return string
-        for action in sorted(fsp.alphabet):
-            next_left = view.weak_successors_of_set(left, action)
-            next_right = view.weak_successors_of_set(right, action)
+            return string, left, right, kernel
+        if maximal_refusals(fsp, left, kernel) != maximal_refusals(fsp, right, kernel):
+            return string, left, right, kernel
+        for action in actions:
+            next_left = kernel.weak_successors_of_set(left, action)
+            next_right = kernel.weak_successors_of_set(right, action)
             if not next_left and not next_right:
                 continue
             key = (next_left, next_right)
@@ -214,20 +228,20 @@ def tree_failure_signature(
     Smolka (1984).
     """
     require(fsp, ModelClass.FINITE_TREE, context="tree failure signature")
-    view = WeakTransitionView(fsp)
+    kernel = WeakKernel.from_fsp(fsp)
     root = fsp.start if state is None else state
     signature: set[tuple[tuple[str, ...], frozenset[str]]] = set()
     frontier: deque[tuple[tuple[str, ...], frozenset[str]]] = deque(
-        [((), view.epsilon_closure(root))]
+        [((), kernel.epsilon_closure(root))]
     )
     while frontier:
         string, macro = frontier.popleft()
         if not macro:
             continue
-        for refusal in maximal_refusals(fsp, macro, view):
+        for refusal in maximal_refusals(fsp, macro, kernel):
             signature.add((string, refusal))
         for action in sorted(fsp.alphabet):
-            nxt = view.weak_successors_of_set(macro, action)
+            nxt = kernel.weak_successors_of_set(macro, action)
             if nxt:
                 frontier.append((string + (action,), nxt))
     return frozenset(signature)

@@ -32,11 +32,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Union
 
-from repro.core.derivatives import WeakTransitionView
 from repro.core.errors import InvalidProcessError
 from repro.core.fsp import EPSILON, FSP, TAU
 from repro.core.lts import LTS
-from repro.core.weak import saturate_lts
+from repro.core.weak import WeakKernel, saturate_lts
 from repro.partition.branching import split_blocks
 
 
@@ -181,16 +180,17 @@ def modal_depth(formula: Formula) -> int:
 # ----------------------------------------------------------------------
 # satisfaction
 # ----------------------------------------------------------------------
-def satisfies(
-    fsp: FSP, state: str, formula: Formula, view: WeakTransitionView | None = None
-) -> bool:
+def satisfies(fsp: FSP, state: str, formula: Formula) -> bool:
     """Whether ``state`` satisfies ``formula`` in ``fsp``.
 
     Evaluated top-down from ``state`` with an explicit stack, so formula
     depth is not bounded by the interpreter's recursion limit; each
-    ``(subformula, state)`` pair is decided at most once.
+    ``(subformula, state)`` pair is decided at most once.  Weak diamonds
+    read their moves off one :class:`~repro.core.weak.WeakKernel`, built
+    when the first one is met.
     """
     memo: dict[tuple[int, str], bool] = {}
+    kernel: WeakKernel | None = None
 
     def atom(node: Formula, at: str) -> bool | None:
         """The value of a leaf or already-decided pair, else None."""
@@ -201,17 +201,15 @@ def satisfies(
         return memo.get((id(node), at))
 
     def children(node: Formula, at: str):
-        nonlocal view
+        nonlocal kernel
         if isinstance(node, (Not, And)):
             return ((sub, at) for sub in _subformulas(node))
         if isinstance(node, Diamond):
             return ((node.operand, t) for t in fsp.successors(at, node.action))
         if isinstance(node, WeakDiamond):
-            view = view if view is not None else WeakTransitionView(fsp)
-            if node.action:
-                targets = view.weak_successors(at, node.action)
-            else:
-                targets = view.epsilon_closure(at)
+            if kernel is None:
+                kernel = WeakKernel.from_fsp(fsp)
+            targets = kernel.weak_successors(at, node.action or EPSILON)
             return ((node.operand, t) for t in targets)
         raise TypeError(f"not an HML formula: {node!r}")
 

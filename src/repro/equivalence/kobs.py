@@ -29,8 +29,8 @@ behaviour the PSPACE-completeness result says cannot be avoided for fixed
 from __future__ import annotations
 
 from repro.automata.equivalence import nfa_equivalent
-from repro.core.derivatives import WeakTransitionView
 from repro.core.fsp import EPSILON, FSP
+from repro.core.weak import WeakKernel
 from repro.equivalence.language import weak_language_nfa
 from repro.partition.partition import Partition
 
@@ -46,7 +46,7 @@ def k_limited_partition(fsp: FSP, k: int) -> Partition:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    view = WeakTransitionView(fsp)
+    kernel = WeakKernel.from_fsp(fsp)
     actions = sorted(fsp.alphabet) + [EPSILON]
     partition = Partition.from_key(fsp.states, key=fsp.extension)
     for _ in range(k):
@@ -54,7 +54,7 @@ def k_limited_partition(fsp: FSP, k: int) -> Partition:
         for state in fsp.states:
             signature = set()
             for action in actions:
-                for target in view.weak_successors(state, action):
+                for target in kernel.weak_successors(state, action):
                     signature.add((action, partition.block_id_of(target)))
             signatures[state] = frozenset(signature)
         if not partition.split_by_key(lambda state: signatures[state]):
@@ -106,10 +106,10 @@ def k_observational_partition(fsp: FSP, k: int, max_subset_states: int | None = 
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    view = WeakTransitionView(fsp)
+    kernel = WeakKernel.from_fsp(fsp)
     partition = Partition.from_key(fsp.states, key=fsp.extension)
     for _ in range(k):
-        refined = _refine_by_block_languages(fsp, view, partition, max_subset_states)
+        refined = _refine_by_block_languages(fsp, kernel, partition, max_subset_states)
         if len(refined) == len(partition):
             break  # approx_{j+1} depends on approx_j alone: a fixed point
         partition = refined
@@ -118,7 +118,7 @@ def k_observational_partition(fsp: FSP, k: int, max_subset_states: int | None = 
 
 def _refine_by_block_languages(
     fsp: FSP,
-    view: WeakTransitionView,
+    kernel: WeakKernel,
     partition: Partition,
     max_subset_states: int | None,
 ) -> Partition:
@@ -133,7 +133,7 @@ def _refine_by_block_languages(
             for group in groups:
                 representative = next(iter(group))
                 if _same_block_languages(
-                    fsp, view, state, representative, blocks, max_subset_states
+                    fsp, kernel, state, representative, blocks, max_subset_states
                 ):
                     group.add(state)
                     placed = True
@@ -146,7 +146,7 @@ def _refine_by_block_languages(
 
 def _same_block_languages(
     fsp: FSP,
-    view: WeakTransitionView,
+    kernel: WeakKernel,
     first: str,
     second: str,
     blocks: list[frozenset[str]],
@@ -154,8 +154,8 @@ def _same_block_languages(
 ) -> bool:
     """Whether ``L_i(first) = L_i(second)`` for every block ``B_i``."""
     for block in blocks:
-        left = weak_language_nfa(fsp, first, accepting=block, view=view)
-        right = weak_language_nfa(fsp, second, accepting=block, view=view)
+        left = weak_language_nfa(fsp, first, accepting=block, kernel=kernel)
+        right = weak_language_nfa(fsp, second, accepting=block, kernel=kernel)
         if not nfa_equivalent(left, right, max_states=max_subset_states):
             return False
     return True

@@ -28,7 +28,7 @@ kernel-backed one: the arcs are the weak transitions read off a
 :class:`~repro.core.weak.WeakKernel` and acceptance is lifted through the
 tau-closure, so the automaton is *epsilon-free*.  Materialising those arcs
 costs the full ``Theta(|Delta_hat|)`` saturation, which only pays when many
-automata over the same process share one view -- the ``approx_k`` machinery
+automata over the same process share one kernel -- the ``approx_k`` machinery
 (:mod:`repro.equivalence.kobs`) builds one NFA per state/block pair and is
 exactly that consumer.  The two views accept the same language.
 """
@@ -47,7 +47,6 @@ from repro.automata.equivalence import (
 )
 from repro.automata.minimize import hopcroft_minimize
 from repro.automata.nfa import NFA
-from repro.core.derivatives import WeakTransitionView
 from repro.core.errors import InvalidProcessError, StateSpaceLimitError
 from repro.core.fsp import EPSILON, FSP, TAU
 from repro.core.weak import WeakKernel
@@ -85,7 +84,7 @@ def weak_language_nfa(
     fsp: FSP,
     start: str | None = None,
     accepting: Iterable[str] | None = None,
-    view: WeakTransitionView | None = None,
+    kernel: WeakKernel | None = None,
 ) -> NFA:
     """The *epsilon-free* NFA for ``L(start)``, built on the weak kernel.
 
@@ -95,9 +94,9 @@ def weak_language_nfa(
     language is exactly that of :func:`language_nfa`; subset constructions on
     this view skip all epsilon-closure bookkeeping.
 
-    Pass an existing ``view`` to share one interned kernel across many
-    automata over the same process (the ``approx_k`` machinery builds one NFA
-    per state/block pair and reuses the cached weak arc set every time).
+    Pass the process's ``kernel`` to share it across many automata over the
+    same process: the ``approx_k`` machinery builds one NFA per state/block
+    pair and reuses the kernel's cached weak arc set every time.
 
     Raises
     ------
@@ -114,8 +113,7 @@ def weak_language_nfa(
             f"the weak language view is undefined over the reserved marker {EPSILON!r}; "
             "pass the unsaturated process instead"
         )
-    view = view if view is not None else WeakTransitionView(fsp)
-    kernel = view.kernel
+    kernel = kernel if kernel is not None else WeakKernel.from_fsp(fsp)
     root = fsp.start if start is None else start
     accept_base = frozenset(accepting) if accepting is not None else fsp.accepting_states()
     accept_bits = 0

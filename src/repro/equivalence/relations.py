@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.derivatives import WeakTransitionView
 from repro.core.fsp import EPSILON, FSP, TAU
+from repro.core.weak import WeakKernel
 from repro.partition.partition import Partition
 
 Pair = tuple[str, str]
@@ -115,14 +115,14 @@ def is_weak_bisimulation(fsp: FSP, pairs: Iterable[Pair]) -> bool:
     related: dict[str, set[str]] = {}
     for first, second in relation:
         related.setdefault(first, set()).add(second)
-    view = WeakTransitionView(fsp)
+    kernel = WeakKernel.from_fsp(fsp)
     actions = list(fsp.alphabet) + [EPSILON]
     for first, second in relation:
         if fsp.extension(first) != fsp.extension(second):
             return False
         for action in actions:
-            for target in view.weak_successors(first, action):
-                matches = view.weak_successors(second, action)
+            for target in kernel.weak_successors(first, action):
+                matches = kernel.weak_successors(second, action)
                 if not any(candidate in related.get(target, set()) for candidate in matches):
                     return False
     return True

@@ -19,9 +19,11 @@ cannot express preorders).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.core.classify import require_same_signature
-from repro.core.derivatives import WeakTransitionView
 from repro.core.fsp import EPSILON, FSP, TAU
+from repro.core.weak import WeakKernel
 
 Pair = tuple[str, str]
 
@@ -29,6 +31,11 @@ Pair = tuple[str, str]
 def _strong_moves(fsp: FSP, state: str) -> list[tuple[str, frozenset[str]]]:
     actions = set(fsp.enabled_actions(state))
     return [(action, fsp.successors(state, action)) for action in actions]
+
+
+def _step(fsp: FSP, weak: bool) -> Callable[[str, str], frozenset[str]]:
+    """Single moves by action: strong ones, or the weak ``=>^a`` (``=>^epsilon`` for EPSILON)."""
+    return WeakKernel.from_fsp(fsp).weak_successors if weak else fsp.successors
 
 
 def simulation_preorder(fsp: FSP, weak: bool = False) -> frozenset[Pair]:
@@ -40,28 +47,12 @@ def simulation_preorder(fsp: FSP, weak: bool = False) -> frozenset[Pair]:
     belongs to the relation.  Extensions are compared for equality, matching
     the paper's convention that behavioural comparisons respect extensions.
     """
-    view = WeakTransitionView(fsp) if weak else None
+    step = _step(fsp, weak)
 
     def moves(state: str) -> list[tuple[str, frozenset[str]]]:
         if not weak:
             return _strong_moves(fsp, state)
-        assert view is not None
-        result = [(EPSILON, view.epsilon_closure(state))]
-        for action in fsp.alphabet:
-            successors = view.weak_successors(state, action)
-            if successors:
-                result.append((action, successors))
-        return result
-
-    def matches(state: str, action: str) -> frozenset[str]:
-        if not weak:
-            return fsp.successors(state, action)
-        assert view is not None
-        return (
-            view.epsilon_closure(state)
-            if action == EPSILON
-            else view.weak_successors(state, action)
-        )
+        return [(a, targets) for a in (EPSILON, *fsp.alphabet) if (targets := step(state, a))]
 
     relation: set[Pair] = {
         (p, q)
@@ -74,7 +65,7 @@ def simulation_preorder(fsp: FSP, weak: bool = False) -> frozenset[Pair]:
         changed = False
         for p, q in list(relation):
             for action, targets in moves(p):
-                q_targets = matches(q, action)
+                q_targets = step(q, action)
                 for target in targets:
                     if not any((target, candidate) in relation for candidate in q_targets):
                         relation.discard((p, q))
@@ -110,18 +101,8 @@ def is_simulation(fsp: FSP, pairs: frozenset[Pair] | set[Pair], weak: bool = Fal
     which is how the test suite certifies the computed preorder.
     """
     relation = set(pairs)
-    view = WeakTransitionView(fsp) if weak else None
+    successors = _step(fsp, weak)
     actions = list(fsp.alphabet) + ([EPSILON] if weak else ([TAU] if fsp.has_tau() else []))
-
-    def successors(state: str, action: str) -> frozenset[str]:
-        if not weak:
-            return fsp.successors(state, action)
-        assert view is not None
-        return (
-            view.epsilon_closure(state)
-            if action == EPSILON
-            else view.weak_successors(state, action)
-        )
 
     for p, q in relation:
         if fsp.extension(p) != fsp.extension(q):

@@ -30,6 +30,7 @@ from repro.core.classify import ModelClass, require
 from repro.core.errors import ModelClassError
 from repro.core.fsp import ACCEPT, FSP, TAU, FSPBuilder
 from repro.core.paper_figures import trivial_nfa
+from repro.core.weak import WeakKernel
 from repro.equivalence.language import language_equivalent_processes
 
 #: Name of the trap state introduced by the reduction.
@@ -54,9 +55,7 @@ def normalize_for_lemma42(fsp: FSP) -> FSP:
             "Lemma 4.2 is stated for the two-action alphabet {a, b}; "
             f"got {sorted(fsp.alphabet)}"
         )
-    from repro.core.derivatives import tau_closure
-
-    closure = tau_closure(fsp)
+    closure = WeakKernel.from_fsp(fsp).closure_dict()
     builder = FSPBuilder(alphabet={"a", "b"})
     for state in fsp.states:
         builder.add_state(state)

@@ -26,6 +26,7 @@ from repro.core.classify import ModelClass, is_sou, require
 from repro.core.errors import ModelClassError
 from repro.core.fsp import ACCEPT, FSP
 from repro.core.paper_figures import chaos
+from repro.core.weak import WeakKernel
 from repro.equivalence.kobs import k_observational_equivalent_processes
 
 
@@ -126,11 +127,9 @@ def chaos_characterisation(fsp: FSP, max_steps: int = 1 << 16) -> bool:
     construction until a macro-state repeats.  ``max_steps`` is a safety
     valve; the walk repeats after at most ``2^|K|`` steps.
     """
-    from repro.core.derivatives import WeakTransitionView
-
     if fsp.alphabet != frozenset({"a"}):
         raise ModelClassError("the chaos characterisation is for unary processes over 'a'")
-    view = WeakTransitionView(fsp)
+    kernel = WeakKernel.from_fsp(fsp)
 
     # States with an infinite a-run (language a*): greatest fixed point of
     # "has an a-successor with the property", computed by iterated removal.
@@ -139,14 +138,14 @@ def chaos_characterisation(fsp: FSP, max_steps: int = 1 << 16) -> bool:
     while changed:
         changed = False
         for state in list(live):
-            if not (view.weak_successors(state, "a") & frozenset(live)):
+            if not (kernel.weak_successors(state, "a") & frozenset(live)):
                 live.discard(state)
                 changed = True
 
     def is_dead(state: str) -> bool:
-        return not view.weak_successors(state, "a")
+        return not kernel.weak_successors(state, "a")
 
-    start_macro = view.epsilon_closure(fsp.start)
+    start_macro = kernel.epsilon_closure(fsp.start)
     # At s = epsilon every derivative must be of the a* kind (condition iii
     # restricted to what chaos itself offers at epsilon).
     if not start_macro or not all(state in live for state in start_macro):
@@ -155,7 +154,7 @@ def chaos_characterisation(fsp: FSP, max_steps: int = 1 << 16) -> bool:
     seen: set[frozenset[str]] = set()
     current = start_macro
     for _ in range(max_steps):
-        current = view.weak_successors_of_set(current, "a")
+        current = kernel.weak_successors_of_set(current, "a")
         if not current:
             return False  # some s in {a}+ has no derivative at all, violating (ii)
         if current in seen:

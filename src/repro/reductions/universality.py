@@ -19,9 +19,9 @@ against the generic decision procedure (experiment E11).
 from __future__ import annotations
 
 from repro.core.classify import ModelClass, require
-from repro.core.derivatives import WeakTransitionView
 from repro.core.fsp import FSP, TAU
 from repro.core.paper_figures import trivial_nfa
+from repro.core.weak import WeakKernel
 from repro.equivalence.kobs import k_observational_equivalent_processes
 from repro.equivalence.language import is_universal
 
@@ -44,9 +44,9 @@ def approx2_equals_trivial_characterisation(fsp: FSP) -> bool:
     extensions cannot interfere with the comparison.
     """
     require(fsp, ModelClass.RESTRICTED, context="approx_2 comparison against the trivial NFA")
-    view = WeakTransitionView(fsp)
+    kernel = WeakKernel.from_fsp(fsp)
     for state in fsp.reachable_states():
-        if view.weak_initials(state) != fsp.alphabet:
+        if kernel.weak_initials(state) != fsp.alphabet:
             return False
     return True
 
@@ -67,9 +67,9 @@ def refusal_witness(fsp: FSP) -> tuple[str, frozenset[str]] | None:
     ``approx_2 q*`` holds).  Used by examples to explain *why* a process falls
     short of the trivial NFA.
     """
-    view = WeakTransitionView(fsp)
+    kernel = WeakKernel.from_fsp(fsp)
     for state in sorted(fsp.reachable_states()):
-        missing = fsp.alphabet - view.weak_initials(state)
+        missing = fsp.alphabet - kernel.weak_initials(state)
         if missing:
             return state, frozenset(missing)
     return None

@@ -1,21 +1,18 @@
-"""Tests for weak derivatives, tau-closure and the Theorem 4.1(a) saturation."""
+"""Tests for weak derivatives, tau-closure and the Theorem 4.1(a) saturation.
+
+The weak queries are asked of :class:`repro.core.weak.WeakKernel`, the
+library's one weak-transition API; the expected sets are worked out by hand
+from the paper's definitions.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.derivatives import (
-    WeakTransitionView,
-    closure_of_set,
-    saturate,
-    string_derivatives,
-    tau_closure,
-    weak_initials,
-    weak_successors,
-    weak_successors_of_set,
-)
+from repro.core.derivatives import saturate
 from repro.core.errors import InvalidProcessError
 from repro.core.fsp import EPSILON, TAU, from_transitions
+from repro.core.weak import WeakKernel
 
 
 @pytest.fixture
@@ -35,54 +32,61 @@ def tau_chain():
 
 class TestTauClosure:
     def test_closure_is_reflexive(self, tau_chain):
-        closure = tau_closure(tau_chain)
+        closure = WeakKernel.from_fsp(tau_chain).closure_dict()
         for state in tau_chain.states:
             assert state in closure[state]
 
     def test_closure_follows_chains(self, tau_chain):
-        closure = tau_closure(tau_chain)
+        closure = WeakKernel.from_fsp(tau_chain).closure_dict()
         assert closure["p0"] == frozenset({"p0", "p1", "p2"})
         assert closure["p3"] == frozenset({"p3"})
 
     def test_closure_handles_cycles(self):
         cyclic = from_transitions([("a", TAU, "b"), ("b", TAU, "a")], start="a", all_accepting=True)
-        closure = tau_closure(cyclic)
+        closure = WeakKernel.from_fsp(cyclic).closure_dict()
         assert closure["a"] == frozenset({"a", "b"})
         assert closure["b"] == frozenset({"a", "b"})
 
-    def test_closure_of_set(self, tau_chain):
-        assert closure_of_set(tau_chain, {"p0", "p3"}) == frozenset({"p0", "p1", "p2", "p3"})
+    def test_closure_of_a_set(self, tau_chain):
+        kernel = WeakKernel.from_fsp(tau_chain)
+        closure = kernel.weak_successors_of_set({"p0", "p3"}, EPSILON)
+        assert closure == frozenset({"p0", "p1", "p2", "p3"})
 
 
 class TestWeakSuccessors:
-    def test_weak_successor_through_tau(self, tau_chain):
-        assert weak_successors(tau_chain, "p0", "a") == frozenset({"p3"})
+    @pytest.fixture
+    def kernel(self, tau_chain):
+        return WeakKernel.from_fsp(tau_chain)
 
-    def test_weak_successor_direct(self, tau_chain):
-        assert weak_successors(tau_chain, "p3", "b") == frozenset({"p0", "p1", "p2"})
+    def test_weak_successor_through_tau(self, kernel):
+        assert kernel.weak_successors("p0", "a") == frozenset({"p3"})
 
-    def test_weak_successor_missing_action(self, tau_chain):
-        assert weak_successors(tau_chain, "p3", "a") == frozenset()
+    def test_weak_successor_direct(self, kernel):
+        assert kernel.weak_successors("p3", "b") == frozenset({"p0", "p1", "p2"})
 
-    def test_epsilon_returns_closure(self, tau_chain):
-        assert weak_successors(tau_chain, "p0", EPSILON) == frozenset({"p0", "p1", "p2"})
+    def test_weak_successor_missing_action(self, kernel):
+        assert kernel.weak_successors("p3", "a") == frozenset()
 
-    def test_tau_is_rejected_as_query_action(self, tau_chain):
+    def test_epsilon_returns_closure(self, kernel):
+        assert kernel.weak_successors("p0", EPSILON) == frozenset({"p0", "p1", "p2"})
+
+    def test_tau_is_rejected_as_query_action(self, kernel):
         with pytest.raises(InvalidProcessError):
-            weak_successors(tau_chain, "p0", TAU)
+            kernel.weak_successors("p0", TAU)
 
-    def test_successors_of_set(self, tau_chain):
-        result = weak_successors_of_set(tau_chain, {"p0", "p3"}, "a")
-        assert result == frozenset({"p3"})
+    def test_successors_of_set(self, kernel):
+        assert kernel.weak_successors_of_set({"p0", "p3"}, "a") == frozenset({"p3"})
 
-    def test_string_derivatives(self, tau_chain):
-        assert string_derivatives(tau_chain, "p0", ["a", "b"]) == frozenset({"p0", "p1", "p2"})
-        assert string_derivatives(tau_chain, "p0", []) == frozenset({"p0", "p1", "p2"})
-        assert string_derivatives(tau_chain, "p0", ["b"]) == frozenset()
+    def test_string_derivatives(self, kernel):
+        assert kernel.string_derivatives("p0", ["a", "b"]) == frozenset({"p0", "p1", "p2"})
+        assert kernel.string_derivatives("p0", []) == frozenset({"p0", "p1", "p2"})
+        assert kernel.string_derivatives("p0", ["b"]) == frozenset()
+        assert kernel.string_derivatives("p0", ["a"]) == frozenset({"p3"})
+        assert kernel.string_derivatives("p0", ["a", "a"]) == frozenset()
 
-    def test_weak_initials(self, tau_chain):
-        assert weak_initials(tau_chain, "p0") == frozenset({"a"})
-        assert weak_initials(tau_chain, "p3") == frozenset({"b"})
+    def test_weak_initials(self, kernel):
+        assert kernel.weak_initials("p0") == frozenset({"a"})
+        assert kernel.weak_initials("p3") == frozenset({"b"})
 
 
 class TestSaturate:
@@ -118,25 +122,3 @@ class TestSaturate:
         for state in tau_chain.states:
             assert saturated.extension(state) == tau_chain.extension(state)
 
-
-class TestWeakTransitionView:
-    def test_view_matches_free_functions(self, tau_chain):
-        view = WeakTransitionView(tau_chain)
-        for state in tau_chain.states:
-            assert view.epsilon_closure(state) == tau_closure(tau_chain)[state]
-            for action in tau_chain.alphabet:
-                assert view.weak_successors(state, action) == weak_successors(
-                    tau_chain, state, action
-                )
-            assert view.weak_initials(state) == weak_initials(tau_chain, state)
-
-    def test_view_string_derivatives(self, tau_chain):
-        view = WeakTransitionView(tau_chain)
-        assert view.string_derivatives("p0", ["a"]) == frozenset({"p3"})
-        assert view.string_derivatives("p0", ["a", "a"]) == frozenset()
-
-    def test_view_caches_are_transparent(self, tau_chain):
-        view = WeakTransitionView(tau_chain)
-        first = view.weak_successors("p0", "a")
-        second = view.weak_successors("p0", "a")
-        assert first == second

@@ -1,36 +1,25 @@
 """Tests for the kernel weak-transition engine (tau-SCC + bitset saturation).
 
-The dict-of-frozensets implementations retained in
-:mod:`repro.core.derivatives` (``tau_closure_reference``,
-``saturate_reference``) are the oracles here: the kernel must agree with them
-arc for arc on random tau-dense processes and on the structured tau families,
-and the full weak pipeline must reproduce the fixed-point reference partition
-of Definition 2.2.2.
+The dict-of-frozensets constructions of :mod:`repro.core.derivatives`
+(``tau_closure_reference``, ``saturate_reference``) are the oracles here: the
+kernel must agree with them arc for arc on random tau-dense processes and on
+the structured tau families, every name-level query of
+:class:`~repro.core.weak.WeakKernel` must read the same sets off the
+reference saturation's arcs, and the full weak pipeline must reproduce the
+fixed-point reference partition of Definition 2.2.2.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from repro.core.derivatives import (
-    WeakTransitionView,
-    saturate,
-    saturate_reference,
-    tau_closure,
-    tau_closure_reference,
-    weak_initials,
-    weak_successors,
-)
+from repro.core.derivatives import saturate, saturate_reference, tau_closure_reference
 from repro.core.errors import InvalidProcessError
 from repro.core.fsp import EPSILON, TAU, from_transitions
 from repro.core.lts import LTS
-from repro.core.weak import (
-    WeakKernel,
-    bits_to_indices,
-    saturate_lts,
-    tau_closure_bits,
-    tau_scc,
-)
+from repro.core.weak import WeakKernel, bits_to_indices, saturate_lts, tau_scc
 from repro.equivalence.kobs import limited_observational_partition
 from repro.equivalence.observational import observational_partition
 from repro.generators.families import tau_diamond_tower, tau_ladder, tau_mesh
@@ -88,22 +77,23 @@ class TestClosureAgainstReference:
     def test_bitset_closure_matches_bfs_reference(self, seed):
         process = tau_dense(seed)
         lts = LTS.from_fsp(process, include_tau=True)
-        bits = tau_closure_bits(lts)
+        kernel = WeakKernel(lts)
         names = lts.state_names
         from_bits = {
-            names[i]: frozenset(names[j] for j in bits_to_indices(b))
-            for i, b in enumerate(bits)
+            names[i]: frozenset(names[j] for j in bits_to_indices(kernel.closure_bits(i)))
+            for i in range(lts.n)
         }
         assert from_bits == tau_closure_reference(process)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_public_tau_closure_matches_reference(self, seed):
         process = tau_dense(seed)
-        assert tau_closure(process) == tau_closure_reference(process)
+        assert WeakKernel.from_fsp(process).closure_dict() == tau_closure_reference(process)
 
     def test_closure_is_reflexive_on_tau_free_processes(self):
         process = from_transitions([("p", "a", "q")], start="p", all_accepting=True)
-        assert tau_closure(process) == {"p": frozenset({"p"}), "q": frozenset({"q"})}
+        closure = WeakKernel.from_fsp(process).closure_dict()
+        assert closure == {"p": frozenset({"p"}), "q": frozenset({"q"})}
 
 
 class TestSaturationAgainstReference:
@@ -185,13 +175,11 @@ class TestWeakKernelQueries:
     def test_weak_successors_match_dict_path(self, seed):
         process = tau_dense(seed)
         kernel = WeakKernel.from_fsp(process)
-        closure = tau_closure_reference(process)
+        saturated = saturate_reference(process)
         for state in process.states:
-            assert kernel.epsilon_closure(state) == closure[state]
+            assert kernel.epsilon_closure(state) == saturated.successors(state, EPSILON)
             for action in process.alphabet:
-                assert kernel.weak_successors(state, action) == weak_successors(
-                    process, state, action, closure
-                )
+                assert kernel.weak_successors(state, action) == saturated.successors(state, action)
 
     def test_weak_bits_rejects_tau(self):
         kernel = WeakKernel.from_fsp(tau_ladder(3))
@@ -202,6 +190,57 @@ class TestWeakKernelQueries:
         kernel = WeakKernel.from_fsp(tau_ladder(3))
         with pytest.raises(InvalidProcessError):
             kernel.weak_successors("nope", "a")
+
+
+#: The reference saturation's epsilon label.  The saturated input already
+#: carries EPSILON as an ordinary letter, so the oracle labels its own
+#: ``=>^epsilon`` arcs apart.
+MARKER = "eps"
+
+
+class TestNameQueriesAgainstSaturateReference:
+    """Every name-level kernel query, read instead off ``saturate_reference``'s arcs.
+
+    The inputs are the tau-dense seeds plus one process saturated with
+    ``saturate``, whose alphabet holds EPSILON as a letter.  The reference
+    labels ``=>^epsilon`` with :data:`MARKER`; the kernel reads EPSILON as
+    ``=>^epsilon`` and never reports it as a weak initial.
+    """
+
+    @pytest.fixture(params=[*range(6), "saturated"])
+    def case(self, request):
+        which = request.param
+        process = saturate(tau_dense(0)) if which == "saturated" else tau_dense(which)
+        observable = sorted(process.alphabet - {EPSILON})
+        oracle = saturate_reference(process, MARKER)
+        return process, observable, WeakKernel.from_fsp(process), oracle
+
+    def test_weak_initials_are_the_labels_of_observable_arcs(self, case):
+        process, _, kernel, oracle = case
+        for state in process.states:
+            expected = oracle.enabled_actions(state) - {MARKER, EPSILON}
+            assert kernel.weak_initials(state) == expected, state
+
+    def test_weak_successors_of_a_set_are_the_union_of_its_arcs(self, case):
+        process, observable, kernel, oracle = case
+        states = sorted(process.states)
+        subsets = [frozenset(), frozenset(states)]
+        subsets += [frozenset(pair) for pair in itertools.combinations(states, 2)]
+        for action in [*observable, EPSILON]:
+            label = MARKER if action == EPSILON else action
+            for subset in subsets:
+                expected = frozenset().union(*(oracle.successors(s, label) for s in subset))
+                assert kernel.weak_successors_of_set(subset, action) == expected, (subset, action)
+
+    def test_string_derivatives_step_the_arcs_from_the_closure(self, case):
+        process, observable, kernel, oracle = case
+        words = [w for length in range(4) for w in itertools.product(observable, repeat=length)]
+        for state in process.states:
+            for word in words:
+                expected = oracle.successors(state, MARKER)
+                for action in word:
+                    expected = frozenset().union(*(oracle.successors(s, action) for s in expected))
+                assert kernel.string_derivatives(state, word) == expected, (state, word)
 
 
 class TestWeakPipelinePartition:
@@ -239,16 +278,13 @@ class TestWeakInitialsRegression:
         process = tau_ladder(3)
         saturated = saturate(process)
         assert EPSILON in saturated.alphabet
-        view = WeakTransitionView(saturated)
+        kernel = WeakKernel.from_fsp(saturated)
         for state in saturated.states:
-            assert EPSILON not in view.weak_initials(state)
-            assert EPSILON not in weak_initials(saturated, state)
+            assert EPSILON not in kernel.weak_initials(state)
 
     def test_weak_initials_still_report_observable_actions(self):
-        process = tau_ladder(3)
-        assert "a" in weak_initials(process, "u0")
-        view = WeakTransitionView(process)
-        assert view.weak_initials("u0") == frozenset({"a"})
+        kernel = WeakKernel.from_fsp(tau_ladder(3))
+        assert kernel.weak_initials("u0") == frozenset({"a"})
 
     def test_weak_language_view_rejects_saturated_processes(self):
         """The EPSILON marker in an alphabet means mixed semantics -- refuse it.
@@ -264,9 +300,8 @@ class TestWeakInitialsRegression:
             weak_language_nfa(saturated)
 
     def test_weak_successors_raise_cleanly_on_tau(self):
-        process = tau_ladder(3)
+        kernel = WeakKernel.from_fsp(tau_ladder(3))
         with pytest.raises(InvalidProcessError):
-            weak_successors(process, "u0", TAU)
-        view = WeakTransitionView(process)
+            kernel.weak_successors_of_set({"u0"}, TAU)
         with pytest.raises(InvalidProcessError):
-            view.weak_successors("u0", TAU)
+            kernel.string_derivatives("u0", [TAU])

@@ -7,6 +7,7 @@ import pytest
 from repro.core.errors import ModelClassError, StateSpaceLimitError
 from repro.core.fsp import TAU, from_transitions
 from repro.core.paper_figures import fig2_language_pair
+from repro.core.weak import WeakKernel
 from repro.engine import (
     Engine,
     Notion,
@@ -181,6 +182,32 @@ class TestSearchBounds:
         union = left.disjoint_union(right)
         with pytest.raises(StateSpaceLimitError):
             k_observational_equivalent(union, "L:u0", "R:v", 2, max_subset_states=4)
+
+
+class TestWeakWitnesses:
+    """The weak notions' witnesses come from work the check has already done."""
+
+    def test_k_observational_witness_is_the_observational_one(self, engine, pair):
+        """Both are read off the CSR union of the cached saturated quotients."""
+        kobs = engine.check(*pair, "k-observational", align=True, k=2)
+        observational = engine.check(*pair, "observational", align=True)
+        assert kobs.witness == observational.witness
+        assert kobs.verify_witness() is True
+
+    def test_failure_witness_is_read_off_the_search(self, engine, pair, monkeypatch):
+        """One kernel per inequivalent failure check: the witness replays nothing."""
+        built = []
+        init = WeakKernel.__init__
+
+        def counting(self, lts):
+            built.append(lts)
+            init(self, lts)
+
+        monkeypatch.setattr(WeakKernel, "__init__", counting)
+        verdict = engine.check(*pair, "failure", align=True)
+        assert not verdict.equivalent
+        assert len(built) == 1
+        assert verdict.verify_witness() is True
 
 
 class TestCheckMany:

@@ -29,17 +29,12 @@ class TestArtifactCaching:
         handle = Process(bloated)
         assert handle.lts() is handle.lts()
         assert handle.weak_kernel() is handle.weak_kernel()
-        assert handle.weak_view() is handle.weak_view()
         assert handle.saturated_lts() is handle.saturated_lts()
         assert handle.strong_partition() is handle.strong_partition()
         assert handle.observational_partition() is handle.observational_partition()
         assert handle.minimized_strong() is handle.minimized_strong()
         assert handle.minimized_observational() is handle.minimized_observational()
         assert handle.language_dfa() is handle.language_dfa()
-
-    def test_weak_view_shares_the_kernel(self, bloated):
-        handle = Process(bloated)
-        assert handle.weak_view().kernel is handle.weak_kernel()
 
     def test_artifact_summary_tracks_materialisation(self, bloated):
         handle = Process(bloated)

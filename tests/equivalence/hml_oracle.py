@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.core.derivatives import WeakTransitionView
-from repro.core.fsp import FSP, TAU
+from repro.core.fsp import EPSILON, FSP, TAU
+from repro.core.weak import WeakKernel
 from repro.partition.partition import Partition
 
 #: The actions of one step relation and its successor function.
@@ -27,12 +27,10 @@ def moves(fsp: FSP, weak: bool) -> Moves:
     """
     if not weak:
         return sorted(fsp.alphabet) + ([TAU] if fsp.has_tau() else []), fsp.successors
-    view = WeakTransitionView(fsp)
+    kernel = WeakKernel.from_fsp(fsp)
 
     def successors(state: str, action: str) -> frozenset[str]:
-        if action == "":
-            return view.epsilon_closure(state)
-        return view.weak_successors(state, action)
+        return kernel.weak_successors(state, action or EPSILON)
 
     return sorted(fsp.alphabet) + [""], successors
 

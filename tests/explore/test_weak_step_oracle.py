@@ -3,10 +3,10 @@
 :class:`repro.explore.onthefly._Explorer` computes tau-closures and weak
 moves lazily, and the replay that certifies every on-the-fly inequivalence
 steps whole tau-closed macrostates with one closure search per step.  The
-oracle is the eager route on the materialised system: the kernel-backed
-:class:`~repro.core.derivatives.WeakTransitionView` for closures, weak
-successors and weak string derivatives, with implicit states matched to
-materialised ones by :meth:`~repro.explore.implicit.ImplicitLTS.state_name`.
+oracle is the eager route on the materialised system: the
+:class:`~repro.core.weak.WeakKernel` for closures, weak successors and weak
+string derivatives, with implicit states matched to materialised ones by
+:meth:`~repro.explore.implicit.ImplicitLTS.state_name`.
 
 For random FSPs and random composition trees:
 
@@ -27,8 +27,8 @@ import itertools
 
 from hypothesis import given
 
-from repro.core.derivatives import WeakTransitionView
 from repro.core.fsp import EPSILON, FSP, TAU
+from repro.core.weak import WeakKernel
 from repro.explore.implicit import as_implicit, materialize
 from repro.explore.onthefly import _Explorer, _replay_step, _verify_trace, check_implicit
 from repro.explore.system import build_implicit
@@ -60,7 +60,7 @@ def _reachable(node) -> list:
 def _assert_moves_match(operand) -> None:
     node = _implicit(operand)
     fsp = materialize(node)
-    view = WeakTransitionView(fsp)
+    kernel = WeakKernel.from_fsp(fsp)
     states = _reachable(node)
     # ``close`` searches a state afresh unless its closure is memoised, and
     # then takes that closure whole: the cold explorer meets few memoised
@@ -76,9 +76,9 @@ def _assert_moves_match(operand) -> None:
     for state in states:
         name = node.state_name(state)
         for explorer in (cold, warm):
-            assert names(explorer.closure(state)) == view.epsilon_closure(name)
+            assert names(explorer.closure(state)) == kernel.epsilon_closure(name)
             for action in actions:
-                assert names(explorer.weak_successors(state, action)) == view.weak_successors(
+                assert names(explorer.weak_successors(state, action)) == kernel.weak_successors(
                     name, action
                 ), f"weak {action!r}-successors of {name!r}"
 
@@ -86,9 +86,9 @@ def _assert_moves_match(operand) -> None:
 def _derivatives(fsp: FSP, string, weak: bool) -> list[frozenset]:
     """The states the start reaches by each prefix of ``string``, shortest first."""
     if weak:
-        view = WeakTransitionView(fsp)
+        kernel = WeakKernel.from_fsp(fsp)
         steps = [action for action in string if action != TAU]
-        return [view.string_derivatives(fsp.start, steps[:k]) for k in range(len(steps) + 1)]
+        return [kernel.string_derivatives(fsp.start, steps[:k]) for k in range(len(steps) + 1)]
     reached = [frozenset({fsp.start})]
     for action in string:
         reached.append(

@@ -65,9 +65,9 @@ class TestBasicFamilies:
         assert process.num_states == 16  # 4x4 grid
         assert process.has_tau()
         # closure of the corner reaches the whole grid, so saturation is dense
-        from repro.core.derivatives import tau_closure
+        from repro.core.weak import WeakKernel
 
-        assert tau_closure(process)["g0_0"] == process.states
+        assert WeakKernel.from_fsp(process).epsilon_closure("g0_0") == process.states
 
     def test_tau_mesh_rounds_the_side_up(self):
         assert tau_mesh(2000).num_states == 45 * 45

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.errors import InvalidProcessError
 from repro.core.fsp import TAU, from_transitions
-from repro.core.derivatives import weak_successors
+from repro.core.weak import WeakKernel
 from repro.generators.random_fsp import random_fsp
 from repro.utils import aut_format, dot, matrices, serialization
 
@@ -151,10 +151,11 @@ class TestDot:
 class TestMatrices:
     def test_weak_transition_matrices_agree_with_graph_traversal(self, sample_process):
         weak = matrices.weak_transition_matrices(sample_process)
+        kernel = WeakKernel.from_fsp(sample_process)
         for action in sample_process.alphabet:
             pairs = matrices.matrix_to_pairs(sample_process, weak[action])
             for state in sample_process.states:
-                expected = weak_successors(sample_process, state, action)
+                expected = kernel.weak_successors(state, action)
                 actual = frozenset(dst for src, dst in pairs if src == state)
                 assert actual == expected
 
