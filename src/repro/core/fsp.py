@@ -15,11 +15,31 @@ Extensions generalise the accept/non-accept distinction of classical automata:
 in the *standard* model ``V = {x}`` and a state is accepting exactly when its
 extension set is ``{x}``.
 
-The class :class:`FSP` below is an immutable value object.  All derived lookup
-structures (successor maps, extension maps) are computed once at construction
-time so that the partition-refinement algorithms in :mod:`repro.partition` can
-query them in O(1).  Use :class:`FSPBuilder` or the convenience constructors
-for incremental construction.
+The class :class:`FSP` below is an immutable value object.  Construction
+validates the sextuple and indexes each state's extension set; the successor
+index behind :meth:`FSP.successors`, :meth:`FSP.transitions_from`,
+:meth:`FSP.enabled_actions` and :meth:`FSP.reachable_states` is built on the
+first query that needs it.  The engine and the partition-refinement
+algorithms run on the integer kernel of :mod:`repro.core.lts` and never ask,
+so a decoded operand pays only for what is read.  Use :class:`FSPBuilder` or
+the convenience constructors for incremental construction.
+
+Example
+-------
+
+A freshly decoded process answers its first successor query:
+
+>>> from repro.utils.serialization import from_dict
+>>> process = from_dict({
+...     "format": "repro-fsp", "version": 1,
+...     "states": ["p", "q"], "start": "p", "alphabet": ["a"],
+...     "transitions": [["p", "a", "q"], ["q", TAU, "p"]],
+...     "extensions": [["q", ACCEPT]],
+... })
+>>> sorted(process.successors("p", "a")), sorted(process.transitions_from("q"))
+(['q'], [('τ', 'p')])
+>>> process.is_accepting("q"), sorted(process.reachable_states())
+(True, ['p', 'q'])
 """
 
 from __future__ import annotations
@@ -47,6 +67,10 @@ State = str
 Action = str
 Variable = str
 Transition = tuple[State, Action, State]
+#: ``(succ, out_actions)``: see :meth:`FSP._successor_index`.
+_SuccessorIndex = tuple[
+    dict[tuple[State, Action], frozenset[State]], dict[State, frozenset[Action]]
+]
 
 
 def _freeze_str_set(values: Iterable[str], what: str) -> frozenset[str]:
@@ -90,10 +114,9 @@ class FSP:
         "_transitions",
         "_variables",
         "_extensions",
-        "_succ",
+        "_index",
         "_pred",
         "_ext_map",
-        "_out_actions",
         "_hash",
     )
 
@@ -116,21 +139,12 @@ class FSP:
         self._start = str(start)
         self._validate()
 
-        # Derived indices.  ``_succ`` maps (state, action) -> frozenset of
-        # successor states; ``_ext_map`` maps a state to its extension set;
-        # ``_out_actions`` maps a state to the actions labelling its outgoing
-        # transitions.  ``_pred``, the mirror image of ``_succ``, is built by
-        # :meth:`predecessors` on first use: the solvers walk the reverse
-        # index of the integer kernel instead.
-        succ: dict[tuple[State, Action], set[State]] = {}
-        out_actions: dict[State, set[Action]] = {state: set() for state in self._states}
-        for src, act, dst in self._transitions:
-            succ.setdefault((src, act), set()).add(dst)
-            out_actions[src].add(act)
-        self._succ = {key: frozenset(val) for key, val in succ.items()}
+        # Derived indices.  ``_ext_map`` maps a state to its extension set.
+        # The successor index is built by :meth:`_successor_index` and its
+        # mirror image ``_pred`` by :meth:`predecessors`, each on first use:
+        # the engine and the solvers walk the integer kernel instead.
+        self._index: _SuccessorIndex | None = None
         self._pred: dict[tuple[State, Action], frozenset[State]] | None = None
-        self._out_actions = {state: frozenset(acts) for state, acts in out_actions.items()}
-
         ext_map: dict[State, set[Variable]] = {state: set() for state in self._states}
         for state, var in self._extensions:
             ext_map[state].add(var)
@@ -217,9 +231,31 @@ class FSP:
     # ------------------------------------------------------------------
     # relational accessors (the Delta(q), E(q), Delta(q, a) of Section 2.1)
     # ------------------------------------------------------------------
+    def _successor_index(self) -> _SuccessorIndex:
+        """``(succ, out_actions)``, built on the first query that needs it.
+
+        ``succ`` maps ``(state, action)`` to the frozenset of successor
+        states; ``out_actions`` maps every state to the actions labelling its
+        outgoing transitions.  Both are filled in locals and published with
+        one assignment: a deadline may preempt the build at any bytecode
+        boundary, and must leave an FSP that builds the index afresh.
+        """
+        index = self._index
+        if index is None:
+            succ: dict[tuple[State, Action], set[State]] = {}
+            out_actions: dict[State, set[Action]] = {state: set() for state in self._states}
+            for src, act, dst in self._transitions:
+                succ.setdefault((src, act), set()).add(dst)
+                out_actions[src].add(act)
+            index = self._index = (
+                {key: frozenset(val) for key, val in succ.items()},
+                {state: frozenset(acts) for state, acts in out_actions.items()},
+            )
+        return index
+
     def successors(self, state: State, action: Action) -> frozenset[State]:
         """``Delta(q, a)`` -- the destinations of ``state`` via ``action``."""
-        return self._succ.get((state, action), frozenset())
+        return self._successor_index()[0].get((state, action), frozenset())
 
     def predecessors(self, state: State, action: Action) -> frozenset[State]:
         """The sources of ``action``-transitions into ``state``."""
@@ -232,11 +268,10 @@ class FSP:
 
     def transitions_from(self, state: State) -> frozenset[tuple[Action, State]]:
         """``Delta(q)`` -- the set of ``(action, destination)`` pairs from ``state``."""
-        out = set()
-        for action in self._out_actions.get(state, frozenset()):
-            for dst in self._succ.get((state, action), frozenset()):
-                out.add((action, dst))
-        return frozenset(out)
+        succ, out_actions = self._successor_index()
+        return frozenset(
+            (action, dst) for action in out_actions.get(state, ()) for dst in succ[state, action]
+        )
 
     def extension(self, state: State) -> frozenset[Variable]:
         """``E(q)`` -- the extension set of ``state``."""
@@ -246,7 +281,7 @@ class FSP:
 
     def enabled_actions(self, state: State) -> frozenset[Action]:
         """The actions (possibly including tau) labelling outgoing transitions."""
-        return self._out_actions.get(state, frozenset())
+        return self._successor_index()[1].get(state, frozenset())
 
     def is_accepting(self, state: State) -> bool:
         """Whether ``state`` is accepting in the standard-model reading.
@@ -274,12 +309,13 @@ class FSP:
         root = self._start if origin is None else origin
         if root not in self._states:
             raise InvalidProcessError(f"{root!r} is not a state of this FSP")
+        succ, out_actions = self._successor_index()
         seen = {root}
         frontier = [root]
         while frontier:
             state = frontier.pop()
-            for action in self._out_actions.get(state, frozenset()):
-                for nxt in self._succ.get((state, action), frozenset()):
+            for action in out_actions[state]:
+                for nxt in succ[state, action]:
                     if nxt not in seen:
                         seen.add(nxt)
                         frontier.append(nxt)
@@ -424,13 +460,17 @@ class FSPBuilder:
 
     Example
     -------
+    Every adder returns the builder, so calls chain:
+
     >>> builder = FSPBuilder(alphabet={"a", "b"})
-    >>> builder.add_transition("p", "a", "q")
-    >>> builder.add_transition("q", "b", "p")
-    >>> builder.mark_accepting("p")
-    >>> process = builder.build(start="p")
-    >>> sorted(process.states)
-    ['p', 'q']
+    >>> process = (
+    ...     builder.add_transition("p", "a", "q")
+    ...     .add_transition("q", "b", "p")
+    ...     .mark_accepting("p")
+    ...     .build(start="p")
+    ... )
+    >>> sorted(process.states), sorted(process.accepting_states())
+    (['p', 'q'], ['p'])
 
     States referenced by transitions or extensions are added automatically;
     :meth:`add_state` is only needed for isolated states.

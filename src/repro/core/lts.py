@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from repro.core.errors import InvalidProcessError
@@ -65,6 +66,22 @@ _ITEMSIZE = array(INDEX_TYPECODE).itemsize
 def _zeros(count: int) -> array:
     """A zero-filled index array of the given length."""
     return array(INDEX_TYPECODE, bytes(_ITEMSIZE * count))
+
+
+def _csr(n: int, edges: Sequence[tuple[int, int, int]]) -> tuple[array, array, array]:
+    """``(fwd_offsets, fwd_actions, fwd_targets)`` of distinct, sorted edges.
+
+    Every source must lie in ``0..n-1``.
+    """
+    sources, actions, targets = zip(*edges) if edges else ((), (), ())
+    counts = [0] * (n + 1)
+    for src in sources:
+        counts[src + 1] += 1
+    return (
+        array(INDEX_TYPECODE, accumulate(counts)),
+        array(INDEX_TYPECODE, actions),
+        array(INDEX_TYPECODE, targets),
+    )
 
 
 class LTS:
@@ -130,31 +147,17 @@ class LTS:
         self.start = start if n else 0
 
         unique = sorted(set(edges))
-        offsets = _zeros(n + 1)  # zero-initialised
+        if unique and not (0 <= unique[0][0] and unique[-1][0] < n):
+            raise InvalidProcessError("edge with an out-of-range source state")
+        self.fwd_offsets, self.fwd_actions, self.fwd_targets = _csr(n, unique)
         if unique:
-            sources, edge_actions, edge_targets = zip(*unique)
-            if not (0 <= sources[0] and sources[-1] < n):
-                raise InvalidProcessError("edge with an out-of-range source state")
-            if not (0 <= min(edge_targets) and max(edge_targets) < n):
+            if not (0 <= min(self.fwd_targets) and max(self.fwd_targets) < n):
                 raise InvalidProcessError("edge with an out-of-range target state")
-            if not (0 <= min(edge_actions) and max(edge_actions) < k):
+            if not (0 <= min(self.fwd_actions) and max(self.fwd_actions) < k):
                 raise InvalidProcessError("edge with an out-of-range action")
-            counts = [0] * (n + 1)
-            for src in sources:
-                counts[src + 1] += 1
-            total = 0
-            for s in range(n):
-                total += counts[s + 1]
-                offsets[s + 1] = total
-            self.fwd_actions = array(INDEX_TYPECODE, edge_actions)
-            self.fwd_targets = array(INDEX_TYPECODE, edge_targets)
-        else:
-            self.fwd_actions = _zeros(0)
-            self.fwd_targets = _zeros(0)
-        self.fwd_offsets = offsets
 
         self.ext_sets: tuple[frozenset[str], ...] | None = (
-            tuple(frozenset(ext) for ext in ext_sets) if ext_sets is not None else None
+            tuple(map(frozenset, ext_sets)) if ext_sets is not None else None
         )
         if self.ext_sets is not None and len(self.ext_sets) != n:
             raise InvalidProcessError("ext_sets must give one extension set per state")
@@ -176,27 +179,37 @@ class LTS:
         actions likewise; when ``include_tau`` is true and the process has
         tau-moves, tau is interned as one more action.  With
         ``include_tau=False`` the tau-arcs are dropped -- that is the Lemma
-        3.1 reduction for observable processes.
+        3.1 reduction for observable processes.  The FSP's transitions are
+        distinct, so the interned triples are sorted once and laid out as
+        CSR arrays without the edge constructor's deduplication.
         """
         from repro.core.fsp import TAU
 
         state_names = sorted(fsp.states)
         action_names = sorted(fsp.alphabet)
-        if include_tau and fsp.has_tau():
-            action_names.append(TAU)
+        tau = len(action_names)
         state_index = {name: i for i, name in enumerate(state_names)}
         action_index = {name: i for i, name in enumerate(action_names)}
+        action_index[TAU] = tau
+        transitions: Iterable[tuple[str, str, str]] = fsp.transitions
+        if not include_tau:
+            transitions = [arc for arc in transitions if arc[1] != TAU]
         edges = [
             (state_index[src], action_index[act], state_index[dst])
-            for src, act, dst in fsp.transitions
-            if act in action_index
+            for src, act, dst in transitions
         ]
-        return cls(
+        edges.sort()
+        offsets, actions, targets = _csr(len(state_names), edges)
+        if tau in actions:
+            action_names.append(TAU)
+        return cls.from_csr(
             state_names,
             action_names,
-            edges,
+            offsets,
+            actions,
+            targets,
             start=state_index[fsp.start],
-            ext_sets=[fsp.extension(name) for name in state_names],
+            ext_sets=list(map(fsp.extension, state_names)),
             variables=tuple(sorted(fsp.variables)),
             observable_alphabet=tuple(sorted(fsp.alphabet)),
         )
@@ -220,10 +233,10 @@ class LTS:
         ``n + 1`` with ``fwd_offsets[0] == 0`` and ``fwd_offsets[n] == m``,
         and within every state's slice the arcs are sorted by ``(action,
         target)`` with no duplicates -- the exact layout ``__init__`` produces.
-        This is the emission path of the weak-transition engine
-        (:mod:`repro.core.weak`), whose saturated arc sets are generated in
-        sorted order and would only be re-sorted (at ``O(m log m)``) by the
-        edge-triple constructor.
+        This is the emission path of :meth:`from_fsp` and of the
+        weak-transition engine (:mod:`repro.core.weak`), whose saturated arc
+        sets are generated in sorted order and would only be re-sorted (at
+        ``O(m log m)``) by the edge-triple constructor.
         """
         lts = cls.__new__(cls)
         lts.state_names = tuple(state_names)
@@ -243,7 +256,7 @@ class LTS:
         lts.fwd_offsets = fwd_offsets
         lts.fwd_actions = fwd_actions
         lts.fwd_targets = fwd_targets
-        lts.ext_sets = (tuple(frozenset(ext) for ext in ext_sets) if ext_sets is not None else None)
+        lts.ext_sets = tuple(map(frozenset, ext_sets)) if ext_sets is not None else None
         if lts.ext_sets is not None and len(lts.ext_sets) != n:
             raise InvalidProcessError("ext_sets must give one extension set per state")
         lts.variables = tuple(variables)

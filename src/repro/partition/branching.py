@@ -21,7 +21,10 @@ arrays of :class:`~repro.core.lts.LTS`:
 2. tau-SCCs are collapsed with :func:`repro.core.weak.tau_scc`, but only over
    tau-arcs between states with the same extension set -- every state of
    such a cycle is branching bisimilar to the others, while a tau-cycle that
-   crosses extension sets contains inequivalent states;
+   crosses extension sets contains inequivalent states.  One pass over the
+   CSR arcs sorts each state's arcs into observable arcs, these local
+   tau-arcs and the crossing ones; the condensed graph is read off those
+   three lists;
 3. blocks split by signature until stable.  The signature of a component is
    ``{(a, B(t)) | c -a-> t not inert} ∪ ⋃ {sig(t) | c -tau-> t inert}``,
    where a tau-arc is *inert* when it stays inside one block.  After the
@@ -54,10 +57,8 @@ after some internal moves, and the tau-steps between them are inert:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.core.lts import LTS
-from repro.core.weak import tau_action_index, tau_scc, tau_successor_lists
+from repro.core.weak import tau_action_index, tau_scc
 
 
 def split_blocks(
@@ -116,35 +117,49 @@ def branching_quotient(lts: LTS) -> tuple[LTS, list[int]]:
     ext_of, num_ext = lts.extension_block_ids()
     offsets, arc_actions, arc_targets = lts.fwd_offsets, lts.fwd_actions, lts.fwd_targets
 
-    # Tau-SCCs over the tau-arcs that stay inside one extension set.
-    local_tau = [
-        [t for t in targets if ext_of[t] == ext_of[s]] if targets else targets
-        for s, targets in enumerate(tau_successor_lists(lts))
-    ]
+    # One pass over the arcs: each state's observable arcs, its tau-arcs
+    # inside its extension set (the tau-SCC input) and its other tau-arcs.
+    state_observable: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    local_tau: list[list[int]] = [[] for _ in range(n)]
+    crossing_tau: list[list[int]] = [[] for _ in range(n)]
+    for s in range(n):
+        for i in range(offsets[s], offsets[s + 1]):
+            a, t = arc_actions[i], arc_targets[i]
+            if a != tau:
+                state_observable[s].append((a, t))
+            elif ext_of[t] == ext_of[s]:
+                local_tau[s].append(t)
+            else:
+                crossing_tau[s].append(t)
     scc_of, sccs = tau_scc(lts, local_tau)
 
-    # The condensed graph: observable arcs, tau-arcs and predecessors per component.
+    # The condensed graph, read off those lists: observable arcs, tau-arcs
+    # and predecessors per component.  A crossing tau-arc never stays inside
+    # a component, a local one does when both ends collapsed together.
     num = len(sccs)
-    arcs: Iterable[tuple[int, int, int]] = (
-        (scc_of[s], arc_actions[i], scc_of[arc_targets[i]])
-        for s in range(n)
-        for i in range(offsets[s], offsets[s + 1])
-    )
-    if num < n:
-        arcs = set(arcs)  # a collapsed component repeats its members' arcs
     observable: list[list[tuple[int, int]]] = [[] for _ in range(num)]
     tau_succ: list[list[int]] = [[] for _ in range(num)]
     preds: list[list[int]] = [[] for _ in range(num)]
     tau_preds: list[list[int]] = [[] for _ in range(num)]
-    for c, action, d in arcs:
-        if action == tau:
-            if c == d:
-                continue
+    for s, c in enumerate(scc_of):
+        for a, t in state_observable[s]:
+            d = scc_of[t]
+            observable[c].append((a, d))
+            preds[d].append(c)
+        for t in local_tau[s]:
+            d = scc_of[t]
+            if d != c:
+                tau_succ[c].append(d)
+                tau_preds[d].append(c)
+                preds[d].append(c)
+        for t in crossing_tau[s]:
+            d = scc_of[t]
             tau_succ[c].append(d)
             tau_preds[d].append(c)
-        else:
-            observable[c].append((action, d))
-        preds[d].append(c)
+            preds[d].append(c)
+    if num < n:  # a collapsed component repeats its members' arcs
+        observable = [list(set(arcs)) for arcs in observable]
+        tau_succ = [list(set(targets)) for targets in tau_succ]
 
     block = [ext_of[component[0]] for component in sccs]
     members: list[set[int]] = [set() for _ in range(num_ext)]

@@ -7,9 +7,11 @@ Two families of helpers live here:
   and the weak transition relation through boolean matrix products
   (``M_sigma_hat = M_epsilon . M_sigma . M_epsilon``) so that fast matrix
   multiplication gives the ``n^2.376`` term of Theorem 4.1(a).  The library's
-  default implementation (:mod:`repro.core.derivatives`) uses graph
-  traversal; the matrix formulation is kept so the benchmark harness can
-  reproduce the construction exactly as described and cross-check the two.
+  default implementation (:mod:`repro.core.weak`: :class:`~repro.core.weak.WeakKernel`
+  and :func:`~repro.core.weak.saturate_lts`) propagates tau-closure bitsets
+  over the tau-SCC condensation; the matrix formulation is kept so the
+  benchmark harness can reproduce the construction exactly as described and
+  cross-check the two.
 
 * **Contiguous CSR edge arrays** (:class:`CSRArrays` / :class:`MmapCSR`) --
   the numpy-backed edge representation the vectorized partition kernel

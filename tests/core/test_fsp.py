@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import InvalidProcessError
 from repro.core.fsp import (
@@ -12,6 +17,14 @@ from repro.core.fsp import (
     FSPBuilder,
     from_transitions,
     single_state_process,
+)
+from tests.property.strategies import mixed_fsp_strategy
+
+MAX_EXAMPLES = int(os.environ.get("REDUCTION_ORACLE_EXAMPLES", "25"))
+ORACLE_SETTINGS = settings(
+    max_examples=MAX_EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 
 
@@ -210,3 +223,73 @@ class TestFromTransitions:
         process = from_transitions([("p", "a", "q")], start="p", accepting=["q"])
         assert process.extension("q") == frozenset({ACCEPT})
         assert process.extension("p") == frozenset()
+
+
+# ----------------------------------------------------------------------
+# the successor index against the relation it indexes
+# ----------------------------------------------------------------------
+def _reach(transitions, origin: str) -> frozenset[str]:
+    seen = {origin}
+    while True:
+        more = {dst for src, _, dst in transitions if src in seen} - seen
+        if not more:
+            return frozenset(seen)
+        seen |= more
+
+
+def _describe(fsp: FSP) -> str:
+    lines = [f"FSP with {fsp.num_states} states over {sorted(fsp.alphabet)}"]
+    lines.append(f"  start: {fsp.start}")
+    for state in sorted(fsp.states):
+        ext = sorted(var for owner, var in fsp.extensions if owner == state)
+        lines.append(f"  state {state}" + (f"  {{{', '.join(ext)}}}" if ext else ""))
+        lines += [f"    --{a}--> {d}" for s, a, d in sorted(fsp.transitions) if s == state]
+    return "\n".join(lines)
+
+
+def assert_index_matches_the_relation(fsp: FSP) -> None:
+    """Every index query equals its value computed from ``transitions`` and ``extensions``."""
+    arcs = fsp.transitions
+    for state in fsp.states:
+        out = {(a, d) for s, a, d in arcs if s == state}
+        assert fsp.transitions_from(state) == out
+        assert fsp.enabled_actions(state) == {a for a, _ in out}
+        for action in sorted(fsp.alphabet | {TAU}):
+            assert fsp.successors(state, action) == {d for a, d in out if a == action}
+            assert fsp.predecessors(state, action) == {
+                s for s, a, d in arcs if (a, d) == (action, state)
+            }
+        reach = _reach(arcs, state)
+        assert fsp.reachable_states(state) == reach
+        assert fsp.restrict_to_reachable(state) == FSP(
+            states=reach,
+            start=state,
+            alphabet=fsp.alphabet,
+            transitions=[arc for arc in arcs if arc[0] in reach],
+            variables=fsp.variables,
+            extensions=[ext for ext in fsp.extensions if ext[0] in reach],
+        )
+    assert fsp.describe() == _describe(fsp)
+
+
+#: Each query that may be the first to need the successor index.
+FIRST_QUERIES = {
+    "successors": lambda fsp: fsp.successors(fsp.start, "a"),
+    "predecessors": lambda fsp: fsp.predecessors(fsp.start, TAU),
+    "transitions_from": lambda fsp: fsp.transitions_from(fsp.start),
+    "enabled_actions": lambda fsp: fsp.enabled_actions(fsp.start),
+    "reachable_states": lambda fsp: fsp.reachable_states(),
+    "restrict_to_reachable": lambda fsp: fsp.restrict_to_reachable(),
+    "describe": lambda fsp: fsp.describe(),
+}
+
+
+class TestIndexOracle:
+    @ORACLE_SETTINGS
+    @given(mixed_fsp_strategy(), st.sampled_from(sorted(FIRST_QUERIES)))
+    def test_index_queries_match_the_relation(self, fsp, first):
+        unqueried = pickle.loads(pickle.dumps(fsp))
+        FIRST_QUERIES[first](fsp)
+        assert_index_matches_the_relation(fsp)
+        assert_index_matches_the_relation(unqueried)
+        assert_index_matches_the_relation(pickle.loads(pickle.dumps(fsp)))

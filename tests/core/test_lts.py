@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import InvalidProcessError
-from repro.core.fsp import TAU, from_transitions
+from repro.core.fsp import FSP, TAU, from_transitions
 from repro.core.lts import LTS, disjoint_union
 from repro.generators.random_fsp import (
     random_deterministic_fsp,
     random_fsp,
     random_observable_fsp,
+)
+from tests.property.strategies import mixed_fsp_strategy
+
+MAX_EXAMPLES = int(os.environ.get("REDUCTION_ORACLE_EXAMPLES", "25"))
+ORACLE_SETTINGS = settings(
+    max_examples=MAX_EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 
 
@@ -84,6 +96,8 @@ class TestStructure:
 
     def test_out_of_range_edges_rejected(self):
         with pytest.raises(InvalidProcessError):
+            LTS(["p"], ["a"], [(3, 0, 0)])
+        with pytest.raises(InvalidProcessError):
             LTS(["p"], ["a"], [(0, 0, 5)])
         with pytest.raises(InvalidProcessError):
             LTS(["p"], ["a"], [(0, 3, 0)])
@@ -127,3 +141,71 @@ class TestDisjointUnion:
         kernel = LTS(["p", "q"], ["b", "a"], [(0, 0, 1)])
         with pytest.raises(InvalidProcessError, match="not sorted"):
             disjoint_union(kernel, kernel)
+
+
+# ----------------------------------------------------------------------
+# the intern against the edge-triple constructor
+# ----------------------------------------------------------------------
+def interned_by_definition(fsp: FSP, include_tau: bool) -> tuple[LTS, list[tuple[int, int, int]]]:
+    """The edge-triple kernel of ``fsp`` and its integer edges, from the public fields."""
+    names = sorted(fsp.states)
+    arcs = [arc for arc in fsp.transitions if include_tau or arc[1] != TAU]
+    actions = sorted(fsp.alphabet) + ([TAU] if any(arc[1] == TAU for arc in arcs) else [])
+    state = {name: i for i, name in enumerate(names)}
+    action = {name: i for i, name in enumerate(actions)}
+    edges = [(state[src], action[act], state[dst]) for src, act, dst in arcs]
+    kernel = LTS(
+        names,
+        actions,
+        edges,
+        start=state[fsp.start],
+        ext_sets=[{var for owner, var in fsp.extensions if owner == name} for name in names],
+        variables=tuple(sorted(fsp.variables)),
+        observable_alphabet=tuple(sorted(fsp.alphabet)),
+    )
+    return kernel, edges
+
+
+def assert_interned_like_the_edge_constructor(fsp: FSP, include_tau: bool) -> None:
+    lts = LTS.from_fsp(fsp, include_tau=include_tau)
+    expected, edges = interned_by_definition(fsp, include_tau)
+    for column in ("fwd_offsets", "fwd_actions", "fwd_targets"):
+        got, want = getattr(lts, column), getattr(expected, column)
+        assert (got.typecode, got.tobytes()) == (want.typecode, want.tobytes()), column
+    for field in ("n", "num_actions", "state_names", "action_names", "start", "ext_sets"):
+        assert getattr(lts, field) == getattr(expected, field), field
+    assert lts.variables == expected.variables
+    assert lts.observable_alphabet == expected.observable_alphabet
+    # The CSR layout itself, independent of both constructors.
+    assert list(lts.arcs()) == sorted(edges)
+    assert list(lts.fwd_offsets) == [
+        sum(1 for src, _, _ in edges if src < s) for s in range(len(fsp.states) + 1)
+    ]
+
+
+class TestInternOracle:
+    @ORACLE_SETTINGS
+    @given(mixed_fsp_strategy(), st.booleans())
+    def test_from_fsp_equals_the_edge_constructor(self, fsp, include_tau):
+        assert_interned_like_the_edge_constructor(fsp, include_tau)
+
+    @ORACLE_SETTINGS
+    @given(mixed_fsp_strategy(allow_tau=False), st.booleans())
+    def test_tau_free_processes_intern_without_tau(self, fsp, include_tau):
+        assert TAU not in LTS.from_fsp(fsp, include_tau=include_tau).action_names
+        assert_interned_like_the_edge_constructor(fsp, include_tau)
+
+    @pytest.mark.parametrize("include_tau", (True, False))
+    def test_states_without_extensions_and_non_standard_variables(self, include_tau):
+        process = FSP(
+            states=["p", "q", "r"],
+            start="q",
+            alphabet=("a", "b"),
+            transitions=[("q", TAU, "p"), ("q", "a", "r"), ("p", TAU, "q")],
+            variables=("y", "z"),
+            extensions=[("r", "z"), ("r", "y")],
+        )
+        assert_interned_like_the_edge_constructor(process, include_tau)
+        lts = LTS.from_fsp(process, include_tau=include_tau)
+        assert lts.ext_sets == (frozenset(), frozenset(), frozenset({"y", "z"}))
+        assert lts.action_names == (("a", "b", TAU) if include_tau else ("a", "b"))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ModelClassError, StateSpaceLimitError
-from repro.core.fsp import TAU, from_transitions
+from repro.core.fsp import FSP, TAU, from_transitions
 from repro.core.paper_figures import fig2_language_pair
 from repro.core.weak import WeakKernel
 from repro.engine import (
@@ -23,6 +23,8 @@ from repro.engine import (
 )
 from repro.equivalence.failure import failure_distinguishing_string
 from repro.equivalence.kobs import k_observational_equivalent
+from repro.generators.families import with_snag
+from repro.generators.random_fsp import random_equivalent_copy, random_fsp
 from repro.utils import serialization
 
 
@@ -208,6 +210,54 @@ class TestWeakWitnesses:
         assert not verdict.equivalent
         assert len(built) == 1
         assert verdict.verify_witness() is True
+
+
+class TestOperandTraffic:
+    """A check reads its operands through the integer kernel, not their successor index."""
+
+    NOTIONS = (
+        ("strong", {}),
+        ("observational", {}),
+        ("language", {}),
+        ("failure", {}),
+        ("k-observational", {"k": 2}),
+    )
+
+    def test_decode_and_check_never_build_an_operand_successor_index(self, monkeypatch):
+        base = random_fsp(14, tau_probability=0.3, all_accepting=True, seed=7)
+        copy = random_equivalent_copy(base, duplicates=4, seed=3)
+        snagged = with_snag(copy, copy.start)
+        alphabet = snagged.alphabet | base.alphabet
+        documents = [
+            serialization.to_dict(fsp.with_alphabet(alphabet)) for fsp in (base, copy, snagged)
+        ]
+        # Quotient FSPs built inside a check may use their index; operands may not.
+        operands: list[FSP] = []
+        decoding = [False]
+        build = FSP._successor_index
+
+        def guarded(fsp):
+            if decoding[0] or any(fsp is operand for operand in operands):
+                raise AssertionError("an operand's successor index was built")
+            return build(fsp)
+
+        def decode(document):
+            decoding[0] = True
+            operands.append(serialization.from_dict(document))
+            decoding[0] = False
+            return operands[-1]
+
+        monkeypatch.setattr(FSP, "_successor_index", guarded)
+        verdicts = []
+        for other, equivalent in ((1, True), (2, False)):
+            left, right = decode(documents[0]), decode(documents[other])
+            for notion, params in self.NOTIONS:
+                verdict = Engine().check(left, right, notion, **params)
+                assert verdict.equivalent is equivalent, notion
+                assert (verdict.witness is None) is equivalent, notion
+                verdicts.append(verdict)
+        monkeypatch.undo()
+        assert all(verdict.equivalent or verdict.verify_witness() for verdict in verdicts)
 
 
 class TestCheckMany:

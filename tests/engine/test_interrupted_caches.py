@@ -3,20 +3,25 @@
 A deadline (``flow.deadline_scope``) can preempt a check at any bytecode
 boundary, including inside the fill of a :class:`~repro.engine.Process`
 cache: the strong quotient, the saturated observational quotient, the
-language macro-moves.  Each cache slot is written once with a finished
+language macro-moves -- or of an FSP's own successor index, built on the
+first query that needs it.  Each cache slot is written once with a finished
 value, so an abort must leave either nothing or a complete value behind.
 Each test aborts one fill partway -- by raising from an inner helper on its
-first, second, middle or last call (counted in a dry run), or by a short
-deadline -- and then asks the same engine every notion: each verdict must
-equal a fresh engine's, and each witness verify.
+first, second, middle or last call, or on the first, second, middle or last
+line the fill executes (counted in a dry run), or by a short deadline --
+and then asks the same engine every notion: each verdict must equal a fresh
+engine's, and each witness verify.
 """
 
 from __future__ import annotations
 
+import contextlib
+import sys
 import time
 
 import pytest
 
+from repro.core.fsp import FSP, TAU
 from repro.engine import Engine
 from repro.engine import process as process_module
 from repro.equivalence.language import MacroMoves
@@ -109,6 +114,91 @@ def test_abort_inside_a_cache_fill(monkeypatch, cache, notion, owner, helper, ca
     with monkeypatch.context() as patch:
         _patch_calls(patch, owner, helper, abort_at=k)
         assert _check_pairs(engine, notion), f"{helper} call {k} of {total} did not abort"
+    _assert_answers_like_fresh(engine)
+
+
+@contextlib.contextmanager
+def _abort_at_line(code, abort_at: int = 0):
+    """Count the lines the first call of ``code`` executes; raise :class:`Abort` on ``abort_at``.
+
+    A line boundary stands in for the bytecode boundary a deadline's alarm
+    preempts at; counting lines makes the abort point deterministic.
+    """
+    lines = [0]
+    calls = [0]
+
+    def on_line(frame, event, arg):
+        if event == "line":
+            lines[0] += 1
+            if lines[0] == abort_at:
+                raise Abort(f"line {abort_at} of {code.co_name}")
+        return on_line
+
+    def on_call(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        calls[0] += 1
+        return on_line if calls[0] == 1 else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        yield lines
+    finally:
+        sys.settrace(previous)
+
+
+def _index_answers(fsp: FSP) -> tuple:
+    """Every successor-index query on every state."""
+    per_state = [
+        (
+            fsp.transitions_from(state),
+            fsp.enabled_actions(state),
+            fsp.reachable_states(state),
+            [fsp.successors(state, action) for action in sorted(fsp.alphabet | {TAU})],
+        )
+        for state in sorted(fsp.states)
+    ]
+    return per_state, fsp.describe()
+
+
+def _unverified_strong_verdict(engine: Engine):
+    """Check both pairs in ``engine`` under every notion; return the inequivalent strong verdict.
+
+    No check queries an operand's successor index: verifying this verdict's
+    witness is the first query, and builds it.
+    """
+    for left, right in _pairs():
+        for notion, params in NOTIONS:
+            engine.check(left, right, notion, **params)
+    left, right = _pairs()[1]
+    return engine.check(left, right, "strong")
+
+
+@pytest.mark.parametrize("call", ("first", "second", "middle", "last"))
+def test_abort_inside_the_successor_index_fill(call):
+    code = FSP._successor_index.__code__
+    verdict = _unverified_strong_verdict(Engine())
+    with _abort_at_line(code) as lines:
+        assert verdict.verify_witness() is True
+    total = lines[0]
+    assert total >= 4, f"the successor index filled in {total} lines"
+    k = {"first": 1, "second": 2, "middle": total // 2 + 1, "last": total}[call]
+    engine = Engine()
+    verdict = _unverified_strong_verdict(engine)
+    with _abort_at_line(code, abort_at=k), pytest.raises(Abort):
+        verdict.verify_witness()
+    for operand in (verdict.left, verdict.right):
+        fresh = FSP(
+            operand.states,
+            operand.start,
+            operand.alphabet,
+            operand.transitions,
+            operand.variables,
+            operand.extensions,
+        )
+        assert _index_answers(operand) == _index_answers(fresh)
+    assert verdict.verify_witness() is True
     _assert_answers_like_fresh(engine)
 
 

@@ -45,6 +45,39 @@ def fsp_strategy(
     )
 
 
+#: Variable sets of :func:`mixed_fsp_strategy`: the standard model and two
+#: non-standard ones.
+VARIABLE_SETS = ((ACCEPT,), ("y", "z"), (ACCEPT, "y"))
+
+
+@st.composite
+def mixed_fsp_strategy(draw, max_states: int = 8, allow_tau: bool = True):
+    """A small FSP with mixed extension sets, tau, deadlocks and a random start.
+
+    The variables are standard or not, any state may have an empty
+    extension set, the alphabet holds an action no arc uses, and a few
+    states have no outgoing arc.
+    """
+    num_states = draw(st.integers(min_value=1, max_value=max_states))
+    states = [f"s{i}" for i in range(num_states)]
+    actions = ["a", "b"] + ([TAU] if allow_tau else [])
+    transition = st.tuples(
+        st.sampled_from(states), st.sampled_from(actions), st.sampled_from(states)
+    )
+    transitions = draw(st.sets(transition, max_size=3 * num_states))
+    dead = draw(st.sets(st.sampled_from(states), max_size=max(1, num_states // 3)))
+    variables = draw(st.sampled_from(VARIABLE_SETS))
+    extensions = draw(st.sets(st.tuples(st.sampled_from(states), st.sampled_from(variables))))
+    return FSP(
+        states=states,
+        start=draw(st.sampled_from(states)),
+        alphabet=("a", "b", "c"),
+        transitions={arc for arc in transitions if arc[0] not in dead},
+        variables=variables,
+        extensions=extensions,
+    )
+
+
 def restricted_observable_strategy(max_states: int = 5, alphabet: tuple[str, ...] = ("a", "b")):
     """A random small restricted observable FSP."""
     return fsp_strategy(
