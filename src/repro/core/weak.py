@@ -575,7 +575,6 @@ class WeakKernel:
         "_action_id",
         "_names_cache",
         "_initials",
-        "_weak_arc_triples",
     )
 
     def __init__(self, lts: LTS) -> None:
@@ -589,7 +588,6 @@ class WeakKernel:
         self._action_id = {name: i for i, name in enumerate(lts.action_names)}
         self._names_cache: dict[int, frozenset[str]] = {}
         self._initials: dict[str, frozenset[str]] = {}
-        self._weak_arc_triples: list[tuple[str, str, str]] | None = None
 
     @classmethod
     def from_fsp(cls, fsp) -> "WeakKernel":
@@ -715,29 +713,3 @@ class WeakKernel:
             if not bits:
                 break
         return self.names_of(bits)
-
-    def weak_arc_triples(self) -> list[tuple[str, str, str]]:
-        """All observable weak arcs ``(source, action, target)`` as name triples.
-
-        This is the epsilon-free half of the saturation, rendered once in the
-        string-named world and cached: the arc set of every
-        :func:`repro.equivalence.language.weak_language_nfa` over this
-        process, whatever its root and accepting set.
-        """
-        if self._weak_arc_triples is None:
-            names = self.lts.state_names
-            scc_of = self._scc_of
-            triples: list[tuple[str, str, str]] = []
-            for action in self.lts.action_names:
-                if action == TAU:
-                    continue
-                table = self._weak_table(action)
-                for src in range(self.lts.n):
-                    bits = table[scc_of[src]]
-                    if bits:
-                        src_name = names[src]
-                        triples.extend(
-                            (src_name, action, names[t]) for t in bits_to_indices(bits)
-                        )
-            self._weak_arc_triples = triples
-        return self._weak_arc_triples

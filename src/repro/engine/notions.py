@@ -42,8 +42,10 @@ equivalent to its input, state by state at the start.
   read off the CSR union of the saturated quotients; a failure witness is
   read off the macro-states the failure search stopped at.
 * Language equivalence runs Hopcroft-Karp on the fly over the two weak
-  kernels (:func:`repro.equivalence.language.language_search`); neither
-  side is determinised or minimised beyond what the search visits.
+  kernels (:func:`repro.equivalence.language.subset_search`); neither
+  side is determinised or minimised beyond what the search visits.  The
+  same search, over one table of the quotient union, decides failure and
+  each ``approx_k`` round.
 
 The property tests cross-check every route against the paper's direct
 routes on random processes.
@@ -64,7 +66,7 @@ from repro.engine.verdict import FormulaWitness, RefusalWitness, Witness, WordWi
 from repro.equivalence.failure import failure_search, maximal_refusals
 from repro.equivalence.hml import lts_distinguishing_formula
 from repro.equivalence.kobs import k_observational_equivalent
-from repro.equivalence.language import language_nfa, language_search
+from repro.equivalence.language import language_nfa, subset_search
 from repro.partition.generalized import Solver, refine_lts
 
 _LEFT = "L:"
@@ -254,8 +256,9 @@ class ObservationalNotion(Notion):
 class KObservationalNotion(Notion):
     """``k``-observational equivalence ``approx_k`` (Definition 2.2.1).
 
-    ``max_subset_states`` bounds the subset states of each language
-    comparison over the observational quotients, not over the operands.
+    ``max_subset_states`` bounds the non-empty macrostates each comparison's
+    subset search visits on either side, over the observational quotients,
+    not over the operands.
     """
 
     name = "k-observational"
@@ -294,10 +297,10 @@ class LanguageNotion(Notion):
     """Language (weak-trace acceptance) equivalence -- the classical baseline.
 
     Decided by Hopcroft-Karp on the fly over the two weak kernels
-    (:func:`repro.equivalence.language.language_search`), stopping at the
+    (:func:`repro.equivalence.language.subset_search`), stopping at the
     first word one side accepts and the other does not; the explored subset
     moves stay cached on each :class:`~repro.engine.process.Process`.
-    ``max_states`` bounds the macrostates the search reaches on either side.
+    ``max_states`` bounds the macrostates the search visits on either side.
     Because the search stops at the first difference, a bounded check of an
     inequivalent pair may answer even where full determinisation of a side
     would exceed the bound; a check that determinisation within the bound
@@ -316,10 +319,10 @@ class LanguageNotion(Notion):
         want_witness: bool,
         max_states: int | None = None,
     ) -> NotionResult:
-        found = language_search(left.macro_moves(), right.macro_moves(), max_states=max_states)
+        found = subset_search(left.macro_moves(), right.macro_moves(), (0, 0), max_states)
         if found is None:
             return NotionResult(True)
-        word, in_left = found
+        word, (_, in_left), _ = found
         return NotionResult(False, WordWitness(word, in_left=in_left) if want_witness else None)
 
     def decide_expressions(self, left_expr, right_expr) -> bool | None:
@@ -340,8 +343,9 @@ class LanguageNotion(Notion):
 class FailureNotion(Notion):
     """Failure equivalence (Section 5 / Theorem 5.1) on the restricted model.
 
-    ``max_macro_states`` bounds the macro-state pairs of the subset search
-    over the observational quotients, not over the operands.
+    ``max_macro_states`` bounds the non-empty macro-states the subset
+    search visits on either side, over the observational quotients, not
+    over the operands.
     """
 
     name = "failure"

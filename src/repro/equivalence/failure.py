@@ -10,19 +10,25 @@ and calls two states *failure equivalent* when their failure sets coincide.
 Theorem 5.1 shows the decision problem is PSPACE-complete already for
 restricted observable processes over two actions (and co-NP-complete in the
 r.o.u. model), so any exact algorithm is expected to be exponential in the
-worst case.  The checker below walks the synchronised subset construction of
-the two weak-transition automata and compares, at every reachable pair of
-macro-states, the canonical *refusal information* (the maximal refusal sets);
-its worst case is exponential, but on tree-like and deterministic processes it
-is polynomial, which covers the tractable special cases the paper mentions
-(finite trees, Smolka 1984).
+worst case.  The checker below is the library's one subset construction,
+:func:`~repro.equivalence.language.subset_search`: Hopcroft-Karp on the fly
+over the tau-closed bitset macrostates of one
+:class:`~repro.equivalence.language.MacroMoves` table, whose macrostates
+observe the canonical *refusal information* (the maximal refusal sets; the
+empty macrostate, where a string has no derivative, has none).  Pairs of
+macro-states reached by one string are merged, and the search stops at the
+first pair whose refusal information differs.  Its worst case is
+exponential, but on tree-like and deterministic processes it is polynomial,
+which covers the tractable special cases the paper mentions (finite trees,
+Smolka 1984).
 
 The module also exposes bounded enumeration of failure pairs (for display and
 exhaustive testing) and a purpose-built polynomial fast path for finite trees.
 
 All weak-transition queries (tau-closures, weak successor sets, weak
 initials) go to one :class:`~repro.core.weak.WeakKernel` per process, which
-answers them from its tau-SCC condensation and closure bitsets.
+answers them from its tau-SCC condensation and closure bitsets; the
+enumeration and the tree fast path ask it by state name.
 """
 
 from __future__ import annotations
@@ -32,9 +38,9 @@ from collections import deque
 from collections.abc import Iterable
 
 from repro.core.classify import ModelClass, require, require_same_signature
-from repro.core.errors import StateSpaceLimitError
 from repro.core.fsp import FSP
 from repro.core.weak import WeakKernel
+from repro.equivalence.language import MacroMoves, require_observable, subset_search
 
 FailurePair = tuple[tuple[str, ...], frozenset[str]]
 
@@ -142,7 +148,10 @@ def failure_distinguishing_string(
     Raises
     ------
     StateSpaceLimitError
-        If more than ``max_macro_states`` pairs of macro-states are explored.
+        If the search visits more than ``max_macro_states`` non-empty
+        macro-states on either side.
+    InvalidProcessError
+        If the alphabet holds the reserved EPSILON marker.
     """
     found = failure_search(fsp, first, second, max_macro_states)
     return None if found is None else found[0]
@@ -156,42 +165,31 @@ def failure_search(
 ) -> tuple[tuple[str, ...], frozenset[str], frozenset[str], WeakKernel] | None:
     """The search behind :func:`failure_distinguishing_string`.
 
-    Returns the distinguishing string together with the two macro-states
-    the search held when it stopped -- the string-derivatives of ``first``
-    and of ``second`` -- and the kernel that computed them, so a caller can
-    read a refusal pair off them without replaying the string (the engine's
-    failure witness does).  None when the states are failure equivalent.
+    One :func:`~repro.equivalence.language.subset_search` over a
+    :class:`~repro.equivalence.language.MacroMoves` table of ``fsp`` whose
+    macrostates observe their maximal refusals.  Returns the distinguishing
+    string together with the two macro-states the search stopped at -- the
+    string-derivatives of ``first`` and of ``second`` -- and the kernel
+    that computed them, so a caller can read a refusal pair off them
+    without replaying the string (the engine's failure witness does).  None
+    when the states are failure equivalent.
     """
     require(fsp, ModelClass.RESTRICTED, context="failure equivalence")
+    require_observable(fsp, "failure equivalence")
     kernel = WeakKernel.from_fsp(fsp)
-    actions = sorted(fsp.alphabet)
-    start = (kernel.epsilon_closure(first), kernel.epsilon_closure(second))
-    queue: deque[tuple[frozenset[str], frozenset[str], tuple[str, ...]]] = deque(
-        [(start[0], start[1], ())]
+    # The empty macrostate (no s-derivative) has no refusal at all; every
+    # other one has at least one.
+    moves = MacroMoves(
+        kernel,
+        fsp.alphabet,
+        lambda bits: maximal_refusals(fsp, kernel.names_of(bits), kernel),
     )
-    seen = {start}
-    while queue:
-        left, right, string = queue.popleft()
-        if bool(left) != bool(right):
-            # One state has an s-derivative (hence at least the failure (s, {}))
-            # and the other has none.
-            return string, left, right, kernel
-        if maximal_refusals(fsp, left, kernel) != maximal_refusals(fsp, right, kernel):
-            return string, left, right, kernel
-        for action in actions:
-            next_left = kernel.weak_successors_of_set(left, action)
-            next_right = kernel.weak_successors_of_set(right, action)
-            if not next_left and not next_right:
-                continue
-            key = (next_left, next_right)
-            if key not in seen:
-                seen.add(key)
-                if max_macro_states is not None and len(seen) > max_macro_states:
-                    raise StateSpaceLimitError(
-                        f"failure-equivalence search exceeded {max_macro_states} macro-state pairs"
-                    )
-                queue.append((next_left, next_right, string + (action,)))
-    return None
+    starts = moves.start(first), moves.start(second)
+    found = subset_search(moves, moves, starts, max_macro_states)
+    if found is None:
+        return None
+    string, (left, _), (right, _) = found
+    return string, kernel.names_of(left), kernel.names_of(right), kernel
 
 
 def failure_equivalent_processes(

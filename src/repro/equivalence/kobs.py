@@ -20,18 +20,23 @@ membership half of Theorem 4.1(b): with ``{B_i}`` the partition induced by
     ``p approx_{k+1} q   iff   for every block B_i,  L_i(p) = L_i(q)``
 
 where ``L_i(p)`` is the language of the weak-transition NFA with start state
-``p`` and accepting set ``B_i``.  The language checks determinise the
-automaton, so the procedure is exponential in the worst case -- which is the
-behaviour the PSPACE-completeness result says cannot be avoided for fixed
-``k`` (contrast with the polynomial limit, experiment E8).
+``p`` and accepting set ``B_i``.  All the block languages of two states are
+compared at once: ``s`` is in ``L_i(p)`` exactly when the macrostate of
+``s``-derivatives of ``p`` meets ``B_i``, so one
+:func:`~repro.equivalence.language.subset_search` whose macrostates observe
+the set of blocks they meet decides ``L_i(p) = L_i(q)`` for every ``i``.
+Each round shares one :class:`~repro.equivalence.language.MacroMoves` table
+among all its searches.  The subset construction is exponential in the
+worst case -- which is the behaviour the PSPACE-completeness result says
+cannot be avoided for fixed ``k`` (contrast with the polynomial limit,
+experiment E8).
 """
 
 from __future__ import annotations
 
-from repro.automata.equivalence import nfa_equivalent
 from repro.core.fsp import EPSILON, FSP
-from repro.core.weak import WeakKernel
-from repro.equivalence.language import weak_language_nfa
+from repro.core.weak import WeakKernel, bits_to_indices
+from repro.equivalence.language import MacroMoves, require_observable, subset_search
 from repro.partition.partition import Partition
 
 
@@ -91,21 +96,27 @@ def k_observational_partition(fsp: FSP, k: int, max_subset_states: int | None = 
         The level of the approximation chain; ``k = 0`` groups states by
         extension set.
     max_subset_states:
-        Optional bound on the subset constructions performed by the language
-        comparisons (each comparison may be exponential; see Theorem 4.1(b)).
+        Optional bound on the non-empty macrostates each comparison's
+        subset search visits on either side (each comparison may be
+        exponential; see Theorem 4.1(b)).
+
+    Raises
+    ------
+    InvalidProcessError
+        If the alphabet holds the reserved EPSILON marker.
 
     Notes
     -----
-    The refinement step compares, for every pair of states in a block and
-    every current block ``B_i``, the languages of the weak-transition NFAs
-    accepting at ``B_i``.  The NFAs are the epsilon-free kernel automata of
-    :func:`repro.equivalence.language.weak_language_nfa`, all sharing one
-    interned :class:`~repro.core.weak.WeakKernel` (no saturated dict FSP is
-    materialised).  Refinement stops at the first round that splits no
-    block, so at most ``|K|`` rounds run whatever ``k`` is.
+    The refinement step compares each state of a block with the
+    representative of each group formed so far, by one subset search over
+    the weak moves of one interned :class:`~repro.core.weak.WeakKernel`
+    (no saturated dict FSP is materialised) whose macrostates observe the
+    current blocks they meet.  Refinement stops at the first round that
+    splits no block, so at most ``|K|`` rounds run whatever ``k`` is.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    require_observable(fsp, "approx_k")
     kernel = WeakKernel.from_fsp(fsp)
     partition = Partition.from_key(fsp.states, key=fsp.extension)
     for _ in range(k):
@@ -122,43 +133,34 @@ def _refine_by_block_languages(
     partition: Partition,
     max_subset_states: int | None,
 ) -> Partition:
-    """One ``approx_k -> approx_{k+1}`` refinement round via per-block languages."""
-    blocks = [frozenset(block) for block in partition]
+    """One ``approx_k -> approx_{k+1}`` refinement round via per-block languages.
+
+    Two states of a block stay together when no string leads them to
+    derivative macrostates meeting different blocks of ``partition``: one
+    subset search per comparison, all over one macrostate table.
+    """
+    block_bit = [1 << partition.block_id_of(name) for name in kernel.lts.state_names]
+
+    def blocks_met(bits: int) -> int:
+        met = 0
+        for state in bits_to_indices(bits):
+            met |= block_bit[state]
+        return met
+
+    moves = MacroMoves(kernel, fsp.alphabet, blocks_met)
     new_groups: list[set[str]] = []
     for block in partition:
-        remaining = sorted(block)
         groups: list[set[str]] = []
-        for state in remaining:
-            placed = False
+        for state in sorted(block):
             for group in groups:
-                representative = next(iter(group))
-                if _same_block_languages(
-                    fsp, kernel, state, representative, blocks, max_subset_states
-                ):
+                starts = moves.start(state), moves.start(next(iter(group)))
+                if subset_search(moves, moves, starts, max_subset_states) is None:
                     group.add(state)
-                    placed = True
                     break
-            if not placed:
+            else:
                 groups.append({state})
         new_groups.extend(groups)
     return Partition(new_groups)
-
-
-def _same_block_languages(
-    fsp: FSP,
-    kernel: WeakKernel,
-    first: str,
-    second: str,
-    blocks: list[frozenset[str]],
-    max_subset_states: int | None,
-) -> bool:
-    """Whether ``L_i(first) = L_i(second)`` for every block ``B_i``."""
-    for block in blocks:
-        left = weak_language_nfa(fsp, first, accepting=block, kernel=kernel)
-        right = weak_language_nfa(fsp, second, accepting=block, kernel=kernel)
-        if not nfa_equivalent(left, right, max_states=max_subset_states):
-            return False
-    return True
 
 
 def k_observational_equivalent(

@@ -11,31 +11,30 @@ All functions accept general FSPs; tau-transitions are treated as epsilon
 moves, so ``L(p)`` is the set of *observable* strings that can reach an
 accepting state, matching the paper's use of ``=>^s``.
 
-The engine's language check is :func:`language_search`: the AHU union-find
-procedure (Hopcroft-Karp) the paper cites, run on the fly over
+The engine's language check is one :func:`subset_search`: the AHU
+union-find procedure (Hopcroft-Karp) the paper cites, run on the fly over
 :class:`MacroMoves` -- tau-closed macrostates as Python-int bitsets over a
 :class:`~repro.core.weak.WeakKernel` -- so neither side is determinised or
 minimised beyond the pairs the search visits, and it stops at the first
-word one side accepts and the other does not.  The determinise-and-compare
-routes below (:func:`language_dfa`, the ``nfa_*`` deciders) stay for the
-API and as the tests' oracles.
+word one side accepts and the other does not.
 
-Two automaton views are provided.  :func:`language_nfa` is the literal one
-(tau-arcs become epsilon-arcs of the NFA); it is lazy -- O(m) arcs -- and is
-what the one-shot deciders below use, since their subset constructions only
-ever touch the reachable macro-states.  :func:`weak_language_nfa` is the
-kernel-backed one: the arcs are the weak transitions read off a
-:class:`~repro.core.weak.WeakKernel` and acceptance is lifted through the
-tau-closure, so the automaton is *epsilon-free*.  Materialising those arcs
-costs the full ``Theta(|Delta_hat|)`` saturation, which only pays when many
-automata over the same process share one kernel -- the ``approx_k`` machinery
-(:mod:`repro.equivalence.kobs`) builds one NFA per state/block pair and is
-exactly that consumer.  The two views accept the same language.
+The same search decides failure equivalence
+(:mod:`repro.equivalence.failure`) and each ``approx_k`` round
+(:mod:`repro.equivalence.kobs`).  Hopcroft-Karp stays sound whatever a
+macrostate shows, as long as it is a function of the macrostate, so the
+three notions differ only in the observation their :class:`MacroMoves`
+table records: acceptance, the maximal refusals, or the blocks of
+``approx_k`` met.
+
+:func:`language_nfa` is the literal automaton view (tau-arcs become
+epsilon-arcs of the NFA, O(m) arcs); the one-shot deciders below
+determinise it, touching only the reachable macro-states.  They and
+:func:`language_dfa` stay for the API and as the tests' oracles.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Hashable, Iterable
 
 from repro.automata.dfa import DFA, determinize
 from repro.automata.equivalence import (
@@ -80,81 +79,66 @@ def language_nfa(fsp: FSP, start: str | None = None, accepting: Iterable[str] | 
     )
 
 
-def weak_language_nfa(
-    fsp: FSP,
-    start: str | None = None,
-    accepting: Iterable[str] | None = None,
-    kernel: WeakKernel | None = None,
-) -> NFA:
-    """The *epsilon-free* NFA for ``L(start)``, built on the weak kernel.
-
-    The arcs are the weak transitions ``p =>^a q`` (read off the tau-SCC +
-    bitset engine of :mod:`repro.core.weak`) and a state accepts when its
-    tau-closure meets the accepting set, so no epsilon moves remain.  The
-    language is exactly that of :func:`language_nfa`; subset constructions on
-    this view skip all epsilon-closure bookkeeping.
-
-    Pass the process's ``kernel`` to share it across many automata over the
-    same process: the ``approx_k`` machinery builds one NFA per state/block
-    pair and reuses the kernel's cached weak arc set every time.
-
-    Raises
-    ------
-    InvalidProcessError
-        If the alphabet contains the :data:`~repro.core.fsp.EPSILON` marker:
-        the weak language view is defined over observable actions, and on an
-        already-saturated process the kernel's reserved reading of EPSILON
-        (``=>^epsilon``, i.e. the tau-closure) and its reading as an ordinary
-        letter would silently disagree.  This mirrors the collision check of
-        ``saturate`` that guarded the pre-kernel ``approx_k`` route.
-    """
-    if EPSILON in fsp.alphabet:
-        raise InvalidProcessError(
-            f"the weak language view is undefined over the reserved marker {EPSILON!r}; "
-            "pass the unsaturated process instead"
-        )
-    kernel = kernel if kernel is not None else WeakKernel.from_fsp(fsp)
-    root = fsp.start if start is None else start
-    accept_base = frozenset(accepting) if accepting is not None else fsp.accepting_states()
-    accept_bits = 0
-    for state in accept_base:
-        accept_bits |= 1 << kernel.state_index(state)
-    names = kernel.lts.state_names
-    lifted = frozenset(name for i, name in enumerate(names) if kernel.closure_bits(i) & accept_bits)
-    return NFA(
-        states=fsp.states,
-        start=root,
-        alphabet=fsp.alphabet,
-        transitions=kernel.weak_arc_triples(),
-        accepting=lifted,
-    )
-
-
 def language_dfa(fsp: FSP, start: str | None = None, max_states: int | None = None) -> DFA:
     """The minimal DFA for ``L(start)`` (subset construction + Hopcroft)."""
     return hopcroft_minimize(determinize(language_nfa(fsp, start), max_states=max_states))
+
+
+#: A notion's per-macrostate observation: any hashable function of the bitset.
+Observation = Callable[[int], Hashable]
+
+#: An interned macrostate: its bitset and its observation.
+Macrostate = tuple[int, Hashable]
+
+
+def require_observable(fsp: FSP, notion: str) -> None:
+    """Refuse an alphabet holding the reserved :data:`~repro.core.fsp.EPSILON` marker.
+
+    Failure equivalence and ``approx_k`` compare derivatives over observable
+    strings.  On an already-saturated process the marker's arcs would be
+    read as a letter while the kernel reads ``=>^epsilon`` as the
+    tau-closure, so the two notions refuse it; language equivalence reads
+    it as a letter, as :func:`language_nfa` does.
+    """
+    if EPSILON in fsp.alphabet:
+        raise InvalidProcessError(
+            f"{notion} is undefined over the reserved marker {EPSILON!r}; "
+            "pass the unsaturated process instead"
+        )
 
 
 class MacroMoves:
     """The explored part of one process's subset automaton, over its weak kernel.
 
     A macrostate is a Python-int bitset over the kernel's states, closed
-    under tau: the start macrostate (id 0) is the start state's tau-closure,
-    and the ``a``-successor of ``M`` is the union of ``closure(t)`` over the
-    ``a``-arcs ``s -a-> t`` leaving ``M``.  It accepts when it meets the
-    accepting states.  Macrostates are interned to dense ids, and the
-    successors of each are computed on first request and kept, so repeated
-    searches over one process reuse every move they explored.
+    under tau: a search from a state starts at its tau-closure
+    (:meth:`start`), and the ``a``-successor of ``M`` is the union of
+    ``closure(t)`` over the ``a``-arcs ``s -a-> t`` leaving ``M``.  Each
+    macrostate is interned to a dense id with its observation
+    ``observe(bits)``, the one thing a notion compares there: whether it
+    accepts for language equivalence (:meth:`from_fsp`), its maximal
+    refusals for failure equivalence, the blocks it meets for ``approx_k``.
+    The successors of each macrostate are computed on first request and
+    kept, so every search over one table reuses the moves explored before.
     """
 
-    __slots__ = ("symbols", "accepting", "_closure", "_slot", "_arcs", "_ids", "_macros", "_moves")
+    __slots__ = (
+        "symbols",
+        "_observe",
+        "_index",
+        "_closure",
+        "_slot",
+        "_arcs",
+        "_ids",
+        "_macros",
+        "_moves",
+    )
 
-    def __init__(self, kernel: WeakKernel, alphabet: Iterable[str], accepting: Iterable[str]):
+    def __init__(self, kernel: WeakKernel, alphabet: Iterable[str], observe: Observation):
         lts = kernel.lts
         self.symbols = tuple(sorted(alphabet))
-        self.accepting = 0
-        for state in accepting:
-            self.accepting |= 1 << kernel.state_index(state)
+        self._observe = observe
+        self._index = kernel.state_index
         self._closure = [kernel.closure_bits(s) for s in range(lts.n)]
         position = {symbol: i for i, symbol in enumerate(self.symbols)}
         # tau (and any label outside the alphabet) lands in a spare last slot.
@@ -162,19 +146,31 @@ class MacroMoves:
         self._slot = [slot[a] for a in lts.fwd_actions]  # per arc
         self._arcs = lts.fwd_offsets.tolist(), lts.fwd_targets.tolist()
         self._ids: dict[int, int] = {}
-        self._macros: list[tuple[int, bool]] = []
+        self._macros: list[Macrostate] = []
         self._moves: dict[int, tuple[int, ...]] = {}
-        self.intern(self._closure[lts.start])
 
     @classmethod
     def from_fsp(cls, fsp: FSP, kernel: WeakKernel | None = None) -> "MacroMoves":
-        """The macro-moves of ``L(fsp.start)``, over ``kernel`` when given."""
+        """The language moves of ``fsp``, over ``kernel`` when given.
+
+        A macrostate observes whether it meets the accepting states, and
+        macrostate 0 is the start state's closure.
+        """
         kernel = kernel if kernel is not None else WeakKernel.from_fsp(fsp)
-        return cls(kernel, fsp.alphabet, fsp.accepting_states())
+        accepting = 0
+        for state in fsp.accepting_states():
+            accepting |= 1 << kernel.state_index(state)
+        moves = cls(kernel, fsp.alphabet, lambda bits: bool(bits & accepting))
+        moves.start(fsp.start)
+        return moves
 
     def __len__(self) -> int:
         """The number of macrostates interned so far."""
         return len(self._ids)
+
+    def start(self, state: str) -> int:
+        """The id of ``state``'s tau-closure, where a search from ``state`` starts."""
+        return self.intern(self._closure[self._index(state)])
 
     def intern(self, bits: int) -> int:
         """The id of the macrostate ``bits`` (a new one on first sight)."""
@@ -182,7 +178,7 @@ class MacroMoves:
         if macro is None:
             # The record goes in before the index: an interrupted intern
             # leaves an unreferenced record, never a dangling id.
-            self._macros.append((bits, bool(bits & self.accepting)))
+            self._macros.append((bits, self._observe(bits)))
             macro = self._ids[bits] = len(self._macros) - 1
         return macro
 
@@ -205,35 +201,44 @@ class MacroMoves:
         return moves
 
 
-def language_search(
-    left: MacroMoves, right: MacroMoves, max_states: int | None = None
-) -> tuple[tuple[str, ...], bool] | None:
-    """Hopcroft-Karp on the fly: a shortest word in exactly one language, or None.
+def subset_search(
+    left: MacroMoves,
+    right: MacroMoves,
+    starts: tuple[int, int],
+    max_states: int | None = None,
+) -> tuple[tuple[str, ...], Macrostate, Macrostate] | None:
+    """Hopcroft-Karp on the fly: a shortest word after which the sides observe differently.
 
-    Pairs of macrostates reached by the same word are merged in a union-find
-    over ``(side, macrostate)``, breadth-first from the pair of start
-    closures; a pair whose two sides are already merged is not explored
-    again.  The search stops at the first pair that disagrees on
-    acceptance and returns the word leading to it, with whether the left
-    side accepts it.  Breadth-first order makes that word a shortest one.
-    Neither automaton is determinised or minimised beyond what the search
-    visits (the AHU procedure the paper cites needs neither).
+    Pairs of macrostates reached by the same word are merged in a
+    union-find over ``(side, macrostate)``, breadth-first from the pair of
+    ``starts``; a pair whose two sides are already merged is not explored
+    again.  The search stops at the first pair whose observations differ
+    and returns the word leading to it with the two macrostates, each as
+    ``(bits, observation)``; None when no word separates the sides.
+    Breadth-first order makes that word a shortest one.  Merging is sound
+    for any observation that is a function of the macrostate (Bonchi and
+    Pous, POPL 2013), and neither side is determinised beyond the pairs the
+    search visits (the AHU procedure the paper cites needs no more).
+    ``left`` and ``right`` may be one table, comparing two states of one
+    process; the two sides then share their union-find nodes.
 
-    ``max_states`` bounds the non-empty macrostates the search may reach on
+    ``max_states`` bounds the non-empty macrostates the search visits on
     either side; going beyond it raises
-    :class:`~repro.core.errors.StateSpaceLimitError`.  Only reached
-    macrostates count, so a search answers whenever full determinisation
+    :class:`~repro.core.errors.StateSpaceLimitError`.  Only visited
+    macrostates count, so a search answers whenever determinising each side
     within the bound would.
     """
     if left.symbols != right.symbols:
-        raise InvalidProcessError("language comparison requires identical alphabets")
+        raise InvalidProcessError("a subset search requires identical alphabets")
     symbols = left.symbols
-    # Union-find nodes: left macrostate i is 2i, right macrostate j is 2j + 1.
-    parent: dict[int, int] = {0: 1}
-    pairs = [(0, 0)]
+    first, second = starts
+    # Union-find nodes: left macrostate i is 2i, right macrostate j is
+    # 2j + 1, or 2j when both sides walk one table.
+    side = int(left is not right)
+    parent: dict[int, int] = {2 * first: 2 * second + side}
+    pairs = [starts]
     origin = [(-1, -1)]
-    seen: tuple[set[int], set[int]] = ({0}, {0})
-    empty = (left.intern(0), right.intern(0))
+    visited: tuple[set[int], set[int]] = (set(), set())
 
     def root(node: int) -> int:
         up = parent.get(node, node)
@@ -242,35 +247,33 @@ def language_search(
             up = parent.get(node, node)
         return node
 
-    # (bits, accepts) per macrostate id, read directly in the hot loop.
+    # (bits, observation) per macrostate id, read directly in the hot loop.
     left_macros, right_macros = left._macros, right._macros
     index = 0
     while index < len(pairs):
         macro_left, macro_right = pairs[index]
-        left_accepts = left_macros[macro_left][1]
-        if left_accepts != right_macros[macro_right][1]:
+        left_record, right_record = left_macros[macro_left], right_macros[macro_right]
+        if max_states is not None:
+            for seen, macro, (bits, _) in zip(visited, pairs[index], (left_record, right_record)):
+                if bits and macro not in seen:
+                    seen.add(macro)
+                    if len(seen) > max_states:
+                        raise StateSpaceLimitError(
+                            f"subset search exceeded {max_states} macro-states"
+                        )
+        if left_record[1] != right_record[1]:
             word: list[str] = []
             while index > 0:
                 index, position = origin[index]
                 word.append(symbols[position])
-            return tuple(reversed(word)), left_accepts
+            return tuple(reversed(word)), left_record, right_record
         following = zip(left.successors(macro_left), right.successors(macro_right))
         for position, (next_left, next_right) in enumerate(following):
-            top_left, top_right = root(2 * next_left), root(2 * next_right + 1)
-            if top_left == top_right:
-                continue
-            parent[top_left] = top_right
-            pairs.append((next_left, next_right))
-            origin.append((index, position))
-            if max_states is None:
-                continue
-            for side, macro in ((0, next_left), (1, next_right)):
-                if macro != empty[side] and macro not in seen[side]:
-                    seen[side].add(macro)
-                    if len(seen[side]) > max_states:
-                        raise StateSpaceLimitError(
-                            f"language search exceeded {max_states} macro-states"
-                        )
+            top_left, top_right = root(2 * next_left), root(2 * next_right + side)
+            if top_left != top_right:
+                parent[top_left] = top_right
+                pairs.append((next_left, next_right))
+                origin.append((index, position))
         index += 1
     return None
 
@@ -291,9 +294,9 @@ def language_equivalent_processes(first: FSP, second: FSP, max_states: int | Non
     """Decide ``L(p0) = L(q0)`` for the start states of two FSPs.
 
     A thin shim over the engine facade (:mod:`repro.engine`): the check is
-    :func:`language_search` over each process's cached :class:`MacroMoves`,
+    :func:`subset_search` over each process's cached :class:`MacroMoves`,
     so repeated checks against the same process reuse the subset moves
-    already explored; ``max_states`` bounds the macrostates it reaches.
+    already explored; ``max_states`` bounds the macrostates it visits.
     """
     from repro.engine import default_engine
 

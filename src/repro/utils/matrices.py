@@ -9,9 +9,9 @@ Two families of helpers live here:
   multiplication gives the ``n^2.376`` term of Theorem 4.1(a).  The library's
   default implementation (:mod:`repro.core.weak`: :class:`~repro.core.weak.WeakKernel`
   and :func:`~repro.core.weak.saturate_lts`) propagates tau-closure bitsets
-  over the tau-SCC condensation; the matrix formulation is kept so the
-  benchmark harness can reproduce the construction exactly as described and
-  cross-check the two.
+  over the tau-SCC condensation.  The matrix formulation is the paper's
+  ``n^2.376`` construction written out, and the tests use it as an
+  independent oracle of the weak successors.
 
 * **Contiguous CSR edge arrays** (:class:`CSRArrays` / :class:`MmapCSR`) --
   the numpy-backed edge representation the vectorized partition kernel

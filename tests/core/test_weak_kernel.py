@@ -20,7 +20,9 @@ from repro.core.errors import InvalidProcessError
 from repro.core.fsp import EPSILON, TAU, from_transitions
 from repro.core.lts import LTS
 from repro.core.weak import WeakKernel, bits_to_indices, saturate_lts, tau_scc
-from repro.equivalence.kobs import limited_observational_partition
+from repro.equivalence.failure import failure_distinguishing_string
+from repro.equivalence.kobs import k_observational_partition, limited_observational_partition
+from repro.equivalence.language import MacroMoves, language_equivalent, subset_search
 from repro.equivalence.observational import observational_partition
 from repro.generators.families import tau_diamond_tower, tau_ladder, tau_mesh
 from repro.generators.random_fsp import random_fsp
@@ -286,18 +288,25 @@ class TestWeakInitialsRegression:
         kernel = WeakKernel.from_fsp(tau_ladder(3))
         assert kernel.weak_initials("u0") == frozenset({"a"})
 
-    def test_weak_language_view_rejects_saturated_processes(self):
+    def test_weak_notions_reject_saturated_processes(self):
         """The EPSILON marker in an alphabet means mixed semantics -- refuse it.
 
-        Mirrors the pre-kernel behaviour where the ``approx_k`` route raised
-        via ``saturate``'s collision check when handed an already-saturated
-        process.
+        Failure equivalence and ``approx_k`` compare derivatives over
+        observable strings, so both refuse an already-saturated process, as
+        the pre-kernel ``approx_k`` route did through ``saturate``'s
+        collision check.  Language equivalence reads the marker as a letter,
+        as ``language_nfa`` does.
         """
-        from repro.equivalence.language import weak_language_nfa
-
         saturated = saturate(tau_ladder(3))
         with pytest.raises(InvalidProcessError):
-            weak_language_nfa(saturated)
+            failure_distinguishing_string(saturated, "u0", "v0")
+        with pytest.raises(InvalidProcessError):
+            k_observational_partition(saturated, 1)
+        moves = MacroMoves.from_fsp(saturated)
+        assert EPSILON in moves.symbols
+        for state in ("u1", "v0", "u3"):
+            found = subset_search(moves, moves, (0, moves.start(state)))
+            assert (found is None) == language_equivalent(saturated, "u0", state)
 
     def test_weak_successors_raise_cleanly_on_tau(self):
         kernel = WeakKernel.from_fsp(tau_ladder(3))

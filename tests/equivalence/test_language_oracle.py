@@ -2,14 +2,14 @@
 
 The engine decides language equivalence by Hopcroft-Karp over the bitset
 macrostates of the two weak kernels
-(:func:`repro.equivalence.language.language_search`), stopping at the first
+(:func:`repro.equivalence.language.subset_search`), stopping at the first
 acceptance conflict.  The oracles are the routes it replaced:
 
 * verdicts equal :func:`~repro.automata.equivalence.nfa_equivalent` on the
   two weak-language NFAs (full determinisation);
 * distinguishing words verify and are no longer than the word Hopcroft-Karp
   finds on the two minimal DFAs (``Process.language_dfa``);
-* ``max_states`` bounds the macrostates the search reaches: it raises on a
+* ``max_states`` bounds the macrostates the search visits: it raises on a
   subset blow-up pair and answers under a bound large enough.
 
 ``REDUCTION_ORACLE_EXAMPLES`` scales the hypothesis example budget (the CI
@@ -27,7 +27,7 @@ from repro.automata.equivalence import distinguishing_word, nfa_equivalent
 from repro.core.errors import StateSpaceLimitError
 from repro.core.fsp import ACCEPT, FSP
 from repro.engine import Engine, Process
-from repro.equivalence.language import MacroMoves, language_nfa, language_search
+from repro.equivalence.language import MacroMoves, language_nfa, subset_search
 from repro.generators.families import nondeterministic_counter
 from repro.generators.random_fsp import random_equivalent_copy
 from tests.property.strategies import fsp_strategy
@@ -56,11 +56,12 @@ def test_verdicts_and_words_match_the_determinised_routes(first, second):
 @given(first=fsp_strategy(max_states=6), second=fsp_strategy(max_states=6))
 def test_repeated_searches_reuse_the_explored_moves(first, second):
     left, right = MacroMoves.from_fsp(first), MacroMoves.from_fsp(second)
-    answer = language_search(left, right)
+    answer = subset_search(left, right, (0, 0))
     explored = len(left), len(right)
-    assert language_search(left, right) == answer
+    assert subset_search(left, right, (0, 0)) == answer
     assert (len(left), len(right)) == explored
-    assert language_search(MacroMoves.from_fsp(first), MacroMoves.from_fsp(second)) == answer
+    fresh = MacroMoves.from_fsp(first), MacroMoves.from_fsp(second)
+    assert subset_search(*fresh, (0, 0)) == answer
 
 
 def test_max_states_bounds_the_search_on_a_subset_blowup():

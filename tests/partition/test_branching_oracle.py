@@ -263,6 +263,20 @@ def test_tau_cycle_across_extension_sets_is_not_collapsed():
     assert verdict.verify_witness() is True
 
 
+def test_a_components_own_tau_arc_is_not_a_tau_step():
+    # s2's tau self-loop stays inside its tau-SCC.  Read as a tau-step to
+    # another component it lets s0, which can keep doing a, merge with s2,
+    # whose only a-move deadlocks.
+    fsp = from_transitions(
+        [("s0", "a", "s0"), ("s0", TAU, "s2"), ("s2", "a", "s1"), ("s2", TAU, "s2")], start="s0"
+    )
+    assert prequotient_blocks(fsp) == classes(largest_branching_bisimulation(fsp), fsp.states)
+    for backend in BACKENDS:
+        fast = Process(fsp).observational_partition(backend=backend)
+        assert fast == observational_partition(fsp, backend=backend)
+    assert len(fast) == 3
+
+
 def test_auto_resolves_on_the_prequotient(monkeypatch):
     # tau_ladder(300) has 601 states, over the vector threshold, but its
     # branching quotient has 2: auto must not send that to the vector kernel.
