@@ -10,7 +10,9 @@ Layers build their inputs lazily, and a cell made by :func:`compared`
 reads the result of the first cell of its group, so a layer's cells must
 run in the order they are yielded, each before the generator advances.
 
-Timed work goes through :func:`best_of`, the one timing helper.
+Timed work goes through :func:`best_of`, the one timing helper, except
+where a gate reads a ratio of two routes: :func:`alternated` samples those
+routes in turn, round by round.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from seed_baseline import seed_kanellakis_smolka
 
 from repro.automata.equivalence import nfa_equivalent
 from repro.core.derivatives import saturate_reference
+from repro.core.lts import LTS, disjoint_union
+from repro.core.weak import saturate_lts
 from repro.engine import Engine
 from repro.equivalence.language import language_nfa
 from repro.equivalence.minimize import minimize_observational
@@ -59,8 +63,14 @@ from repro.generators.families import (
     token_ring_pair,
     token_ring_system,
 )
-from repro.generators.random_fsp import perturb, random_equivalent_copy, random_fsp
-from repro.partition.generalized import GeneralizedPartitioningInstance, Solver, solve
+from repro.generators.random_fsp import (
+    perturb,
+    random_deterministic_fsp,
+    random_equivalent_copy,
+    random_fsp,
+)
+from repro.partition.branching import branching_quotient
+from repro.partition.generalized import GeneralizedPartitioningInstance, Solver, refine_lts, solve
 from repro.partition.partition import Partition
 from repro.partition.vectorized import vector_refine_csr
 from repro.protocols import Crash, apply_fault, apply_faults, build_scenario, sweep_crashes
@@ -146,6 +156,45 @@ SMALL_PAIRS = (
     (lambda: (interleaved_cycles_pair([4, 3, 3])[0],) * 2, True),
 )
 
+#: defaults layer: a cold ``Engine().check`` of an equivalent pair on
+#: ``auto``, next to the same check on the python backend with each solver,
+#: as ``family -> (notion, operand)``.  On ``auto`` the deep comb's union
+#: hands the vector kernel over to Kanellakis-Smolka, the dense saturated
+#: tower stays on python, and the shallow shift register stays on vector.
+DEFAULT_CHECKS: dict[str, tuple] = {
+    "comb": ("strong", lambda: comb(1000)),
+    "tau_diamond_tower": ("observational", lambda: tau_diamond_tower(200)),
+    "shift_register": ("strong", lambda: shift_register(12)),
+}
+
+#: defaults layer: the pair unions the vector kernel's round budget
+#: (``vectorized.ROUND_BUDGET_SLACK``) and the ``auto`` density cut
+#: (``generalized.VECTOR_DENSITY_CUT``) were fitted on, as ``family ->
+#: (notion, operand)``; each union is refined by python Kanellakis-Smolka
+#: and on vector.  Combs need ``Theta(n)`` vector rounds, shift registers
+#: and random deterministic processes stabilise within ``log2 n``; from
+#: about 5 arcs per state the saturated pre-quotients and the random
+#: nondeterministic union run slower on vector, while deterministic ones
+#: with 8 actions still run faster.
+FITTED_UNIONS: dict[str, tuple] = {
+    "comb": ("strong", lambda: comb(200)),
+    "shift_register": ("strong", lambda: shift_register(9)),
+    "random_det": ("strong", lambda: random_deterministic_fsp(300, seed=3)),
+    "random_det_8_actions": (
+        "strong",
+        lambda: random_deterministic_fsp(300, alphabet=tuple("abcdefgh"), seed=3),
+    ),
+    "random_nondet": (
+        "strong",
+        lambda: random_fsp(600, tau_probability=0.0, transition_density=4, seed=5),
+    ),
+    "random_tau_poor": (
+        "observational",
+        lambda: random_fsp(600, tau_probability=0.1, all_accepting=True, seed=7),
+    ),
+    "random_tau": ("observational", lambda: random_fsp(600, tau_probability=0.15, seed=5)),
+}
+
 #: protocol layer: conformance scenarios at n >= 5 validators.
 CONFORMANCE_SCENARIOS = {
     "two_phase_commit": {"n": 5},
@@ -212,6 +261,40 @@ def compared(layer, family, n, routes, params=None, measure=None, same=operator.
     return [
         Cell(cell_key(solver, family, n), layer, params or {}, partial(run, sample))
         for solver, sample in routes.items()
+    ]
+
+
+def alternated(layer, family, n, routes, params=None) -> list[Cell]:
+    """One cell per route over one input, the routes sampled in turn.
+
+    A ratio of two routes' seconds is only as steady as the machine between
+    their samples.  So the first cell samples every route once per round
+    until each has spent ``SAMPLE_BUDGET_SECONDS``, and each cell reports
+    its route's fastest.  Every route after the first records ``agrees``
+    with the first; the last records ``over_first`` and ``over_best_other``,
+    its seconds over the first route's and over the fastest other route's.
+    """
+    names = list(routes)
+    times: dict[str, list[float]] = {name: [] for name in names}
+    results: dict = {}
+
+    def run(name: str) -> dict:
+        while any(sum(spent) < SAMPLE_BUDGET_SECONDS for spent in times.values()):
+            for route in names:
+                seconds, results[route] = routes[route]()
+                times[route].append(seconds)
+        best = {route: min(spent) for route, spent in times.items()}
+        metrics = {"seconds": round(best[name], 6), "samples": len(times[name])}
+        if name != names[0]:
+            metrics["agrees"] = results[name] == results[names[0]]
+        if name == names[-1]:
+            others = min(best[route] for route in names[:-1])
+            metrics["over_first"] = round(best[name] / best[names[0]], 3)
+            metrics["over_best_other"] = round(best[name] / others, 3)
+        return metrics
+
+    return [
+        Cell(cell_key(name, family, n), layer, params or {}, partial(run, name)) for name in names
     ]
 
 
@@ -340,6 +423,66 @@ def shift_register_cells(layer: str, bits_list: list[int]) -> Iterator[Cell]:
                 partial(_vector_blocks, n),
                 partial(_same_blocks, n),
             )
+
+
+# ----------------------------------------------------------------------
+# defaults: the engine's solver and the ``auto`` rule on measured inputs
+# ----------------------------------------------------------------------
+def _equivalent_pair(process):
+    """``process`` against a copy with ~2% of its states duplicated."""
+    copy = random_equivalent_copy(process, duplicates=max(2, process.num_states // 50), seed=0)
+    alphabet = process.alphabet | copy.alphabet
+    return process.with_alphabet(alphabet), copy.with_alphabet(alphabet)
+
+
+def _engine_check(left, right, notion: str, **hints) -> bool:
+    return Engine().check(left, right, notion, witness=False, **hints).equivalent
+
+
+def _refinement_arcs(process, notion: str) -> LTS:
+    """What the engine refines for one side: the kernel, or the saturated pre-quotient."""
+    lts = LTS.from_fsp(process)
+    return lts if notion == "strong" else saturate_lts(branching_quotient(lts)[0])
+
+
+def _union_refinement(left: LTS, right: LTS, **hints):
+    """A sample: one refinement of a fresh disjoint union of ``left`` and ``right``."""
+    union = disjoint_union(left, right)
+    begin = time.perf_counter()
+    blocks = refine_lts(union, **hints)
+    return time.perf_counter() - begin, blocks
+
+
+def defaults_cells(quick: bool) -> Iterator[Cell]:
+    """Cold checks on ``auto`` against python, and the unions the rule was fitted on."""
+    for family, (notion, build) in DEFAULT_CHECKS.items():
+        process = build()
+        left, right = _equivalent_pair(process)
+        routes = {
+            f"engine_python_{name}": timed(
+                partial(_engine_check, left, right, notion, method=method, backend="python")
+            )
+            for name, method in (
+                ("kanellakis_smolka", Solver.KANELLAKIS_SMOLKA),
+                ("paige_tarjan", Solver.PAIGE_TARJAN),
+            )
+        }
+        routes["engine_auto"] = timed(partial(_engine_check, left, right, notion))
+        params = {"notion": notion, "transitions": process.num_transitions}
+        yield from alternated("defaults", family, process.num_states, routes, params)
+    if not HAVE_NUMPY:
+        return
+    for family, (notion, build) in FITTED_UNIONS.items():
+        sides = [_refinement_arcs(side, notion) for side in _equivalent_pair(build())]
+        n, m = sum(side.n for side in sides), sum(side.num_transitions for side in sides)
+        routes = {
+            "refine_kanellakis_smolka": partial(
+                _union_refinement, *sides, method=Solver.KANELLAKIS_SMOLKA, backend="python"
+            ),
+            "refine_vector": partial(_union_refinement, *sides, backend="vector"),
+        }
+        params = {"notion": notion, "transitions": m, "arcs_per_state": round(m / n, 1)}
+        yield from compared("defaults", family, n, routes, params, same=partial(_same_blocks, n))
 
 
 # ----------------------------------------------------------------------
@@ -612,6 +755,7 @@ LAYERS: dict[str, Callable[[bool], Iterator[Cell]]] = {
         "vector", VECTOR_QUICK_BITS if quick else VECTOR_FULL_BITS
     ),
     "engine": engine_cells,
+    "defaults": defaults_cells,
     "explore": explore_cells,
     "protocol": protocol_cells,
     "reduction": reduction_cells,
@@ -627,6 +771,7 @@ DEFAULT_LAYERS = (
     "weak",
     "vector",
     "engine",
+    "defaults",
     "explore",
     "protocol",
     "reduction",

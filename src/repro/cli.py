@@ -742,8 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "partition backend for strong/observational checks: the Python "
-            "worklist solvers, the vectorized numpy kernel, or size-based "
-            "auto dispatch (the default)"
+            "worklist solvers, the vectorized numpy kernel, or auto dispatch "
+            "on size and arcs per state (the default)"
         ),
     )
     check_cmd.add_argument(
@@ -787,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=[*BACKENDS, "auto"],
         default="auto",
-        help="partition backend used to compute the quotient (auto: by size)",
+        help="partition backend used to compute the quotient (auto: by size and arcs per state)",
     )
     minimize_cmd.set_defaults(handler=_cmd_minimize)
 

@@ -295,8 +295,8 @@ def saturate_lts(lts: LTS, epsilon_action: str = EPSILON, backend: str = "python
         If ``epsilon_action`` collides with an existing action or tau.
     """
     if backend == "auto":
-        # Saturation and partition refinement share one crossover point:
-        # the vector kernels win on the same large instances.
+        # Saturation resolves on the state threshold alone; a refinement
+        # also reads the density of what it refines.
         from repro.partition.generalized import resolve_backend
 
         backend = resolve_backend(backend, lts.n)

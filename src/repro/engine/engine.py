@@ -401,16 +401,18 @@ class Engine:
         self,
         source: FSP | Process,
         notion: str = "observational",
-        method: Solver | str = Solver.PAIGE_TARJAN,
+        method: Solver | str = Solver.KANELLAKIS_SMOLKA,
         backend: str = "auto",
     ) -> FSP:
         """The cached quotient of a process under strong or observational equivalence.
 
-        ``backend="auto"`` (the default) dispatches by the size of what is
-        refined -- the process for strong equivalence, its branching
-        pre-quotient for observational equivalence: the vector kernel above
+        ``method`` defaults to Kanellakis-Smolka, the engine's solver.
+        ``backend="auto"`` (the default) dispatches on what is refined -- the
+        process for strong equivalence, the saturation of its branching
+        pre-quotient for observational equivalence: the vector kernel from
         :data:`~repro.partition.generalized.VECTOR_STATE_THRESHOLD` states
-        when numpy is available, the python solvers otherwise.
+        up, at most :data:`~repro.partition.generalized.VECTOR_DENSITY_CUT`
+        arcs per state and numpy available, the python solvers otherwise.
         """
         handle = self.process(source)
         if notion == "strong":

@@ -24,13 +24,16 @@ Soundness of the quotient fast paths: each notion decides on something
 equivalent to its input, state by state at the start.
 
 * Strong and observational equivalence refine one CSR disjoint union
-  (:func:`repro.core.lts.disjoint_union`) of the two cached quotients of
-  :mod:`repro.engine.process`: the strong quotients, tau as a label, and
-  the *saturated* observational quotients, whose arcs are the weak moves,
-  so strong refinement of their union is Theorem 4.1(a) on the union of
-  the operands.  The verdict compares the block ids of the two start
-  states; the witness comes from integer refinement rounds over the same
-  union (:func:`repro.equivalence.hml.lts_distinguishing_formula`).
+  (:func:`repro.core.lts.disjoint_union`), once, with
+  :func:`repro.engine.process.decide_pair`.  Each side is its cached
+  quotient, or else the arcs its own refinement would start from: the
+  interned kernel for strong, tau as a label, and the *saturated*
+  branching pre-quotient for observational, whose arcs are the weak moves,
+  so strong refinement of the union is Theorem 4.1(a) on the union of the
+  operands.  The same refinement fills each side's missing quotient slot.
+  The verdict compares the block ids of the two start states; the witness
+  comes from integer refinement rounds over the union of the two quotients
+  (:func:`repro.equivalence.hml.lts_distinguishing_formula`).
 * Failure and ``k``-observational equivalence run their FSP deciders on the
   union of the two observational quotient FSPs: observational equivalence
   refines both failure equivalence and every ``approx_k`` (``approx`` is
@@ -61,13 +64,13 @@ from repro.core.classify import ModelClass, require
 from repro.core.fsp import FSP
 from repro.core.lts import LTS, disjoint_union
 from repro.core.weak import WeakKernel
-from repro.engine.process import Process
+from repro.engine.process import Process, decide_pair
 from repro.engine.verdict import FormulaWitness, RefusalWitness, Witness, WordWitness
 from repro.equivalence.failure import failure_search, maximal_refusals
 from repro.equivalence.hml import lts_distinguishing_formula
 from repro.equivalence.kobs import k_observational_equivalent
 from repro.equivalence.language import language_nfa, subset_search
-from repro.partition.generalized import Solver, refine_lts
+from repro.partition.generalized import Solver
 
 _LEFT = "L:"
 _RIGHT = "R:"
@@ -144,8 +147,9 @@ class Notion(ABC):
 
 #: the execution hints of the strong and observational notions and their
 #: defaults: the solver and the backend of a missing quotient (the coarsest
-#: stable refinement is unique, Section 3).
-_HINT_DEFAULTS = {"method": Solver.PAIGE_TARJAN, "backend": "auto"}
+#: stable refinement is unique, Section 3).  Kanellakis-Smolka is the
+#: fastest python solver on every measured cold operand.
+_HINT_DEFAULTS = {"method": Solver.KANELLAKIS_SMOLKA, "backend": "auto"}
 
 
 def _normalize_method(params: dict[str, Any]) -> dict[str, Any]:
@@ -175,23 +179,24 @@ def _formula_witness(union: LTS, first: int, second: int, weak: bool) -> Witness
     return FormulaWitness(formula, weak=weak)
 
 
-def _decide_quotients(
-    left: LTS,
-    right: LTS,
-    method: Solver,
+def _check_pair(
+    left: Process,
+    right: Process,
+    notion: str,
+    method: Solver | str,
     backend: str,
     want_witness: bool,
-    weak: bool,
 ) -> NotionResult:
-    """Refine the CSR union of two quotients once and compare the start blocks."""
-    union, first, second = _quotient_union(left, right)
-    blocks = refine_lts(union, method, backend)
-    equivalent = blocks[first] == blocks[second]
+    """Decide a strong or observational pair with one refinement; witness from the quotients."""
+    left_quotient, right_quotient, equivalent = decide_pair(left, right, notion, method, backend)
     witness: Witness | None = None
     if want_witness and not equivalent:
-        witness = _formula_witness(union, first, second, weak)
+        union = _quotient_union(left_quotient, right_quotient)
+        witness = _formula_witness(*union, weak=notion == "observational")
     return NotionResult(
-        equivalent, witness, {"left_min_states": left.n, "right_min_states": right.n}
+        equivalent,
+        witness,
+        {"left_min_states": left_quotient.n, "right_min_states": right_quotient.n},
     )
 
 
@@ -212,18 +217,14 @@ class StrongNotion(Notion):
         left: Process,
         right: Process,
         want_witness: bool,
-        method: Solver | str = Solver.PAIGE_TARJAN,
+        method: Solver | str = Solver.KANELLAKIS_SMOLKA,
         require_observable: bool = False,
         backend: str = "auto",
     ) -> NotionResult:
         if require_observable:
             require(left.fsp, ModelClass.OBSERVABLE, context="strong equivalence")
             require(right.fsp, ModelClass.OBSERVABLE, context="strong equivalence")
-        left_quotient, _ = left.strong_quotient(method, backend)
-        right_quotient, _ = right.strong_quotient(method, backend)
-        return _decide_quotients(
-            left_quotient, right_quotient, method, backend, want_witness, weak=False
-        )
+        return _check_pair(left, right, "strong", method, backend, want_witness)
 
 
 class ObservationalNotion(Notion):
@@ -243,14 +244,10 @@ class ObservationalNotion(Notion):
         left: Process,
         right: Process,
         want_witness: bool,
-        method: Solver | str = Solver.PAIGE_TARJAN,
+        method: Solver | str = Solver.KANELLAKIS_SMOLKA,
         backend: str = "auto",
     ) -> NotionResult:
-        left_quotient, _ = left.observational_quotient(method, backend)
-        right_quotient, _ = right.observational_quotient(method, backend)
-        return _decide_quotients(
-            left_quotient, right_quotient, method, backend, want_witness, weak=True
-        )
+        return _check_pair(left, right, "observational", method, backend, want_witness)
 
 
 class KObservationalNotion(Notion):

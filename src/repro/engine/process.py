@@ -36,16 +36,27 @@ A quotient is an :class:`~repro.core.lts.LTS` over the blocks reachable from
 the start, each named ``[min member]`` like
 :func:`repro.equivalence.minimize.quotient` names them, with ``block_of[s]``
 the block of every state ``s`` of :meth:`lts` (blocks the start cannot reach
-number from ``quotient.n`` up).  The strong and observational notions decide
-a pair on the disjoint union of two such quotients; the partitions and FSPs
-of the table are built from them only when a caller asks.
+number from ``quotient.n`` up, by their first member).  So a quotient slot
+depends on the partition alone, never on a solver's block ids.  The
+partitions and FSPs of the table are built from the quotients only when a
+caller asks.
+
+A refinement starts from the arcs :meth:`lts` for strong, and from the
+saturated branching pre-quotient for observational.  The strong and
+observational notions decide a pair with :func:`decide_pair`: one
+refinement of the disjoint union of the two sides -- a side's cached
+quotient, or else the arcs its own refinement would start from -- fills
+every missing slot.  Restricted to one side, the coarsest stable refinement
+of a disjoint union is that side's own, so the slot is the one a lone
+refinement fills, byte for byte.
 
 Each artifact has one cache slot per notion.  The coarsest stable
 refinement is unique (Section 3), so the solver ``method`` and the
 ``backend`` only choose how a missing artifact is computed; a cached one
-answers every later call, whatever they say.  ``backend="auto"`` resolves on
-what gets refined: :meth:`lts` for strong, the branching pre-quotient for
-observational.
+answers every later call, whatever they say.  The default solver is
+Kanellakis-Smolka (Theorem 3.1), the fastest on the measured cells, and
+``backend="auto"`` resolves on what gets refined
+(:func:`~repro.partition.generalized.resolve_backend`).
 
 Every weak notion the engine decides (observational, failure,
 ``k``-observational) goes through :meth:`Process.observational_quotient`.
@@ -70,7 +81,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.fsp import FSP
-from repro.core.lts import LTS
+from repro.core.lts import LTS, disjoint_union
 from repro.core.weak import WeakKernel, saturate_lts
 from repro.equivalence.language import MacroMoves
 from repro.equivalence.minimize import quotient
@@ -89,11 +100,12 @@ Quotient = tuple[LTS, list[int]]
 def _collapse(arcs: LTS, blocks: list[int], lifted: list[int], names: tuple[str, ...]) -> Quotient:
     """Collapse ``arcs`` along ``blocks`` into a quotient over the reachable blocks.
 
-    ``blocks`` assigns each state of ``arcs`` its block; ``lifted`` assigns
-    the same blocks to the states of the handle's own kernel, whose sorted
-    ``names`` give each block its ``[min member]`` name.  Blocks holding a
-    state reachable from the start in ``arcs`` are numbered first, in state
-    order; the returned block map is ``lifted`` renumbered.
+    ``blocks`` assigns each state of ``arcs`` its block (any ids); ``lifted``
+    assigns the same blocks to the states of the handle's own kernel, whose
+    sorted ``names`` give each block its ``[min member]`` name.  Blocks
+    holding a state reachable from the start in ``arcs`` are numbered first,
+    the rest after them, each by its first member in state order; the
+    returned block map is ``lifted`` renumbered.
     """
     offsets, arc_actions, arc_targets = arcs.fwd_offsets, arcs.fwd_actions, arcs.fwd_targets
     seen = bytearray(arcs.n)
@@ -113,8 +125,8 @@ def _collapse(arcs: LTS, blocks: list[int], lifted: list[int], names: tuple[str,
             number[block] = reachable
             reachable += 1
     count = reachable
-    for block, new in enumerate(number):
-        if new < 0:
+    for block in blocks:
+        if number[block] < 0:
             number[block] = count
             count += 1
     block_of = [number[block] for block in lifted]
@@ -143,6 +155,31 @@ def _collapse(arcs: LTS, blocks: list[int], lifted: list[int], names: tuple[str,
         observable_alphabet=arcs.observable_alphabet,
     )
     return quotient, block_of
+
+
+def decide_pair(
+    left: "Process", right: "Process", notion: str, method: Solver | str, backend: str
+) -> tuple[LTS, LTS, bool]:
+    """Both handles' ``notion`` quotients, and whether their start states are equivalent.
+
+    One refinement of the disjoint union of the two sides decides the pair
+    and fills each missing slot from its side's slice of the block ids.
+    """
+    if left is right:
+        quotient = left._quotient(notion, method, backend)[0]
+        return quotient, quotient, True
+    sides = []
+    for handle in (left, right):
+        cached = handle._quotients.get(notion)
+        sides.append(cached[0] if cached is not None else handle._refinement_arcs(notion, backend))
+    union = disjoint_union(*sides)
+    blocks = refine_lts(union, method, backend)
+    split = sides[0].n
+    for handle, arcs, part in ((left, sides[0], blocks[:split]), (right, sides[1], blocks[split:])):
+        if notion not in handle._quotients:
+            handle._fill(notion, arcs, part)
+    equivalent = blocks[union.start] == blocks[split + sides[1].start]
+    return left._quotients[notion][0], right._quotients[notion][0], equivalent
 
 
 class Process:
@@ -239,18 +276,18 @@ class Process:
         return self._branching
 
     def strong_quotient(
-        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
+        self, method: Solver | str = Solver.KANELLAKIS_SMOLKA, backend: str = "python"
     ) -> Quotient:
         """The quotient by strong equivalence (tau as a label) and each state's block.
 
         ``method`` and ``backend`` apply only when the quotient is first
-        computed; ``backend="auto"`` resolves on the number of states, which
-        is what gets refined.
+        computed; ``backend="auto"`` resolves on the states and arcs of
+        :meth:`lts`, which is what gets refined.
         """
         return self._quotient("strong", method, backend)
 
     def observational_quotient(
-        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
+        self, method: Solver | str = Solver.KANELLAKIS_SMOLKA, backend: str = "python"
     ) -> Quotient:
         """The saturated quotient by observational equivalence and each state's block.
 
@@ -258,8 +295,9 @@ class Process:
         and refined strongly, and the saturated arcs are collapsed, so the
         quotient's arcs are the weak moves ``=>^a`` and ``=>^epsilon``.
         ``method`` and ``backend`` apply only when the quotient is first
-        computed; ``backend="auto"`` resolves on the size of the
-        pre-quotient, which is what gets saturated and refined.
+        computed; ``backend="auto"`` resolves saturation on the size of the
+        pre-quotient and refinement on the states and arcs of its
+        saturation, which is what each one works on.
         """
         return self._quotient("observational", method, backend)
 
@@ -267,16 +305,24 @@ class Process:
         """The cached strong or observational quotient, computed on a miss."""
         cached = self._quotients.get(notion)
         if cached is None:
-            lts = self.lts()
-            strong = notion == "strong"
-            reduced, reduced_of = (lts, None) if strong else self._branching_quotient()
-            backend = resolve_backend(backend, reduced.n)
-            arcs = reduced if strong else saturate_lts(reduced, backend=backend)
-            blocks = refine_lts(arcs, method, backend)
-            lifted = blocks if strong else [blocks[block] for block in reduced_of]
-            cached = _collapse(arcs, blocks, lifted, lts.state_names)
-            self._quotients[notion] = cached
+            arcs = self._refinement_arcs(notion, backend)
+            cached = self._fill(notion, arcs, refine_lts(arcs, method, backend))
         return cached
+
+    def _refinement_arcs(self, notion: str, backend: str) -> LTS:
+        """The arcs a ``notion`` refinement starts from: the kernel or saturated pre-quotient."""
+        if notion == "strong":
+            return self.lts()
+        return saturate_lts(self._branching_quotient()[0], backend=backend)
+
+    def _fill(self, notion: str, arcs: LTS, blocks: list[int]) -> Quotient:
+        """Collapse ``arcs`` along their coarsest stable ``blocks`` into the ``notion`` slot."""
+        lifted = blocks
+        if notion != "strong":
+            lifted = [blocks[block] for block in self._branching_quotient()[1]]
+        quotient = _collapse(arcs, blocks, lifted, self.lts().state_names)
+        self._quotients[notion] = quotient
+        return quotient
 
     def macro_moves(self) -> MacroMoves:
         """The explored subset moves of ``L(start)`` over :meth:`weak_kernel`."""
@@ -300,25 +346,25 @@ class Process:
         return minimal
 
     def strong_partition(
-        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
+        self, method: Solver | str = Solver.KANELLAKIS_SMOLKA, backend: str = "python"
     ) -> Partition:
         """The strong-equivalence partition (hints as for :meth:`strong_quotient`)."""
         return self._partition("strong", method, backend)
 
     def observational_partition(
-        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
+        self, method: Solver | str = Solver.KANELLAKIS_SMOLKA, backend: str = "python"
     ) -> Partition:
         """The observational-equivalence partition (hints as for :meth:`observational_quotient`)."""
         return self._partition("observational", method, backend)
 
     def minimized_strong(
-        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
+        self, method: Solver | str = Solver.KANELLAKIS_SMOLKA, backend: str = "python"
     ) -> FSP:
         """The quotient FSP by strong equivalence (hints as for :meth:`strong_quotient`)."""
         return self._minimized_fsp("strong", method, backend)
 
     def minimized_observational(
-        self, method: Solver | str = Solver.PAIGE_TARJAN, backend: str = "python"
+        self, method: Solver | str = Solver.KANELLAKIS_SMOLKA, backend: str = "python"
     ) -> FSP:
         """The quotient FSP by observational equivalence (hints as for the quotient).
 

@@ -67,16 +67,18 @@ def observationally_equivalent(
 def observationally_equivalent_processes(
     first: FSP,
     second: FSP,
-    method: Solver | str = Solver.PAIGE_TARJAN,
+    method: Solver | str | None = None,
 ) -> bool:
     """Decide observational equivalence of the start states of two FSPs.
 
     A thin shim over the engine facade (:mod:`repro.engine`): repeated calls
     against the same processes reuse cached saturations, quotients and
     verdicts; use :meth:`repro.engine.Engine.check` for stats and witnesses.
+    ``method`` defaults to the engine's solver.
     """
     from repro.engine import default_engine
 
+    hints = {} if method is None else {"method": method}
     return default_engine().check(
-        first, second, "observational", witness=False, method=method
+        first, second, "observational", witness=False, **hints
     ).equivalent

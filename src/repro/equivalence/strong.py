@@ -78,7 +78,7 @@ def strongly_equivalent(
 def strongly_equivalent_processes(
     first: FSP,
     second: FSP,
-    method: Solver | str = Solver.PAIGE_TARJAN,
+    method: Solver | str | None = None,
     require_observable: bool = False,
 ) -> bool:
     """Decide strong equivalence of the start states of two FSPs.
@@ -88,16 +88,13 @@ def strongly_equivalent_processes(
     shim over the engine facade (:mod:`repro.engine`): repeated calls against
     the same processes reuse the cached kernels, quotients and verdicts; use
     :meth:`repro.engine.Engine.check` directly for stats and witnesses.
+    ``method`` defaults to the engine's solver.
     """
     from repro.engine import default_engine
 
+    hints = {} if method is None else {"method": method}
     return default_engine().check(
-        first,
-        second,
-        "strong",
-        witness=False,
-        method=method,
-        require_observable=require_observable,
+        first, second, "strong", witness=False, require_observable=require_observable, **hints
     ).equivalent
 
 

@@ -242,9 +242,11 @@ def minimize_compositionally(
     ``"python"`` or ``"vector"`` force one engine everywhere, while the
     default ``"auto"`` lets
     :func:`~repro.partition.generalized.resolve_backend` route each quotient
-    by state count -- intermediates with at least
-    :data:`~repro.partition.generalized.VECTOR_STATE_THRESHOLD` states take
-    the vectorized kernel when numpy is available, small ones stay on the
+    by size and density -- intermediates with at least
+    :data:`~repro.partition.generalized.VECTOR_STATE_THRESHOLD` states whose
+    saturation has at most
+    :data:`~repro.partition.generalized.VECTOR_DENSITY_CUT` arcs per state
+    take the vectorized kernel when numpy is available, the rest stay on the
     Python solvers.
     """
 

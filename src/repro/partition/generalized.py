@@ -333,26 +333,39 @@ BACKENDS = ("python", "vector")
 #: backend is: resolved per call site by :func:`resolve_backend`.
 AUTO_BACKEND = "auto"
 
-#: Above this many states, ``backend="auto"`` picks the vector kernel (when
-#: numpy is importable).  This is the one ``auto`` rule: saturation, the
-#: engine's process handles and compositional minimisation all resolve
-#: through :func:`resolve_backend`.
+#: At or above this many states, ``backend="auto"`` may pick the vector
+#: kernel (when numpy is importable).  Saturation resolves ``auto`` on this
+#: size alone; a refinement also needs the density cut below.
 VECTOR_STATE_THRESHOLD = 512
 
+#: At most this many arcs per state, ``backend="auto"`` may pick the vector
+#: kernel for a refinement.  A round costs ``O(m)`` whole-array work, so
+#: dense inputs -- saturated pre-quotients with hundreds of weak moves per
+#: state -- stay on the worklist solvers.  Fitted on the ``defaults`` bench
+#: layer (``benchmarks/cells.py``).
+VECTOR_DENSITY_CUT = 4
 
-def resolve_backend(backend: str, num_states: int) -> str:
+
+def resolve_backend(backend: str, num_states: int, num_arcs: int | None = None) -> str:
     """Resolve a backend name (possibly ``"auto"``) to a concrete backend.
 
-    ``"auto"`` picks ``"vector"`` when numpy is importable and the problem
-    has at least :data:`VECTOR_STATE_THRESHOLD` states, else ``"python"`` --
-    the whole-array kernel's setup cost only amortises on large instances,
-    and small ones dominate interactive traffic.  Concrete names pass
-    through validated, so every caller funnels its error message here.
+    ``"auto"`` picks ``"vector"`` when numpy is importable, the problem has
+    at least :data:`VECTOR_STATE_THRESHOLD` states and -- when ``num_arcs``
+    is given, as :func:`refine_lts` gives it -- at most
+    :data:`VECTOR_DENSITY_CUT` arcs per state; else ``"python"``.  The
+    whole-array kernel's setup cost only amortises on large instances, and
+    its per-round cost on dense ones does not amortise at all.  Concrete
+    names pass through validated, so every caller funnels its error message
+    here.
     """
     if backend == AUTO_BACKEND:
         from repro.utils.matrices import HAVE_NUMPY
 
-        if HAVE_NUMPY and num_states >= VECTOR_STATE_THRESHOLD:
+        if (
+            HAVE_NUMPY
+            and num_states >= VECTOR_STATE_THRESHOLD
+            and (num_arcs is None or num_arcs <= VECTOR_DENSITY_CUT * num_states)
+        ):
             return "vector"
         return "python"
     if backend not in BACKENDS:
@@ -378,20 +391,25 @@ def refine_lts(
     equivalent.  The ids are otherwise arbitrary.
 
     This is the one dispatch over the integer solvers.  ``backend`` resolves
-    on ``lts.n`` (:func:`resolve_backend`); ``"vector"`` runs the numpy
-    kernel, ``"python"`` the worklist solver named by ``method``:
+    on the kernel's states and arcs (:func:`resolve_backend`); ``"vector"``
+    runs the numpy kernel for at most
+    :func:`~repro.partition.vectorized.round_budget` rounds and hands what
+    it reached to Kanellakis-Smolka, ``"python"`` runs the worklist solver
+    named by ``method``:
 
     * :attr:`Solver.NAIVE` -- the O(nm) method of Lemma 3.2;
     * :attr:`Solver.KANELLAKIS_SMOLKA` -- the splitter-queue refinement in the
-      style of the paper's extension of Hopcroft's algorithm;
+      style of the paper's extension of Hopcroft's algorithm (Theorem 3.1),
+      the engine's default: the fastest python solver on the measured cells;
     * :attr:`Solver.PAIGE_TARJAN` -- the O(m log n) three-way splitting
-      algorithm of Paige and Tarjan (1987), the default.
+      algorithm of Paige and Tarjan (1987), the default here and on the
+      paper's direct routes in :mod:`repro.equivalence`.
 
     All of them compute the same unique partition; the Python solvers double
     as the vector kernel's cross-check oracles.
     """
     block_of, num_blocks = initial if initial is not None else lts.extension_block_ids()
-    if resolve_backend(backend, lts.n) == "vector":
+    if resolve_backend(backend, lts.n, lts.num_transitions) == "vector":
         from repro.partition.vectorized import vector_refine_lts
 
         return vector_refine_lts(lts, block_of, num_blocks).tolist()
@@ -415,9 +433,8 @@ def solve(
     A wrapper around :func:`refine_lts` on the instance's integer
     :attr:`~GeneralizedPartitioningInstance.kernel`, returning the answer as
     a name-keyed :class:`Partition`.  ``backend`` is ``"python"`` (default),
-    ``"vector"``, or ``"auto"``, which dispatches by instance size: vector at
-    or above :data:`VECTOR_STATE_THRESHOLD` states when numpy is available,
-    python otherwise.
+    ``"vector"``, or ``"auto"``, which dispatches by instance size and
+    density (:func:`resolve_backend`).
     """
     lts, block_of, num_blocks = instance.kernel
     blocks = refine_lts(lts, method, backend, (block_of, num_blocks))

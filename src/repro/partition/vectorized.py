@@ -26,13 +26,23 @@ refinement with numpy array passes:
 
 The trade is constant factor against round count: deep, chain-like families
 (``comb``, ``duplicated_chain``) have ``Theta(n)`` refinement depth and stay
-the worklist solvers' home turf, while wide, shallow families -- meshes,
-shift registers, the saturated relations of the weak pipeline, anything
-whose depth is ``O(log n)`` or ``O(sqrt n)`` -- refine orders of magnitude
-faster here (the ``vector`` and ``scale`` layers of ``BENCH_partition.json``
-record the measured gap, gated in CI).  The Python solvers remain the oracles the
-property tests compare against, the same pattern ``saturate_reference``
-established for the weak engine.
+the worklist solvers' home turf, while wide, shallow families -- shift
+registers, random deterministic processes, anything whose depth is
+``O(log n)`` -- refine orders of magnitude faster here (the ``vector`` and
+``scale`` layers of ``BENCH_partition.json`` record the measured gap, gated
+in CI).  The Python solvers remain the oracles the property tests compare
+against, the same pattern ``saturate_reference`` established for the weak
+engine.
+
+:func:`vector_refine_lts`, the kernel behind ``refine_lts``, therefore runs
+at most :func:`round_budget` rounds -- ``log2 n`` plus
+:data:`ROUND_BUDGET_SLACK` -- and then hands the partition it reached to the
+Kanellakis-Smolka solver as its initial partition.  Every round yields a
+partition that refines the initial one and is refined by the answer, so the
+hand-over is exact: a deep input costs a bounded number of whole-array
+rounds plus one worklist pass, never ``Theta(n)`` rounds.
+:func:`vector_refine_csr` and :func:`vector_refine_arrays`, which the
+``10^5``--``10^6`` state tiers use, stay unbounded.
 
 Because a round only touches the edge arrays through gathers
 (``block[targets]``) and sorts, the kernel runs unchanged on
@@ -47,9 +57,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.lts import LTS
+from repro.partition.kanellakis_smolka import kanellakis_smolka_refine_lts
 from repro.utils.matrices import CSRArrays, require_numpy
 
 __all__ = [
+    "round_budget",
     "vector_refine_arrays",
     "vector_refine_csr",
     "vector_refine_lts",
@@ -60,6 +72,18 @@ __all__ = [
 #: the single-key fast path of :func:`_pair_rank`; beyond it the two-key
 #: lexsort route is used instead (int64 headroom, overflow-proof).
 _PACK_LIMIT = 1 << 62
+
+#: Rounds :func:`vector_refine_lts` runs beyond ``log2 n`` before it hands
+#: over.  Shift registers and random deterministic processes (and their
+#: disjoint unions) stabilise within ``log2 n`` rounds, plus the round that
+#: confirms the fixpoint; combs need ``Theta(n)``.  Fitted on the
+#: ``defaults`` bench layer (``benchmarks/cells.py``).
+ROUND_BUDGET_SLACK = 2
+
+
+def round_budget(n: int) -> int:
+    """The whole-array rounds :func:`vector_refine_lts` runs on ``n`` states."""
+    return n.bit_length() + ROUND_BUDGET_SLACK
 
 
 def _pair_rank(np, primary, secondary, pmax: int | None = None, smax: int | None = None):
@@ -95,22 +119,16 @@ def _pair_rank(np, primary, secondary, pmax: int | None = None, smax: int | None
     return inverse
 
 
-def vector_refine_arrays(sources, actions, targets, block_of, n: int):
-    """Coarsest stable refinement over flat edge arrays (the inner kernel).
+def _refine_rounds(sources, actions, targets, block_of, n: int, max_rounds: int | None):
+    """At most ``max_rounds`` signature rounds (``None``: until stable).
 
-    Parameters are ``int64`` ndarrays: per-arc ``sources`` / ``actions`` /
-    ``targets`` (any order, duplicates tolerated) and the initial ``block_of``
-    assignment with block ids ``0..B-1``.  Returns the refined assignment as
-    an ``int64`` array whose ids are dense but otherwise arbitrary -- compare
-    partitions up to renumbering, or via :func:`repro.partition.partition.Partition`.
+    Returns the assignment reached and whether it is stable.
     """
     np = require_numpy()
     block = np.asarray(block_of, dtype=np.int64).copy()
-    if n == 0:
-        return block
-    num_blocks = int(block.max()) + 1 if len(block) else 0
-    if len(sources) == 0:
-        return block
+    if n == 0 or len(sources) == 0:
+        return block, True
+    num_blocks = int(block.max()) + 1
     m = len(sources)
     # Pre-sort the arc columns by source once; the per-round sort then only
     # has to order the (bounded) pair keys within each source run.
@@ -121,7 +139,9 @@ def vector_refine_arrays(sources, actions, targets, block_of, n: int):
     del base_order
     amax = int(act.max())
 
-    while True:
+    rounds = 0
+    while max_rounds is None or rounds < max_rounds:
+        rounds += 1
         # Splitter signature pairs (action, block(target)), deduped per state.
         # Fast path: pack (source, action, target-block) into one int64 key
         # and sort once; the lexsort route covers sizes where packing would
@@ -161,9 +181,23 @@ def vector_refine_arrays(sources, actions, targets, block_of, n: int):
             rank = _pair_rank(np, rank, column, pmax=n, smax=pair_bound)
         new_count = int(rank.max()) + 1
         if new_count == num_blocks:
-            return block
+            return block, True
         num_blocks = new_count
         block = rank
+    return block, False
+
+
+def vector_refine_arrays(sources, actions, targets, block_of, n: int):
+    """Coarsest stable refinement over flat edge arrays (the inner kernel).
+
+    Parameters are ``int64`` ndarrays: per-arc ``sources`` / ``actions`` /
+    ``targets`` (any order, duplicates tolerated) and the initial ``block_of``
+    assignment with block ids ``0..B-1``.  Returns the refined assignment as
+    an ``int64`` array whose ids are dense but otherwise arbitrary -- compare
+    partitions up to renumbering, or via :func:`repro.partition.partition.Partition`.
+    Rounds repeat until the partition is stable, however many that takes.
+    """
+    return _refine_rounds(sources, actions, targets, block_of, n, None)[0]
 
 
 def vector_refine_csr(csr: CSRArrays, block_of, num_blocks: int | None = None):
@@ -183,6 +217,17 @@ def vector_refine_lts(lts: LTS, block_of: Sequence[int], num_blocks: int):
 
     Same inputs as the Python ``*_refine_lts`` solvers (an interned
     :class:`~repro.core.lts.LTS` plus the initial block assignment); the
-    partition it computes is identical up to block renumbering.
+    partition it computes is identical up to block renumbering.  After
+    :func:`round_budget` rounds without a fixpoint, the partition reached so
+    far is handed to ``kanellakis_smolka_refine_lts`` as its initial
+    partition.  Returns the refined ``block_of`` as an ``int64`` array.
     """
-    return vector_refine_csr(CSRArrays.from_lts(lts), block_of, num_blocks)
+    np = require_numpy()
+    csr = CSRArrays.from_lts(lts)
+    block, stable = _refine_rounds(
+        csr.sources(), csr.actions, csr.targets, block_of, csr.n, round_budget(lts.n)
+    )
+    if stable:
+        return block
+    handed = kanellakis_smolka_refine_lts(lts, block.tolist(), int(block.max()) + 1)
+    return np.asarray(handed.blk, dtype=np.int64)

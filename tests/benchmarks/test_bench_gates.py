@@ -107,7 +107,7 @@ def test_a_run_meeting_every_row_passes():
     assert failures == []
     assert normaliser == pytest.approx(1.0)
     expected = sum(len(cells) for cells in BASELINE["expected_seconds"].values())
-    assert sum(status == "ok" for *_rest, status, _metrics in rows) == expected == 74
+    assert sum(status == "ok" for *_rest, status, _metrics in rows) == expected == 97
 
 
 @pytest.mark.parametrize(
@@ -120,6 +120,8 @@ def test_a_run_meeting_every_row_passes():
         ("floor", "service_4_shards|service_manifest|500", "speedup", 2.4),
         ("ceiling", "on_the_fly_strong|interleaved_cycles_fault|262144", "visit_fraction", 0.2),
         ("ceiling", "reduction_full_conformance|quorum_voting|25", "visit_fraction", 0.06),
+        ("ceiling", "engine_auto|comb|2001", "over_best_other", 2.1),
+        ("ceiling", "engine_auto|shift_register|4096", "over_first", 1.01),
         ("best-over-n floor", "weak_kernel_paige_tarjan|tau_ladder|2001", "speedup", 4.9),
         ("best-over-n floor", "vector|shift_register|131072", "speedup", 9.9),
         ("per-record field", SOAK, "revivals", 1),

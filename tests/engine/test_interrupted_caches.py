@@ -11,6 +11,13 @@ first, second, middle or last call, or on the first, second, middle or last
 line the fill executes (counted in a dry run), or by a short deadline --
 and then asks the same engine every notion: each verdict must equal a fresh
 engine's, and each witness verify.
+
+A cold strong or observational pair refines the union of its two sides once
+and then fills both slots, so ``_collapse`` call 2 of a cold pair is an abort
+between that pair's two slot fills: the left slot is written, the right one
+is not.  One row runs its checks on the vector kernel with a one-round
+budget, so every refinement hands over to Kanellakis-Smolka, and aborts
+inside that hand-over.
 """
 
 from __future__ import annotations
@@ -27,8 +34,10 @@ from repro.engine import process as process_module
 from repro.equivalence.language import MacroMoves
 from repro.generators.families import shift_register, with_snag
 from repro.generators.random_fsp import random_equivalent_copy, random_fsp
+from repro.partition import vectorized
 from repro.partition.refinable import RefinablePartition
 from repro.service import flow
+from repro.utils.matrices import HAVE_NUMPY
 
 NOTIONS = (
     ("strong", {}),
@@ -80,40 +89,50 @@ def _patch_calls(monkeypatch, owner, name: str, abort_at: int = 0) -> list[int]:
     return calls
 
 
-def _check_pairs(engine: Engine, notion: str) -> bool:
+def _check_pairs(engine: Engine, notion: str, **hints) -> bool:
     """Check both pairs under ``notion``; whether any check was aborted."""
     aborted = False
     for left, right in _pairs():
         try:
-            engine.check(left, right, notion)
+            engine.check(left, right, notion, **hints)
         except Abort:
             aborted = True
     return aborted
 
 
-#: (cache being filled, notion whose check fills it, owner, helper name)
+#: (cache being filled, notion whose check fills it, owner, helper name, hints)
 FILLS = (
-    ("strong quotient", "strong", RefinablePartition, "split_marked"),
-    ("strong quotient", "strong", process_module, "_collapse"),
-    ("observational quotient", "observational", process_module, "saturate_lts"),
-    ("observational quotient", "observational", process_module, "_collapse"),
-    ("language macro-moves", "language", MacroMoves, "intern"),
+    ("strong quotient", "strong", RefinablePartition, "split_marked", {}),
+    ("strong quotient", "strong", process_module, "_collapse", {}),
+    ("observational quotient", "observational", process_module, "saturate_lts", {}),
+    ("observational quotient", "observational", process_module, "_collapse", {}),
+    pytest.param(
+        "strong quotient (vector hand-over)",
+        "strong",
+        RefinablePartition,
+        "split_marked",
+        {"backend": "vector"},
+        marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy"),
+    ),
+    ("language macro-moves", "language", MacroMoves, "intern", {}),
 )
 
 
 @pytest.mark.parametrize("call", ("first", "second", "middle", "last"))
-@pytest.mark.parametrize(("cache", "notion", "owner", "helper"), FILLS)
-def test_abort_inside_a_cache_fill(monkeypatch, cache, notion, owner, helper, call):
+@pytest.mark.parametrize(("cache", "notion", "owner", "helper", "hints"), FILLS)
+def test_abort_inside_a_cache_fill(monkeypatch, cache, notion, owner, helper, hints, call):
+    if hints:
+        monkeypatch.setattr(vectorized, "round_budget", lambda n: 1)
     with monkeypatch.context() as patch:
         calls = _patch_calls(patch, owner, helper)
-        assert not _check_pairs(Engine(), notion)
+        assert not _check_pairs(Engine(), notion, **hints)
     total = calls[0]
     assert total >= 2, f"{helper} ran {total} times while filling the {cache}"
     k = {"first": 1, "second": 2, "middle": total // 2 + 1, "last": total}[call]
     engine = Engine()
     with monkeypatch.context() as patch:
         _patch_calls(patch, owner, helper, abort_at=k)
-        assert _check_pairs(engine, notion), f"{helper} call {k} of {total} did not abort"
+        assert _check_pairs(engine, notion, **hints), f"{helper} call {k} of {total} did not abort"
     _assert_answers_like_fresh(engine)
 
 

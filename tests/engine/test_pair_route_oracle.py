@@ -1,0 +1,250 @@
+"""Differential oracle for the one-refinement pair route and the vector hand-over.
+
+A strong or observational check refines the disjoint union of its two sides
+once (:func:`repro.engine.process.decide_pair`): a side is its cached
+quotient, or else the arcs its own refinement would start from.  Each
+missing quotient slot is then filled from that side's slice of the union's
+block ids.  A bug there is a wrong verdict, or a slot that answers later
+checks, minimisations and partitions differently from a lone refinement.
+So for pairs with nothing, the left side, the right side or both sides
+cached beforehand:
+
+* every slot a pair check fills equals, byte for byte, the slot a lone
+  ``strong_quotient()`` or ``observational_quotient()`` fills on a fresh
+  handle;
+* the verdict equals the naive solver's on the FSP disjoint union.
+
+The vector kernel behind ``refine_lts`` runs a bounded number of rounds and
+hands the partition it reached to Kanellakis-Smolka.  With the round budget
+patched to 0, 1 and 2, the answer must equal python Kanellakis-Smolka and the
+naive solver from any initial partition, and the partition handed over must
+be the one that many signature rounds reach, computed here from the
+definition.
+
+``REDUCTION_ORACLE_EXAMPLES`` scales the hypothesis example budget (the CI
+nightly lane raises it).
+"""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.fsp import FSP
+from repro.core.lts import LTS
+from repro.core.weak import saturate_lts
+from repro.engine import Engine, Process
+from repro.engine import process as process_module
+from repro.equivalence.observational import observationally_equivalent
+from repro.equivalence.strong import strongly_equivalent
+from repro.generators.families import comb, shift_register
+from repro.generators.random_fsp import random_equivalent_copy, random_fsp
+from repro.partition import generalized, vectorized
+from repro.partition.generalized import Solver, refine_lts
+from repro.utils.matrices import HAVE_NUMPY
+from tests.partition.test_branching_oracle import weak_fsp, weak_pair
+from tests.property.strategies import mixed_fsp_strategy
+
+MAX_EXAMPLES = int(os.environ.get("REDUCTION_ORACLE_EXAMPLES", "25"))
+ORACLE_SETTINGS = settings(
+    max_examples=MAX_EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy is not installed")
+
+NOTIONS = ("strong", "observational")
+
+
+def quotient_slot(handle: Process, notion: str) -> tuple:
+    """A filled quotient slot: its arrays as bytes, names, start, ``ext_sets`` and ``block_of``."""
+    lts, block_of = handle._quotients[notion]
+    return (
+        bytes(lts.fwd_offsets),
+        bytes(lts.fwd_actions),
+        bytes(lts.fwd_targets),
+        lts.action_names,
+        lts.state_names,
+        lts.start,
+        lts.ext_sets,
+        tuple(block_of),
+    )
+
+
+def fill_alone(handle: Process, notion: str) -> None:
+    getattr(handle, f"{notion}_quotient")()
+
+
+def lone_slot(fsp: FSP, notion: str) -> tuple:
+    handle = Process(fsp)
+    fill_alone(handle, notion)
+    return quotient_slot(handle, notion)
+
+
+def naive_answer(left: FSP, right: FSP, notion: str) -> bool:
+    """The paper's direct route with the naive solver on the disjoint union."""
+    union = left.disjoint_union(right)
+    decide = strongly_equivalent if notion == "strong" else observationally_equivalent
+    return decide(union, "L:" + left.start, "R:" + right.start, method=Solver.NAIVE)
+
+
+@st.composite
+def mixed_pair(draw):
+    """A mixed FSP against a strongly equivalent copy, itself restarted, or another one."""
+    left = draw(mixed_fsp_strategy())
+    kind = draw(st.sampled_from(("copy", "restart", "random")))
+    if kind == "random":
+        same_signature = mixed_fsp_strategy().filter(lambda fsp: fsp.variables == left.variables)
+        return left, draw(same_signature)
+    if kind == "copy":
+        copy = random_equivalent_copy(left, draw(st.integers(1, 3)), draw(st.integers(0, 99)))
+        states, start = copy.states, left.start
+        transitions, extensions = copy.transitions, copy.extensions
+    else:
+        states, start = left.states, draw(st.sampled_from(sorted(left.states)))
+        transitions, extensions = left.transitions, left.extensions
+    right = FSP(states, start, left.alphabet, transitions, left.variables, extensions)
+    return left, right
+
+
+PAIRS = st.one_of(weak_pair(), mixed_pair())
+
+
+# ----------------------------------------------------------------------
+# the pair route
+# ----------------------------------------------------------------------
+@ORACLE_SETTINGS
+@given(pair=PAIRS)
+@pytest.mark.parametrize("cached", ("nothing", "left", "right", "both"))
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_a_pair_check_fills_the_slots_a_lone_refinement_fills(notion, cached, pair):
+    left, right = pair
+    engine = Engine()
+    for side, fsp in (("left", left), ("right", right)):
+        if cached in (side, "both"):
+            fill_alone(engine.process(fsp), notion)
+    verdict = engine.check(left, right, notion)
+    assert verdict.equivalent == naive_answer(left, right, notion)
+    if not verdict.equivalent:
+        assert verdict.verify_witness() is True
+    for fsp in (left, right):
+        assert quotient_slot(engine.process(fsp), notion) == lone_slot(fsp, notion)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_a_process_checked_against_itself_fills_its_slot_once(monkeypatch, notion, seed):
+    collapses = []
+    original = process_module._collapse
+
+    def counted(*args):
+        collapses.append(args[0].n)
+        return original(*args)
+
+    monkeypatch.setattr(process_module, "_collapse", counted)
+    process = random_fsp(12, tau_probability=0.3, seed=seed)
+    engine = Engine()
+    assert engine.check(process, process, notion).equivalent
+    assert len(collapses) == 1
+    assert quotient_slot(engine.process(process), notion) == lone_slot(process, notion)
+
+
+# ----------------------------------------------------------------------
+# the vector hand-over
+# ----------------------------------------------------------------------
+def canonical(blocks) -> tuple[int, ...]:
+    """Block ids renumbered by first member, so equal partitions compare equal."""
+    number: dict[int, int] = {}
+    return tuple(number.setdefault(block, len(number)) for block in blocks)
+
+
+def signature_rounds(lts: LTS, block_of: list[int], rounds: int) -> tuple[int, ...]:
+    """The partition ``rounds`` signature rounds reach, from the definition.
+
+    Each round splits every block by the set of ``(action, target block)``
+    pairs of its states.
+    """
+    blocks = list(block_of)
+    for _ in range(rounds):
+        signatures: dict[tuple, int] = {}
+        blocks = [
+            signatures.setdefault(
+                (
+                    blocks[s],
+                    frozenset(
+                        (lts.fwd_actions[i], blocks[lts.fwd_targets[i]])
+                        for i in range(lts.fwd_offsets[s], lts.fwd_offsets[s + 1])
+                    ),
+                ),
+                len(signatures),
+            )
+            for s in range(lts.n)
+        ]
+    return canonical(blocks)
+
+
+@st.composite
+def kernel_with_initial(draw):
+    """A strong or saturated kernel and an initial partition (``None``: by extension set)."""
+    fsp = draw(st.one_of(weak_fsp(max_states=8), mixed_fsp_strategy()))
+    lts = LTS.from_fsp(fsp)
+    if draw(st.booleans()):
+        lts = saturate_lts(lts)
+    if draw(st.booleans()):
+        return lts, None
+    colours = draw(st.lists(st.integers(0, 2), min_size=lts.n, max_size=lts.n))
+    block_of = list(canonical(colours))
+    return lts, (block_of, max(block_of, default=-1) + 1)
+
+
+class HandOver:
+    """Spy on the vector kernel's hand-over: the initial partitions it passes on."""
+
+    def __init__(self, patch: pytest.MonkeyPatch) -> None:
+        self.partitions: list[tuple[int, ...]] = []
+        original = vectorized.kanellakis_smolka_refine_lts
+
+        def spy(lts, block_of, num_blocks):
+            self.partitions.append(canonical(block_of))
+            return original(lts, block_of, num_blocks)
+
+        patch.setattr(vectorized, "kanellakis_smolka_refine_lts", spy)
+
+
+@needs_numpy
+@ORACLE_SETTINGS
+@given(case=kernel_with_initial())
+@pytest.mark.parametrize("budget", (0, 1, 2))
+def test_the_hand_over_is_exact(budget, case):
+    lts, initial = case
+    start = initial[0] if initial is not None else lts.extension_block_ids()[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vectorized, "round_budget", lambda n: budget)
+        hand_over = HandOver(patch)
+        vector = canonical(refine_lts(lts, backend="vector", initial=initial))
+    python = canonical(refine_lts(lts, Solver.KANELLAKIS_SMOLKA, "python", initial=initial))
+    naive = canonical(refine_lts(lts, Solver.NAIVE, "python", initial=initial))
+    assert vector == python == naive
+    reached = signature_rounds(lts, start, budget)
+    if hand_over.partitions:
+        assert hand_over.partitions == [reached]
+    else:  # stable within the budget
+        assert reached == vector
+
+
+@needs_numpy
+def test_a_deep_comb_hands_over_and_a_shift_register_does_not(monkeypatch):
+    hand_over = HandOver(monkeypatch)
+    deep = LTS.from_fsp(comb(300))
+    wide = LTS.from_fsp(shift_register(10))
+    for lts in (deep, wide):
+        assert generalized.resolve_backend("auto", lts.n, lts.num_transitions) == "vector"
+    for lts in (deep, wide):
+        python = canonical(refine_lts(lts, Solver.KANELLAKIS_SMOLKA, "python"))
+        assert canonical(refine_lts(lts, backend="auto")) == python
+    assert len(hand_over.partitions) == 1
+    assert len(hand_over.partitions[0]) == deep.n

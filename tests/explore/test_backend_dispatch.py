@@ -2,11 +2,14 @@
 
 ``minimize_compositionally`` defaults to ``backend="auto"``: each
 intermediate quotient runs on the vectorized numpy kernel once its state
-count clears ``VECTOR_STATE_THRESHOLD`` (and numpy is present), and on the
-sequential Python solvers below it.  The dispatch rule itself is
+count clears ``VECTOR_STATE_THRESHOLD``, its saturation has at most
+``VECTOR_DENSITY_CUT`` arcs per state (and numpy is present), and on the
+sequential Python solvers otherwise.  The dispatch rule itself is
 ``resolve_backend``'s, pinned in ``tests/partition/test_auto_backend.py``;
 these tests check the end-to-end agreement of the two kernels on real
-systems.
+systems.  Several intermediates are dense, so the density cut is raised
+with the threshold lowered, and the tests assert that the refinements reach
+the vector kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import pytest
 from repro.engine import default_engine
 from repro.explore import compose_eager, minimize_compositionally
 from repro.generators.families import redundant_interleaving_system, token_ring_system
-from repro.partition import generalized
+from repro.partition import generalized, vectorized
 from repro.protocols import build_scenario
 from repro.utils.matrices import HAVE_NUMPY
 
@@ -28,8 +31,18 @@ class TestBackendAgreement:
     """Force the vector path on small systems and require identical results."""
 
     @pytest.fixture(autouse=True)
-    def tiny_threshold(self, monkeypatch):
+    def vector_calls(self, monkeypatch):
         monkeypatch.setattr(generalized, "VECTOR_STATE_THRESHOLD", 1)
+        monkeypatch.setattr(generalized, "VECTOR_DENSITY_CUT", 10**9)
+        calls: list[int] = []
+        original = vectorized.vector_refine_lts
+
+        def spy(lts, block_of, num_blocks):
+            calls.append(lts.n)
+            return original(lts, block_of, num_blocks)
+
+        monkeypatch.setattr(vectorized, "vector_refine_lts", spy)
+        return calls
 
     @pytest.mark.parametrize(
         "spec_factory",
@@ -40,13 +53,15 @@ class TestBackendAgreement:
             lambda: build_scenario("quorum_voting", n=3).system,
         ],
     )
-    def test_auto_and_python_quotients_agree(self, spec_factory):
+    def test_auto_and_python_quotients_agree(self, vector_calls, spec_factory):
         spec = spec_factory()
         sequential = minimize_compositionally(spec, backend="python")
-        vectorized = minimize_compositionally(spec, backend="auto")
-        assert vectorized.num_states == sequential.num_states
-        assert vectorized.num_transitions == sequential.num_transitions
-        verdict = default_engine().check(sequential, vectorized, "observational")
+        assert vector_calls == []
+        on_vector = minimize_compositionally(spec, backend="auto")
+        assert len(vector_calls) >= 3  # two leaves and their composition at least
+        assert on_vector.num_states == sequential.num_states
+        assert on_vector.num_transitions == sequential.num_transitions
+        verdict = default_engine().check(sequential, on_vector, "observational")
         assert verdict.equivalent
 
     def test_quotient_still_shrinks_the_eager_product(self):
