@@ -1,9 +1,10 @@
 """Public-API snapshot test: accidental surface breaks fail the build.
 
 The committed ``public_api_contract.json`` records the public surface the
-library promises: the top-level ``repro.__all__``, the engine facade's
-exports, the registered built-in notions, and the public methods of the
-:class:`Engine` / :class:`Process` / :class:`Verdict` types.  Any drift --
+library promises: the top-level ``repro.__all__``, the exports of the engine
+facade, of ``repro.automata`` and of ``repro.equivalence``, the registered
+built-in notions, and the public methods of the :class:`Engine` /
+:class:`Process` / :class:`Verdict` types.  Any drift --
 a removed export, a renamed method, a notion that silently disappears --
 fails this test with the exact difference.
 
@@ -38,12 +39,16 @@ def _public_methods(cls: type) -> list[str]:
 
 def current_snapshot() -> dict:
     import repro
+    import repro.automata
     import repro.engine
+    import repro.equivalence
     from repro.engine import Engine, Process, Verdict, available_notions
 
     return {
         "repro_all": sorted(repro.__all__),
         "engine_all": sorted(repro.engine.__all__),
+        "automata_all": sorted(repro.automata.__all__),
+        "equivalence_all": sorted(repro.equivalence.__all__),
         "notions": sorted(set(available_notions()) & set(BUILTIN_NOTIONS) | set(BUILTIN_NOTIONS)),
         "engine_methods": _public_methods(Engine),
         "process_methods": _public_methods(Process),
