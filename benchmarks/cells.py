@@ -30,12 +30,11 @@ import bench_service
 import bench_service_load
 from seed_baseline import seed_kanellakis_smolka
 
-from repro.automata.equivalence import nfa_equivalent
 from repro.core.derivatives import saturate_reference
 from repro.core.lts import LTS, disjoint_union
 from repro.core.weak import saturate_lts
 from repro.engine import Engine
-from repro.equivalence.language import language_nfa
+from repro.equivalence.language import language_equivalent
 from repro.equivalence.minimize import minimize_observational
 from repro.equivalence.observational import observational_partition, observationally_equivalent
 from repro.equivalence.strong import strongly_equivalent
@@ -506,13 +505,18 @@ def engine_manifest() -> list[tuple]:
     return [distinct[i % len(distinct)] for i in range(ENGINE_CHECKS)]
 
 
+#: the free function each notion of the manifest is decided by, the pre-engine way.
+_FREE_DECIDERS = {
+    "strong": strongly_equivalent,
+    "observational": observationally_equivalent,
+    "language": language_equivalent,
+}
+
+
 def _cold_check(first, second, notion: str) -> bool:
     """One check the pre-engine way: recompile everything for this pair."""
-    if notion == "language":
-        return nfa_equivalent(language_nfa(first), language_nfa(second))
     combined = first.disjoint_union(second)
-    decide = strongly_equivalent if notion == "strong" else observationally_equivalent
-    return decide(combined, "L:" + first.start, "R:" + second.start)
+    return _FREE_DECIDERS[notion](combined, "L:" + first.start, "R:" + second.start)
 
 
 def cold_loop(manifest: list[tuple]) -> list[bool]:

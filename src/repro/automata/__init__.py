@@ -1,34 +1,22 @@
-"""Classical automata substrate: NFA, DFA, minimisation, language equivalence."""
+"""Classical automata substrate: NFA, DFA, the subset construction, minimisation.
+
+The library decides every language question with one on-the-fly search over
+its process kernels (:func:`repro.equivalence.language.subset_search`).
+This package keeps the classical automata that search is compared with:
+:func:`determinize` and the minimisers build
+:meth:`repro.engine.Process.language_dfa`, and the tests determinise with
+them as their oracle.
+"""
 
 from repro.automata.dfa import DEAD_STATE, DFA, determinize
-from repro.automata.equivalence import (
-    dfa_equivalent,
-    dfa_included,
-    distinguishing_word,
-    nfa_distinguishing_word,
-    nfa_equivalent,
-    nfa_included,
-    nfa_universal,
-    nfa_universality_counterexample,
-)
 from repro.automata.minimize import hopcroft_minimize, moore_minimize
 from repro.automata.nfa import NFA
-from repro.automata.union_find import UnionFind
 
 __all__ = [
     "DEAD_STATE",
     "DFA",
     "NFA",
-    "UnionFind",
     "determinize",
-    "dfa_equivalent",
-    "dfa_included",
-    "distinguishing_word",
     "hopcroft_minimize",
     "moore_minimize",
-    "nfa_distinguishing_word",
-    "nfa_equivalent",
-    "nfa_included",
-    "nfa_universal",
-    "nfa_universality_counterexample",
 ]

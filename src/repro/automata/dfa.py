@@ -1,9 +1,12 @@
 """Deterministic finite automata and the subset construction.
 
 The classical counterpart of the paper's equivalences lives here: ``approx_1``
-for standard FSPs is NFA language equivalence (Proposition 2.2.3(b)), which we
-decide by determinisation; and Proposition 2.2.4 reduces every equivalence of
-the paper to DFA equivalence on the deterministic model.
+for standard FSPs is NFA language equivalence (Proposition 2.2.3(b)), and
+Proposition 2.2.4 reduces every equivalence of the paper to DFA equivalence
+on the deterministic model.  The library decides both without building a
+DFA (:func:`repro.equivalence.language.subset_search`); the full subset
+construction below builds :meth:`repro.engine.Process.language_dfa` and the
+tests' determinised oracle.
 
 A :class:`DFA` here is always *complete*: a (possibly implicit) dead state
 guarantees that every state has exactly one transition per symbol.  States of
@@ -109,81 +112,6 @@ class DFA:
             delta={key: value for key, value in self._delta.items() if key[0] in keep},
             accepting=self._accepting & keep,
         )
-
-    # ------------------------------------------------------------------
-    # boolean operations
-    # ------------------------------------------------------------------
-    def complement(self) -> "DFA":
-        """The DFA accepting the complement language (same alphabet)."""
-        return DFA(
-            states=self._states,
-            start=self._start,
-            alphabet=self._alphabet,
-            delta=self._delta,
-            accepting=self._states - self._accepting,
-        )
-
-    def product(self, other: "DFA", accept_mode: str = "both") -> "DFA":
-        """The synchronous product of two DFAs over the same alphabet.
-
-        ``accept_mode`` selects the acceptance condition: ``"both"`` for
-        intersection, ``"either"`` for union, ``"difference"`` for
-        ``L(self) \\ L(other)``.
-        """
-        if self._alphabet != other._alphabet:
-            raise InvalidProcessError("product requires identical alphabets")
-        start = f"{self._start}|{other._start}"
-        states: set[str] = set()
-        delta: dict[tuple[str, str], str] = {}
-        accepting: set[str] = set()
-        frontier = [(self._start, other._start)]
-        seen = {(self._start, other._start)}
-        while frontier:
-            left, right = frontier.pop()
-            name = f"{left}|{right}"
-            states.add(name)
-            left_accepts = left in self._accepting
-            right_accepts = right in other._accepting
-            if accept_mode == "both" and left_accepts and right_accepts:
-                accepting.add(name)
-            elif accept_mode == "either" and (left_accepts or right_accepts):
-                accepting.add(name)
-            elif accept_mode == "difference" and left_accepts and not right_accepts:
-                accepting.add(name)
-            for symbol in self._alphabet:
-                next_pair = (self._delta[(left, symbol)], other._delta[(right, symbol)])
-                delta[(name, symbol)] = f"{next_pair[0]}|{next_pair[1]}"
-                if next_pair not in seen:
-                    seen.add(next_pair)
-                    frontier.append(next_pair)
-        return DFA(
-            states=states, start=start, alphabet=self._alphabet, delta=delta, accepting=accepting
-        )
-
-    def is_empty(self) -> bool:
-        """Whether the accepted language is empty."""
-        return not (self.reachable_states() & self._accepting)
-
-    def shortest_accepted_word(self) -> tuple[str, ...] | None:
-        """A shortest accepted word, or None when the language is empty.
-
-        Used to extract concrete distinguishing strings as counterexamples for
-        failed language-equivalence checks.
-        """
-        from collections import deque
-
-        queue: deque[tuple[str, tuple[str, ...]]] = deque([(self._start, ())])
-        seen = {self._start}
-        while queue:
-            state, word = queue.popleft()
-            if state in self._accepting:
-                return word
-            for symbol in sorted(self._alphabet):
-                nxt = self._delta[(state, symbol)]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append((nxt, word + (symbol,)))
-        return None
 
     def __repr__(self) -> str:
         return (

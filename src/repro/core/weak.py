@@ -230,6 +230,26 @@ def bits_to_indices(bits: int) -> list[int]:
     return out
 
 
+def epsilon_closures(saturated: LTS) -> list[int]:
+    """Each state's ``=>^epsilon`` targets as a bitset, read off a saturated kernel.
+
+    On the output of :func:`saturate_lts`, or a quotient collapsed from it,
+    the :data:`EPSILON` arcs are the tau-closure; the state itself is always
+    included.
+    """
+    offsets, actions, targets = saturated.fwd_offsets, saturated.fwd_actions, saturated.fwd_targets
+    names = saturated.action_names
+    epsilon = names.index(EPSILON) if EPSILON in names else -1
+    closures = []
+    for s in range(saturated.n):
+        bits = 1 << s
+        for i in range(offsets[s], offsets[s + 1]):
+            if actions[i] == epsilon:
+                bits |= 1 << targets[i]
+        closures.append(bits)
+    return closures
+
+
 #: Execution backends understood by :func:`saturate_lts`.
 SATURATION_BACKENDS = ("python", "vector")
 
@@ -605,6 +625,11 @@ class WeakKernel:
     def closure_bits(self, state: int) -> int:
         """Tau-closure of one interned state as a bitset."""
         return self._closure_scc[self._scc_of[state]]
+
+    def closures(self) -> list[int]:
+        """The tau-closure bitset of every interned state, in state order."""
+        closure = self._closure_scc
+        return [closure[component] for component in self._scc_of]
 
     def weak_bits(self, state: int, action: str) -> int:
         """Weak ``action``-successors of one interned state as a bitset.

@@ -34,16 +34,20 @@ equivalent to its input, state by state at the start.
   The verdict compares the block ids of the two start states; the witness
   comes from integer refinement rounds over the union of the two quotients
   (:func:`repro.equivalence.hml.lts_distinguishing_formula`).
-* Failure and ``k``-observational equivalence run their FSP deciders on the
-  union of the two observational quotient FSPs: observational equivalence
-  refines both failure equivalence and every ``approx_k`` (``approx`` is
-  the intersection of the decreasing ``approx_k`` chain; weak-bisimilar
-  states have matching weak derivatives, hence equal refusal information).
-  A search bound (``max_macro_states``, ``max_subset_states``) limits that
-  search, so it counts states of the search over the quotients, not over
-  the operands.  A ``k``-observational witness is the observational one,
-  read off the CSR union of the saturated quotients; a failure witness is
-  read off the macro-states the failure search stopped at.
+* Failure and ``k``-observational equivalence decide on the CSR union of
+  the two cached saturated observational quotients, the union a weak
+  witness is read off: observational equivalence refines both failure
+  equivalence and every ``approx_k`` (``approx`` is the intersection of
+  the decreasing ``approx_k`` chain; weak-bisimilar states have matching
+  weak derivatives, hence equal refusal information).  The union's arcs
+  are the weak moves ``=>^a``, and its ``=>^epsilon`` arcs give each
+  state's closure (:func:`repro.core.weak.epsilon_closures`), so the
+  subset search walks them directly, observing refusals and blocks met
+  on integer ids.  A search bound (``max_macro_states``,
+  ``max_subset_states``) limits that search, so it counts states of the
+  search over the quotients, not over the operands.  A
+  ``k``-observational witness is the observational one; a failure
+  witness is read off the macrostates the failure search stopped at.
 * Language equivalence runs Hopcroft-Karp on the fly over the two weak
   kernels (:func:`repro.equivalence.language.subset_search`); neither
   side is determinised or minimised beyond what the search visits.  The
@@ -63,17 +67,14 @@ from typing import Any
 from repro.core.classify import ModelClass, require
 from repro.core.fsp import FSP
 from repro.core.lts import LTS, disjoint_union
-from repro.core.weak import WeakKernel
+from repro.core.weak import epsilon_closures
 from repro.engine.process import Process, decide_pair
 from repro.engine.verdict import FormulaWitness, RefusalWitness, Witness, WordWitness
-from repro.equivalence.failure import failure_search, maximal_refusals
+from repro.equivalence.failure import refusal_moves
 from repro.equivalence.hml import lts_distinguishing_formula
-from repro.equivalence.kobs import k_observational_equivalent
-from repro.equivalence.language import language_nfa, subset_search
+from repro.equivalence.kobs import approx_blocks
+from repro.equivalence.language import MacroMoves, Macrostate, subset_search
 from repro.partition.generalized import Solver
-
-_LEFT = "L:"
-_RIGHT = "R:"
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,23 @@ def _quotient_union(left: LTS, right: LTS) -> tuple[LTS, int, int]:
     return union, union.start, left.n + right.start
 
 
+def _weak_union(left: Process, right: Process) -> tuple[LTS, list[int], frozenset[str], int, int]:
+    """The union of the two saturated observational quotients, ready for a subset search.
+
+    Returns the union, the ``=>^epsilon`` closure of each of its states, the
+    joint alphabet and the ids of the two start states.
+    """
+    left_quotient, right_quotient = left.observational_quotient(), right.observational_quotient()
+    union, first, second = _quotient_union(left_quotient[0], right_quotient[0])
+    return union, epsilon_closures(union), left.fsp.alphabet | right.fsp.alphabet, first, second
+
+
+def _word_witness(found: tuple[tuple[str, ...], Macrostate, Macrostate]) -> WordWitness:
+    """The word a language search stopped at, and the side that accepts it."""
+    word, (_, in_left), _ = found
+    return WordWitness(word, in_left=in_left)
+
+
 def _formula_witness(union: LTS, first: int, second: int, weak: bool) -> Witness | None:
     """A least-depth HML formula separating two states of a quotient union.
 
@@ -253,6 +271,8 @@ class ObservationalNotion(Notion):
 class KObservationalNotion(Notion):
     """``k``-observational equivalence ``approx_k`` (Definition 2.2.1).
 
+    Decided by the ``approx_k`` rounds of :mod:`repro.equivalence.kobs` on
+    the union of the two cached saturated observational quotients.
     ``max_subset_states`` bounds the non-empty macrostates each comparison's
     subset search visits on either side, over the observational quotients,
     not over the operands.
@@ -271,22 +291,15 @@ class KObservationalNotion(Notion):
         k: int = 1,
         max_subset_states: int | None = None,
     ) -> NotionResult:
-        left_fsp = left.minimized_observational()
-        right_fsp = right.minimized_observational()
-        combined = left_fsp.disjoint_union(right_fsp)
-        first, second = _LEFT + left_fsp.start, _RIGHT + right_fsp.start
-        equivalent = k_observational_equivalent(
-            combined, first, second, k, max_subset_states=max_subset_states
-        )
+        union, closure, alphabet, first, second = _weak_union(left, right)
+        blocks = approx_blocks(union, closure, alphabet, k, max_subset_states)
+        equivalent = blocks[first] == blocks[second]
         witness: Witness | None = None
         if want_witness and not equivalent:
             # approx refines every approx_k, so a level-k difference implies
-            # observational inequivalence and a weak distinguishing formula,
-            # read off the cached saturated quotients.
-            left_quotient, _ = left.observational_quotient()
-            right_quotient, _ = right.observational_quotient()
-            union = _quotient_union(left_quotient, right_quotient)
-            witness = _formula_witness(*union, weak=True)
+            # observational inequivalence and a weak distinguishing formula
+            # over the same union.
+            witness = _formula_witness(union, first, second, weak=True)
         return NotionResult(equivalent, witness, {"k": k})
 
 
@@ -319,8 +332,7 @@ class LanguageNotion(Notion):
         found = subset_search(left.macro_moves(), right.macro_moves(), (0, 0), max_states)
         if found is None:
             return NotionResult(True)
-        word, (_, in_left), _ = found
-        return NotionResult(False, WordWitness(word, in_left=in_left) if want_witness else None)
+        return NotionResult(False, _word_witness(found) if want_witness else None)
 
     def decide_expressions(self, left_expr, right_expr) -> bool | None:
         from repro.expressions.regular import regular_equivalent
@@ -328,18 +340,15 @@ class LanguageNotion(Notion):
         return regular_equivalent(left_expr, right_expr)
 
     def expression_witness(self, left: FSP, right: FSP) -> Witness | None:
-        from repro.automata.equivalence import nfa_distinguishing_word
-
-        left_nfa = language_nfa(left)
-        word = nfa_distinguishing_word(left_nfa, language_nfa(right))
-        if word is None:
-            return None
-        return WordWitness(word, in_left=left_nfa.accepts(word))
+        found = subset_search(MacroMoves.from_fsp(left), MacroMoves.from_fsp(right), (0, 0))
+        return None if found is None else _word_witness(found)
 
 
 class FailureNotion(Notion):
     """Failure equivalence (Section 5 / Theorem 5.1) on the restricted model.
 
+    Decided by one subset search over the :func:`~repro.equivalence.failure.refusal_moves`
+    of the union of the two cached saturated observational quotients.
     ``max_macro_states`` bounds the non-empty macro-states the subset
     search visits on either side, over the observational quotients, not
     over the operands.
@@ -361,37 +370,34 @@ class FailureNotion(Notion):
         require(right.fsp, ModelClass.RESTRICTED, context="failure equivalence")
         # Observational equivalence refines failure equivalence, so the
         # observational quotients have the same failure sets.
-        left_fsp = left.minimized_observational()
-        right_fsp = right.minimized_observational()
-        combined = left_fsp.disjoint_union(right_fsp)
-        first, second = _LEFT + left_fsp.start, _RIGHT + right_fsp.start
-        found = failure_search(combined, first, second, max_macro_states=max_macro_states)
+        union, closure, alphabet, first, second = _weak_union(left, right)
+        moves = refusal_moves(union, closure, alphabet)
+        starts = moves.start(first), moves.start(second)
+        found = subset_search(moves, moves, starts, max_macro_states)
         if found is None:
             return NotionResult(True)
-        witness = self._refusal_witness(combined, *found) if want_witness else None
+        witness = self._refusal_witness(moves.symbols, *found) if want_witness else None
         return NotionResult(False, witness)
 
     @staticmethod
     def _refusal_witness(
-        combined: FSP,
+        symbols: tuple[str, ...],
         string: tuple[str, ...],
-        left_macro: frozenset[str],
-        right_macro: frozenset[str],
-        kernel: WeakKernel,
+        left_macro: Macrostate,
+        right_macro: Macrostate,
     ) -> RefusalWitness:
-        """A one-sided failure pair from the macro-states the search stopped at."""
-        if bool(left_macro) != bool(right_macro):
+        """A one-sided failure pair from the macrostates the search stopped at."""
+        (left_bits, left_max), (right_bits, right_max) = left_macro, right_macro
+        if bool(left_bits) != bool(right_bits):
             # Only one side has a string-derivative: (string, {}) is a
             # failure of that side alone.
-            return RefusalWitness(string, frozenset(), in_left=bool(left_macro))
-        left_max = maximal_refusals(combined, left_macro, kernel)
-        right_max = maximal_refusals(combined, right_macro, kernel)
-        for refusal in left_max:
-            if not any(refusal <= other for other in right_max):
-                return RefusalWitness(string, refusal, in_left=True)
-        for refusal in right_max:
-            if not any(refusal <= other for other in left_max):
-                return RefusalWitness(string, refusal, in_left=False)
+            return RefusalWitness(string, frozenset(), in_left=bool(left_bits))
+        sides = ((left_max, right_max, True), (right_max, left_max, False))
+        for refusals, others, in_left in sides:
+            for refusal in refusals:
+                if not any((refusal & other) == refusal for other in others):
+                    names = frozenset(s for i, s in enumerate(symbols) if refusal >> i & 1)
+                    return RefusalWitness(string, names, in_left=in_left)
         raise AssertionError(
             "distinguishing string does not separate the refusal information"
         )  # pragma: no cover - the search only returns separating strings

@@ -20,7 +20,8 @@ artifact                       producer
                                :meth:`lts`, collapsed
 ``observational_quotient()``   ``(LTS, block_of)``: Theorem 4.1(a) on the
                                branching pre-quotient (saturation + strong
-                               refinement), the saturated arcs collapsed
+                               refinement), the saturated arcs collapsed; the
+                               failure and ``approx_k`` searches walk it
 ``macro_moves()``              :class:`repro.equivalence.language.MacroMoves`:
                                the explored subset moves over :meth:`weak_kernel`
 ``strong_partition()``         name-keyed view of the strong quotient's blocks
@@ -28,8 +29,10 @@ artifact                       producer
 ``minimized_strong()``         :func:`repro.equivalence.minimize.quotient` by
                                the strong partition
 ``minimized_observational()``  :func:`repro.equivalence.minimize.quotient` by
-                               the observational partition
-``language_dfa()``             minimal DFA of the start state's weak language
+                               the observational partition; for ``minimize``,
+                               not on the engine's check path
+``language_dfa()``             minimal DFA of the start state's weak language;
+                               not on the engine's path
 =============================  ==================================================
 
 A quotient is an :class:`~repro.core.lts.LTS` over the blocks reachable from

@@ -12,23 +12,24 @@ restricted observable processes over two actions (and co-NP-complete in the
 r.o.u. model), so any exact algorithm is expected to be exponential in the
 worst case.  The checker below is the library's one subset construction,
 :func:`~repro.equivalence.language.subset_search`: Hopcroft-Karp on the fly
-over the tau-closed bitset macrostates of one
-:class:`~repro.equivalence.language.MacroMoves` table, whose macrostates
-observe the canonical *refusal information* (the maximal refusal sets; the
+over the bitset macrostates of a
+:class:`~repro.equivalence.language.MacroMoves` table
+(:func:`refusal_moves`) whose macrostates observe the canonical *refusal
+information* (the maximal refusal sets, as bitmasks over the alphabet; the
 empty macrostate, where a string has no derivative, has none).  Pairs of
 macro-states reached by one string are merged, and the search stops at the
 first pair whose refusal information differs.  Its worst case is
 exponential, but on tree-like and deterministic processes it is polynomial,
 which covers the tractable special cases the paper mentions (finite trees,
-Smolka 1984).
+Smolka 1984).  The table runs on integer ids over any arcs and closures:
+:func:`failure_search` gives it one process's
+:class:`~repro.core.weak.WeakKernel`, and the engine the union of two
+cached saturated observational quotients.
 
 The module also exposes bounded enumeration of failure pairs (for display and
 exhaustive testing) and a purpose-built polynomial fast path for finite trees.
-
-All weak-transition queries (tau-closures, weak successor sets, weak
-initials) go to one :class:`~repro.core.weak.WeakKernel` per process, which
-answers them from its tau-SCC condensation and closure bitsets; the
-enumeration and the tree fast path ask it by state name.
+They ask one :class:`~repro.core.weak.WeakKernel` per process for its weak
+queries by state name.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from collections.abc import Iterable
 
 from repro.core.classify import ModelClass, require, require_same_signature
 from repro.core.fsp import FSP
-from repro.core.weak import WeakKernel
-from repro.equivalence.language import MacroMoves, require_observable, subset_search
+from repro.core.lts import LTS
+from repro.core.weak import WeakKernel, bits_to_indices
+from repro.equivalence.language import MacroMoves, Macrostate, require_observable, subset_search
 
 FailurePair = tuple[tuple[str, ...], frozenset[str]]
 
@@ -162,34 +164,58 @@ def failure_search(
     first: str,
     second: str,
     max_macro_states: int | None = None,
-) -> tuple[tuple[str, ...], frozenset[str], frozenset[str], WeakKernel] | None:
+) -> tuple[tuple[str, ...], Macrostate, Macrostate] | None:
     """The search behind :func:`failure_distinguishing_string`.
 
-    One :func:`~repro.equivalence.language.subset_search` over a
-    :class:`~repro.equivalence.language.MacroMoves` table of ``fsp`` whose
-    macrostates observe their maximal refusals.  Returns the distinguishing
-    string together with the two macro-states the search stopped at -- the
-    string-derivatives of ``first`` and of ``second`` -- and the kernel
-    that computed them, so a caller can read a refusal pair off them
-    without replaying the string (the engine's failure witness does).  None
-    when the states are failure equivalent.
+    One :func:`~repro.equivalence.language.subset_search` over the
+    :func:`refusal_moves` table of ``fsp``'s own kernel.  Returns the
+    distinguishing string together with the two macrostates the search
+    stopped at -- the string-derivatives of ``first`` and of ``second``,
+    each as ``(bits, maximal refusals)`` -- or None when the states are
+    failure equivalent.
     """
     require(fsp, ModelClass.RESTRICTED, context="failure equivalence")
     require_observable(fsp, "failure equivalence")
     kernel = WeakKernel.from_fsp(fsp)
-    # The empty macrostate (no s-derivative) has no refusal at all; every
-    # other one has at least one.
-    moves = MacroMoves(
-        kernel,
-        fsp.alphabet,
-        lambda bits: maximal_refusals(fsp, kernel.names_of(bits), kernel),
-    )
-    starts = moves.start(first), moves.start(second)
-    found = subset_search(moves, moves, starts, max_macro_states)
-    if found is None:
-        return None
-    string, (left, _), (right, _) = found
-    return string, kernel.names_of(left), kernel.names_of(right), kernel
+    moves = refusal_moves(kernel.lts, kernel.closures(), fsp.alphabet)
+    starts = moves.start(kernel.state_index(first)), moves.start(kernel.state_index(second))
+    return subset_search(moves, moves, starts, max_macro_states)
+
+
+def refusal_moves(arcs: LTS, closure: list[int], alphabet: Iterable[str]) -> MacroMoves:
+    """A subset table over ``arcs`` whose macrostates observe their maximal refusals.
+
+    A refusal is a bitmask over the sorted alphabet: a state refuses each
+    symbol that no member of its closure has an arc for (on a saturated
+    kernel, the symbols it cannot weakly perform).  A macrostate observes
+    the maximal refusals of its members, so the empty macrostate observes
+    none and every other one at least one.
+    """
+    symbols = sorted(alphabet)
+    bit = {symbol: 1 << i for i, symbol in enumerate(symbols)}
+    label = [bit.get(name, 0) for name in arcs.action_names]
+    offsets, actions = arcs.fwd_offsets, arcs.fwd_actions
+    offers = [0] * arcs.n
+    for s in range(arcs.n):
+        for i in range(offsets[s], offsets[s + 1]):
+            offers[s] |= label[actions[i]]
+    everything = (1 << len(symbols)) - 1
+    refuses = []
+    for bits in closure:
+        offered = 0
+        for member in bits_to_indices(bits):
+            offered |= offers[member]
+        refuses.append(everything & ~offered)
+
+    def maximal(bits: int) -> frozenset[int]:
+        candidates = {refuses[s] for s in bits_to_indices(bits)}
+        return frozenset(
+            refusal
+            for refusal in candidates
+            if not any(refusal != other and (refusal & other) == refusal for other in candidates)
+        )
+
+    return MacroMoves(arcs, closure, symbols, maximal)
 
 
 def failure_equivalent_processes(

@@ -26,18 +26,25 @@ compared at once: ``s`` is in ``L_i(p)`` exactly when the macrostate of
 :func:`~repro.equivalence.language.subset_search` whose macrostates observe
 the set of blocks they meet decides ``L_i(p) = L_i(q)`` for every ``i``.
 Each round shares one :class:`~repro.equivalence.language.MacroMoves` table
-among all its searches.  The subset construction is exponential in the
-worst case -- which is the behaviour the PSPACE-completeness result says
-cannot be avoided for fixed ``k`` (contrast with the polynomial limit,
-experiment E8).
+among all its searches, and blocks are integer ids.  :func:`approx_chain`
+walks the chain one round at a time over any arcs and closures: the free
+functions give it one process's :class:`~repro.core.weak.WeakKernel`, and
+the engine the union of two cached saturated observational quotients.  The
+subset construction is exponential in the worst case -- which is the
+behaviour the PSPACE-completeness result says cannot be avoided for fixed
+``k`` (contrast with the polynomial limit, experiment E8).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+
 from repro.core.fsp import EPSILON, FSP
+from repro.core.lts import LTS
 from repro.core.weak import WeakKernel, bits_to_indices
 from repro.equivalence.language import MacroMoves, require_observable, subset_search
 from repro.partition.partition import Partition
+from repro.partition.refinable import partition_of_blocks
 
 
 # ----------------------------------------------------------------------
@@ -107,39 +114,80 @@ def k_observational_partition(fsp: FSP, k: int, max_subset_states: int | None = 
 
     Notes
     -----
-    The refinement step compares each state of a block with the
-    representative of each group formed so far, by one subset search over
-    the weak moves of one interned :class:`~repro.core.weak.WeakKernel`
-    (no saturated dict FSP is materialised) whose macrostates observe the
-    current blocks they meet.  Refinement stops at the first round that
-    splits no block, so at most ``|K|`` rounds run whatever ``k`` is.
+    The rounds of :func:`approx_chain` run on the weak moves of one
+    interned :class:`~repro.core.weak.WeakKernel` (no saturated dict FSP is
+    materialised).  Refinement stops at the first round that splits no
+    block, so at most ``|K|`` rounds run whatever ``k`` is.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
     require_observable(fsp, "approx_k")
     kernel = WeakKernel.from_fsp(fsp)
-    partition = Partition.from_key(fsp.states, key=fsp.extension)
-    for _ in range(k):
-        refined = _refine_by_block_languages(fsp, kernel, partition, max_subset_states)
-        if len(refined) == len(partition):
-            break  # approx_{j+1} depends on approx_j alone: a fixed point
-        partition = refined
-    return partition
+    blocks = approx_blocks(kernel.lts, kernel.closures(), fsp.alphabet, k, max_subset_states)
+    return partition_of_blocks(blocks, kernel.lts.state_names)
+
+
+def approx_chain(
+    arcs: LTS,
+    closure: list[int],
+    alphabet: Iterable[str],
+    max_subset_states: int | None,
+) -> Iterator[list[int]]:
+    """The block of every state of ``arcs`` under ``approx_0``, ``approx_1``, ...
+
+    ``arcs`` and ``closure`` are what a
+    :class:`~repro.equivalence.language.MacroMoves` table walks.  Level 0
+    groups states by extension set, and each further level costs one round
+    of :func:`_refine_by_block_languages`.  ``approx_{k+1}`` depends on
+    ``approx_k`` alone, so the chain ends after the first round that splits
+    no block: every later level equals the last one yielded, which is
+    ``approx`` itself.
+    """
+    blocks, count = arcs.extension_block_ids()
+    order = sorted(range(arcs.n), key=arcs.state_names.__getitem__)
+    while True:
+        yield blocks
+        refined, refined_count = _refine_by_block_languages(
+            arcs, closure, alphabet, blocks, order, max_subset_states
+        )
+        if refined_count == count:
+            return
+        blocks, count = refined, refined_count
+
+
+def approx_blocks(
+    arcs: LTS,
+    closure: list[int],
+    alphabet: Iterable[str],
+    k: int,
+    max_subset_states: int | None,
+) -> list[int]:
+    """The ``approx_k`` block of every state of ``arcs`` (see :func:`approx_chain`)."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    for level, blocks in enumerate(approx_chain(arcs, closure, alphabet, max_subset_states)):
+        if level == k:
+            break
+    return blocks
 
 
 def _refine_by_block_languages(
-    fsp: FSP,
-    kernel: WeakKernel,
-    partition: Partition,
+    arcs: LTS,
+    closure: list[int],
+    alphabet: Iterable[str],
+    blocks: list[int],
+    order: list[int],
     max_subset_states: int | None,
-) -> Partition:
+) -> tuple[list[int], int]:
     """One ``approx_k -> approx_{k+1}`` refinement round via per-block languages.
 
     Two states of a block stay together when no string leads them to
-    derivative macrostates meeting different blocks of ``partition``: one
-    subset search per comparison, all over one macrostate table.
+    derivative macrostates meeting different ``blocks``: one subset search
+    per comparison, all over one macrostate table.  States are taken in
+    ``order`` (by name), each compared with the first member of every group
+    its block has formed so far, so the comparisons a round makes -- and so
+    where a bound stops it -- do not depend on how the states are numbered.
+    Returns the new block of every state and the number of blocks.
     """
-    block_bit = [1 << partition.block_id_of(name) for name in kernel.lts.state_names]
+    block_bit = [1 << block for block in blocks]
 
     def blocks_met(bits: int) -> int:
         met = 0
@@ -147,20 +195,22 @@ def _refine_by_block_languages(
             met |= block_bit[state]
         return met
 
-    moves = MacroMoves(kernel, fsp.alphabet, blocks_met)
-    new_groups: list[set[str]] = []
-    for block in partition:
-        groups: list[set[str]] = []
-        for state in sorted(block):
-            for group in groups:
-                starts = moves.start(state), moves.start(next(iter(group)))
-                if subset_search(moves, moves, starts, max_subset_states) is None:
-                    group.add(state)
-                    break
-            else:
-                groups.append({state})
-        new_groups.extend(groups)
-    return Partition(new_groups)
+    moves = MacroMoves(arcs, closure, alphabet, blocks_met)
+    groups: dict[int, list[int]] = {}  # per block, the first member of each new group
+    refined = [0] * arcs.n
+    count = 0
+    for state in order:
+        firsts = groups.setdefault(blocks[state], [])
+        for first in firsts:
+            starts = moves.start(state), moves.start(first)
+            if subset_search(moves, moves, starts, max_subset_states) is None:
+                refined[state] = refined[first]
+                break
+        else:
+            firsts.append(state)
+            refined[state] = count
+            count += 1
+    return refined, count
 
 
 def k_observational_equivalent(
@@ -190,18 +240,20 @@ def k_observational_equivalent_processes(
 def separation_level(fsp: FSP, first: str, second: str, max_level: int | None = None) -> int | None:
     """The smallest ``k`` with ``not (first approx_k second)``, or None if none exists.
 
-    By Proposition 2.2.1(c) the two states are observationally equivalent iff
-    no such ``k`` exists; because ``approx`` equals the fixed point of the
-    ``simeq`` chain, the search can stop at ``k = |K|`` (or ``max_level``).
-    The level is a useful "how different are they" metric surfaced by the
-    examples.
+    The ``approx_k`` chain is refined one round at a time, up to
+    ``max_level`` when given, and the first level whose blocks separate the
+    two states is returned.  The chain ends at its fixed point, which is
+    ``approx``: by Proposition 2.2.1(c) the states are observationally
+    equivalent iff no level separates them.  The level is a useful "how
+    different are they" metric surfaced by the examples.
     """
-    from repro.equivalence.observational import observationally_equivalent
-
-    if observationally_equivalent(fsp, first, second):
-        return None
-    limit = max_level if max_level is not None else len(fsp.states) + 1
-    for k in range(limit + 1):
-        if not k_observational_equivalent(fsp, first, second, k):
-            return k
+    require_observable(fsp, "approx_k")
+    kernel = WeakKernel.from_fsp(fsp)
+    left, right = kernel.state_index(first), kernel.state_index(second)
+    chain = approx_chain(kernel.lts, kernel.closures(), fsp.alphabet, None)
+    for level, blocks in enumerate(chain):
+        if blocks[left] != blocks[right]:
+            return level
+        if level == max_level:
+            break
     return None

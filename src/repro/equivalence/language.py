@@ -11,43 +11,49 @@ All functions accept general FSPs; tau-transitions are treated as epsilon
 moves, so ``L(p)`` is the set of *observable* strings that can reach an
 accepting state, matching the paper's use of ``=>^s``.
 
-The engine's language check is one :func:`subset_search`: the AHU
-union-find procedure (Hopcroft-Karp) the paper cites, run on the fly over
-:class:`MacroMoves` -- tau-closed macrostates as Python-int bitsets over a
-:class:`~repro.core.weak.WeakKernel` -- so neither side is determinised or
-minimised beyond the pairs the search visits, and it stops at the first
-word one side accepts and the other does not.
+Every language-type decision of the library is one :func:`subset_search`:
+the AHU union-find procedure (Hopcroft-Karp) the paper cites, run on the fly
+over a :class:`MacroMoves` table -- macrostates closed under ``=>^epsilon``
+as Python-int bitsets -- so no side is determinised or minimised beyond the
+pairs the search visits, and the search stops at the first word after which
+the two sides observe differently.  A table walks the arcs it is given and
+closes each target with its closure bitset: a
+:class:`~repro.core.weak.WeakKernel` supplies both for an FSP, and the
+``=>^epsilon`` arcs of a saturated kernel supply the closures there
+(:func:`~repro.core.weak.epsilon_closures`).
 
 The same search decides failure equivalence
 (:mod:`repro.equivalence.failure`) and each ``approx_k`` round
 (:mod:`repro.equivalence.kobs`).  Hopcroft-Karp stays sound whatever a
-macrostate shows, as long as it is a function of the macrostate, so the
-three notions differ only in the observation their :class:`MacroMoves`
+macrostate shows, as long as it is a function of the macrostate (Bonchi and
+Pous, POPL 2013), so the notions differ only in the observation their
 table records: acceptance, the maximal refusals, or the blocks of
-``approx_k`` met.
+``approx_k`` met.  Inclusion needs no other search: ``L(p)`` is included in
+``L(q)`` exactly when the macrostate ``closure(p) | closure(q)`` is
+language-equivalent to ``closure(q)``; universality compares against a
+one-state, all-accepting table.
+
+A bound ``max_states`` counts the non-empty macrostates a search visits on
+either side, so a bounded decision answers wherever determinising each side
+within the bound would -- except inclusion: its left side visits the unions
+of the two sides' macrostates reached by one word, which can outnumber the
+macrostates of either side.
 
 :func:`language_nfa` is the literal automaton view (tau-arcs become
-epsilon-arcs of the NFA, O(m) arcs); the one-shot deciders below
-determinise it, touching only the reachable macro-states.  They and
-:func:`language_dfa` stay for the API and as the tests' oracles.
+epsilon-arcs of the NFA, O(m) arcs), and :func:`language_dfa` its minimal
+DFA; the tests determinise them as their oracle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Sequence
 
 from repro.automata.dfa import DFA, determinize
-from repro.automata.equivalence import (
-    nfa_distinguishing_word,
-    nfa_equivalent,
-    nfa_included,
-    nfa_universal,
-    nfa_universality_counterexample,
-)
 from repro.automata.minimize import hopcroft_minimize
 from repro.automata.nfa import NFA
 from repro.core.errors import InvalidProcessError, StateSpaceLimitError
 from repro.core.fsp import EPSILON, FSP, TAU
+from repro.core.lts import LTS
 from repro.core.weak import WeakKernel
 
 
@@ -108,12 +114,16 @@ def require_observable(fsp: FSP, notion: str) -> None:
 
 
 class MacroMoves:
-    """The explored part of one process's subset automaton, over its weak kernel.
+    """The explored part of one subset automaton, over the arcs it walks.
 
-    A macrostate is a Python-int bitset over the kernel's states, closed
-    under tau: a search from a state starts at its tau-closure
+    A macrostate is a Python-int bitset over the states of ``arcs``, closed
+    under ``=>^epsilon``: a search from a state starts at its closure
     (:meth:`start`), and the ``a``-successor of ``M`` is the union of
-    ``closure(t)`` over the ``a``-arcs ``s -a-> t`` leaving ``M``.  Each
+    ``closure[t]`` over the ``a``-arcs ``s -a-> t`` leaving ``M``.  The
+    arcs may be an FSP's own, with ``closure`` its tau-closures
+    (:meth:`WeakKernel.closures <repro.core.weak.WeakKernel.closures>`), or
+    a saturated kernel's weak arcs, with ``closure`` read off its
+    ``=>^epsilon`` arcs (:func:`~repro.core.weak.epsilon_closures`).  Each
     macrostate is interned to a dense id with its observation
     ``observe(bits)``, the one thing a notion compares there: whether it
     accepts for language equivalence (:meth:`from_fsp`), its maximal
@@ -125,7 +135,6 @@ class MacroMoves:
     __slots__ = (
         "symbols",
         "_observe",
-        "_index",
         "_closure",
         "_slot",
         "_arcs",
@@ -134,17 +143,22 @@ class MacroMoves:
         "_moves",
     )
 
-    def __init__(self, kernel: WeakKernel, alphabet: Iterable[str], observe: Observation):
-        lts = kernel.lts
+    def __init__(
+        self,
+        arcs: LTS,
+        closure: Sequence[int],
+        alphabet: Iterable[str],
+        observe: Observation,
+    ):
         self.symbols = tuple(sorted(alphabet))
         self._observe = observe
-        self._index = kernel.state_index
-        self._closure = [kernel.closure_bits(s) for s in range(lts.n)]
+        self._closure = closure
         position = {symbol: i for i, symbol in enumerate(self.symbols)}
-        # tau (and any label outside the alphabet) lands in a spare last slot.
-        slot = [position.get(name, len(self.symbols)) for name in lts.action_names]
-        self._slot = [slot[a] for a in lts.fwd_actions]  # per arc
-        self._arcs = lts.fwd_offsets.tolist(), lts.fwd_targets.tolist()
+        # tau, a saturated kernel's epsilon marker and any label outside the
+        # alphabet land in a spare last slot.
+        slot = [position.get(name, len(self.symbols)) for name in arcs.action_names]
+        self._slot = [slot[a] for a in arcs.fwd_actions]  # per arc
+        self._arcs = arcs.fwd_offsets.tolist(), arcs.fwd_targets.tolist()
         self._ids: dict[int, int] = {}
         self._macros: list[Macrostate] = []
         self._moves: dict[int, tuple[int, ...]] = {}
@@ -160,17 +174,19 @@ class MacroMoves:
         accepting = 0
         for state in fsp.accepting_states():
             accepting |= 1 << kernel.state_index(state)
-        moves = cls(kernel, fsp.alphabet, lambda bits: bool(bits & accepting))
-        moves.start(fsp.start)
+        moves = cls(
+            kernel.lts, kernel.closures(), fsp.alphabet, lambda bits: bool(bits & accepting)
+        )
+        moves.start(kernel.lts.start)
         return moves
 
     def __len__(self) -> int:
         """The number of macrostates interned so far."""
         return len(self._ids)
 
-    def start(self, state: str) -> int:
-        """The id of ``state``'s tau-closure, where a search from ``state`` starts."""
-        return self.intern(self._closure[self._index(state)])
+    def start(self, state: int) -> int:
+        """The id of state ``state``'s closure, where a search from it starts."""
+        return self.intern(self._closure[state])
 
     def intern(self, bits: int) -> int:
         """The id of the macrostate ``bits`` (a new one on first sight)."""
@@ -278,16 +294,30 @@ def subset_search(
     return None
 
 
+def _state_moves(fsp: FSP, *states: str) -> tuple[MacroMoves, list[int]]:
+    """The language moves of ``fsp`` and the tau-closure bitset of each named state."""
+    kernel = WeakKernel.from_fsp(fsp)
+    closures = [kernel.closure_bits(kernel.state_index(state)) for state in states]
+    return MacroMoves.from_fsp(fsp, kernel), closures
+
+
+def _everything(symbols: Sequence[str]) -> MacroMoves:
+    """The moves of ``Sigma*``: one accepting state looping on every symbol."""
+    loops = LTS(["*"], symbols, [(0, action, 0) for action in range(len(symbols))])
+    moves = MacroMoves(loops, [1], symbols, bool)
+    moves.start(0)
+    return moves
+
+
 def language_equivalent(fsp: FSP, first: str, second: str, max_states: int | None = None) -> bool:
     """Decide ``L(first) = L(second)`` for two states of the same FSP.
 
     On the restricted model this is exactly ``approx_1`` (Proposition
-    2.2.3(b)); the decision determinises both automata and is exponential in
-    the worst case, matching the PSPACE-completeness of the problem.
+    2.2.3(b)).  One :func:`subset_search`, exponential in the worst case,
+    matching the PSPACE-completeness of the problem; ``max_states`` bounds
+    the macrostates it visits on either side.
     """
-    left = language_nfa(fsp, first)
-    right = language_nfa(fsp, second)
-    return nfa_equivalent(left, right, max_states=max_states)
+    return language_distinguishing_word(fsp, first, second, max_states) is None
 
 
 def language_equivalent_processes(first: FSP, second: FSP, max_states: int | None = None) -> bool:
@@ -308,27 +338,42 @@ def language_equivalent_processes(first: FSP, second: FSP, max_states: int | Non
 def language_distinguishing_word(
     fsp: FSP, first: str, second: str, max_states: int | None = None
 ) -> tuple[str, ...] | None:
-    """A word in exactly one of ``L(first)``, ``L(second)``, or None when equal."""
-    return nfa_distinguishing_word(
-        language_nfa(fsp, first), language_nfa(fsp, second), max_states=max_states
-    )
+    """A shortest word in exactly one of ``L(first)``, ``L(second)``, or None when equal."""
+    moves, (left, right) = _state_moves(fsp, first, second)
+    found = subset_search(moves, moves, (moves.intern(left), moves.intern(right)), max_states)
+    return None if found is None else found[0]
 
 
 def language_included(fsp: FSP, first: str, second: str, max_states: int | None = None) -> bool:
-    """Decide ``L(first)`` is a subset of ``L(second)``."""
-    return nfa_included(language_nfa(fsp, first), language_nfa(fsp, second), max_states=max_states)
+    """Decide ``L(first)`` is a subset of ``L(second)``.
+
+    That is ``L(first) | L(second) = L(second)``: one :func:`subset_search`
+    from the union of the two closures against the closure of ``second``.
+    Its left side visits unions of the two sides' macrostates, so
+    ``max_states`` may be exceeded where determinising each side within it
+    would not be.
+    """
+    moves, (left, right) = _state_moves(fsp, first, second)
+    starts = moves.intern(left | right), moves.intern(right)
+    return subset_search(moves, moves, starts, max_states) is None
 
 
 def is_universal(fsp: FSP, start: str | None = None, max_states: int | None = None) -> bool:
     """Decide ``L(start) = Sigma*`` -- the problem the hardness reductions start from."""
-    return nfa_universal(language_nfa(fsp, start), max_states=max_states)
+    return universality_counterexample(fsp, start, max_states) is None
 
 
 def universality_counterexample(
     fsp: FSP, start: str | None = None, max_states: int | None = None
 ) -> tuple[str, ...] | None:
-    """A shortest observable string not in ``L(start)``, or None when universal."""
-    return nfa_universality_counterexample(language_nfa(fsp, start), max_states=max_states)
+    """A shortest observable string not in ``L(start)``, or None when universal.
+
+    One :func:`subset_search` against the one-state, all-accepting table of
+    ``Sigma*``; ``max_states`` bounds the macrostates it visits.
+    """
+    moves, (closure,) = _state_moves(fsp, fsp.start if start is None else start)
+    found = subset_search(moves, _everything(moves.symbols), (moves.intern(closure), 0), max_states)
+    return None if found is None else found[0]
 
 
 def accepted_strings_upto(

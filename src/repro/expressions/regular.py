@@ -7,7 +7,10 @@ denote, realised by a Thompson-style construction with epsilon moves.  The
 test suite uses it to check that the representative FSP of
 :mod:`repro.expressions.semantics` accepts exactly the denoted language, and
 the ``axioms`` module uses it to show which identities hold under which
-semantics (experiment E16).
+semantics (experiment E16).  :func:`regular_equivalent` decides it with the
+library's one language search: each Thompson NFA is read as a standard FSP
+(:meth:`~repro.automata.nfa.NFA.to_fsp`, epsilon as tau) and
+:func:`~repro.equivalence.language.subset_search` compares the two.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 
-from repro.automata.equivalence import nfa_equivalent
 from repro.automata.nfa import NFA
 from repro.core.errors import ExpressionError
+from repro.equivalence.language import MacroMoves, subset_search
 from repro.expressions.syntax import (
     ActionExpr,
     ConcatExpr,
@@ -111,10 +114,11 @@ def regular_equivalent(
     """Classical language equivalence of two expressions.
 
     This is the PSPACE-complete regular-expression equivalence problem of
-    Stockmeyer & Meyer (1973); the library decides it by determinisation and
-    it serves as the baseline the paper's CCS-equivalence problem refines.
+    Stockmeyer & Meyer (1973), the baseline the paper's CCS-equivalence
+    problem refines.  Both Thompson NFAs are taken over the joint alphabet
+    and compared by one subset search; ``max_states`` bounds the non-empty
+    macrostates it visits on either side.
     """
-    sigma = frozenset(alphabet) if alphabet is not None else actions_of(first) | actions_of(second)
-    return nfa_equivalent(
-        language_nfa(first, sigma), language_nfa(second, sigma), max_states=max_states
-    )
+    sigma = frozenset(alphabet or ()) | actions_of(first) | actions_of(second)
+    left, right = (MacroMoves.from_fsp(language_nfa(e, sigma).to_fsp()) for e in (first, second))
+    return subset_search(left, right, (0, 0), max_states) is None

@@ -42,41 +42,6 @@ class TestDfaBasics:
         assert not dfa.accepts(["a"])
         assert not dfa.accepts(["z"])
 
-    def test_complement(self):
-        dfa = _even_as_dfa().complement()
-        assert dfa.accepts(["a"])
-        assert not dfa.accepts([])
-
-    def test_product_intersection(self):
-        even = _even_as_dfa()
-        product = even.product(even.complement(), accept_mode="both")
-        assert product.is_empty()
-
-    def test_product_union(self):
-        even = _even_as_dfa()
-        union = even.product(even.complement(), accept_mode="either")
-        assert not union.complement().reachable_states() & union.complement().accepting
-
-    def test_product_difference(self):
-        even = _even_as_dfa()
-        difference = even.product(even, accept_mode="difference")
-        assert difference.is_empty()
-
-    def test_product_requires_same_alphabet(self):
-        other = DFA(["p"], "p", ["z"], {("p", "z"): "p"}, ["p"])
-        with pytest.raises(InvalidProcessError):
-            _even_as_dfa().product(other)
-
-    def test_shortest_accepted_word(self):
-        dfa = _even_as_dfa().complement()
-        assert dfa.shortest_accepted_word() == ("a",)
-        assert _even_as_dfa().shortest_accepted_word() == ()
-
-    def test_shortest_accepted_word_empty_language(self):
-        empty = DFA(["p"], "p", ["a"], {("p", "a"): "p"}, [])
-        assert empty.shortest_accepted_word() is None
-        assert empty.is_empty()
-
     def test_restrict_to_reachable(self):
         dfa = DFA(
             states=["p", "unreachable"],

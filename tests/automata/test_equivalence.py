@@ -1,31 +1,39 @@
-"""Tests for DFA/NFA language equivalence, inclusion and universality."""
+"""Language equivalence, inclusion and universality of DFAs and NFAs.
+
+Each case is decided twice: by the tests' determinising oracle
+(``tests/equivalence/dfa_oracle.py``), and by the library's free deciders
+on the automata read as FSPs (:meth:`~repro.automata.nfa.NFA.to_fsp`,
+epsilon as tau), two automata side by side in one disjoint union.
+"""
 
 from __future__ import annotations
+
+import operator
 
 import pytest
 
 from repro.automata.dfa import DFA, determinize
-from repro.automata.equivalence import (
-    dfa_equivalent,
-    dfa_included,
-    distinguishing_word,
-    nfa_distinguishing_word,
-    nfa_equivalent,
-    nfa_included,
-    nfa_universal,
-    nfa_universality_counterexample,
-)
 from repro.automata.nfa import NFA
 from repro.core.errors import InvalidProcessError
+from repro.equivalence.language import (
+    MacroMoves,
+    is_universal,
+    language_distinguishing_word,
+    language_equivalent,
+    language_included,
+    subset_search,
+    universality_counterexample,
+)
+from tests.equivalence import dfa_oracle
 
 
-def _dfa_ends_with_a() -> DFA:
+def _dfa_ends_with_a(accepting: tuple[str, ...] = ("y",)) -> DFA:
     return DFA(
         states=["n", "y"],
         start="n",
         alphabet=["a", "b"],
         delta={("n", "a"): "y", ("n", "b"): "n", ("y", "a"): "y", ("y", "b"): "n"},
-        accepting=["y"],
+        accepting=accepting,
     )
 
 
@@ -46,27 +54,75 @@ def _dfa_ends_with_a_redundant() -> DFA:
     )
 
 
+def as_nfa(dfa: DFA) -> NFA:
+    """The DFA as an NFA with the same moves."""
+    arcs = [
+        (state, symbol, dfa.transition(state, symbol))
+        for state in dfa.states
+        for symbol in dfa.alphabet
+    ]
+    return NFA(dfa.states, dfa.start, dfa.alphabet, arcs, dfa.accepting)
+
+
+def side_by_side(first: NFA, second: NFA):
+    """One FSP holding both automata, and the names of their start states."""
+    union = first.to_fsp().disjoint_union(second.to_fsp())
+    return union, "L:" + first.start, "R:" + second.start
+
+
+def _word(first: NFA, second: NFA) -> tuple[str, ...] | None:
+    """The distinguishing word of the free decider, checked against the oracle's."""
+    word = language_distinguishing_word(*side_by_side(first, second))
+    expected = dfa_oracle.distinguishing_word(first, second)
+    assert (word is None) == (expected is None)
+    if word is not None:
+        assert len(word) == len(expected)
+        assert first.accepts(word) != second.accepts(word)
+    return word
+
+
+def _included(first: NFA, second: NFA) -> bool:
+    """The free decider's inclusion verdict, checked against the oracle's."""
+    included = language_included(*side_by_side(first, second))
+    assert included == (dfa_oracle.inclusion_counterexample(first, second) is None)
+    return included
+
+
+def _universal(nfa: NFA) -> bool:
+    """The free deciders' universality verdict, checked against the oracle's."""
+    fsp = nfa.to_fsp()
+    counterexample = universality_counterexample(fsp)
+    expected = dfa_oracle.universality_counterexample(nfa)
+    assert is_universal(fsp) == (counterexample is None) == (expected is None)
+    if counterexample is not None:
+        assert len(counterexample) == len(expected)
+        assert not nfa.accepts(counterexample)
+    return counterexample is None
+
+
 class TestDfaEquivalence:
     def test_equivalent_dfas(self):
-        assert dfa_equivalent(_dfa_ends_with_a(), _dfa_ends_with_a_redundant())
+        first, second = _dfa_ends_with_a(), _dfa_ends_with_a_redundant()
+        assert dfa_oracle.product_word(first, second, operator.ne) is None
+        assert language_equivalent(*side_by_side(as_nfa(first), as_nfa(second)))
 
     def test_inequivalent_dfas_with_witness(self):
-        witness = distinguishing_word(_dfa_ends_with_a(), _dfa_ends_with_a().complement())
-        assert witness is not None
-        assert _dfa_ends_with_a().accepts(witness) != _dfa_ends_with_a().complement().accepts(
-            witness
-        )
+        # The complement: the same moves, the other states accepting.
+        first, second = _dfa_ends_with_a(), _dfa_ends_with_a(accepting=("n",))
+        assert dfa_oracle.product_word(first, second, operator.ne) == ()
+        assert _word(as_nfa(first), as_nfa(second)) == ()
 
     def test_alphabet_mismatch_rejected(self):
         other = DFA(["p"], "p", ["z"], {("p", "z"): "p"}, ["p"])
+        tables = (MacroMoves.from_fsp(as_nfa(dfa).to_fsp()) for dfa in (_dfa_ends_with_a(), other))
         with pytest.raises(InvalidProcessError):
-            dfa_equivalent(_dfa_ends_with_a(), other)
+            subset_search(*tables, (0, 0))
 
     def test_inclusion(self):
-        ends_with_a = _dfa_ends_with_a()
-        everything = DFA(["u"], "u", ["a", "b"], {("u", "a"): "u", ("u", "b"): "u"}, ["u"])
-        assert dfa_included(ends_with_a, everything)
-        assert not dfa_included(everything, ends_with_a)
+        ends_with_a = as_nfa(_dfa_ends_with_a())
+        everything = as_nfa(DFA(["u"], "u", ["a", "b"], {("u", "a"): "u", ("u", "b"): "u"}, ["u"]))
+        assert _included(ends_with_a, everything)
+        assert not _included(everything, ends_with_a)
 
 
 class TestNfaEquivalence:
@@ -79,39 +135,36 @@ class TestNfaEquivalence:
             [("s", "a", "m"), ("m", None, "f"), ("f", "a", "f")],
             ["f"],
         )
-        assert nfa_equivalent(first, second)
-        assert nfa_distinguishing_word(first, second) is None
+        assert _word(first, second) is None
+        assert language_equivalent(*side_by_side(first, second))
 
     def test_inequivalence_witness_is_short(self):
         a_plus = NFA(["s", "f"], "s", ["a"], [("s", "a", "f"), ("f", "a", "f")], ["f"])
         a_star = NFA(["s"], "s", ["a"], [("s", "a", "s")], ["s"])
-        witness = nfa_distinguishing_word(a_plus, a_star)
-        assert witness == ()
+        assert _word(a_plus, a_star) == ()
 
     def test_different_alphabets_are_aligned(self):
         over_a = NFA(["s"], "s", ["a"], [("s", "a", "s")], ["s"])
         over_ab = NFA(["s"], "s", ["a", "b"], [("s", "a", "s")], ["s"])
         # as languages over the joint alphabet they are equal
-        assert nfa_equivalent(over_a, over_ab)
+        assert _word(over_a, over_ab) is None
 
     def test_inclusion(self):
         a_plus = NFA(["s", "f"], "s", ["a"], [("s", "a", "f"), ("f", "a", "f")], ["f"])
         a_star = NFA(["s"], "s", ["a"], [("s", "a", "s")], ["s"])
-        assert nfa_included(a_plus, a_star)
-        assert not nfa_included(a_star, a_plus)
+        assert _included(a_plus, a_star)
+        assert not _included(a_star, a_plus)
 
 
 class TestUniversality:
-    def test_universal_nfa(self):
+    def test_universalas_nfa(self):
         universal = NFA(["u"], "u", ["a", "b"], [("u", "a", "u"), ("u", "b", "u")], ["u"])
-        assert nfa_universal(universal)
-        assert nfa_universality_counterexample(universal) is None
+        assert _universal(universal)
 
-    def test_non_universal_nfa(self):
+    def test_non_universalas_nfa(self):
         missing_b = NFA(["u"], "u", ["a", "b"], [("u", "a", "u")], ["u"])
-        assert not nfa_universal(missing_b)
-        counterexample = nfa_universality_counterexample(missing_b)
-        assert counterexample is not None and "b" in counterexample
+        assert not _universal(missing_b)
+        assert universality_counterexample(missing_b.to_fsp()) == ("b",)
 
     def test_universality_of_union_covering_all_words(self):
         # accepts words containing an a, plus words of only b's -> universal
@@ -127,7 +180,7 @@ class TestUniversality:
             ],
             accepting=["s", "hasa"],
         )
-        assert nfa_universal(nfa)
+        assert _universal(nfa)
 
     def test_determinized_view_agrees_with_direct_checks(self):
         nfa = NFA(["s", "f"], "s", ["a"], [("s", "a", "f"), ("f", "a", "f")], ["f"])

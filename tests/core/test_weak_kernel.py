@@ -302,10 +302,11 @@ class TestWeakInitialsRegression:
             failure_distinguishing_string(saturated, "u0", "v0")
         with pytest.raises(InvalidProcessError):
             k_observational_partition(saturated, 1)
-        moves = MacroMoves.from_fsp(saturated)
+        kernel = WeakKernel.from_fsp(saturated)
+        moves = MacroMoves.from_fsp(saturated, kernel)
         assert EPSILON in moves.symbols
         for state in ("u1", "v0", "u3"):
-            found = subset_search(moves, moves, (0, moves.start(state)))
+            found = subset_search(moves, moves, (0, moves.start(kernel.state_index(state))))
             assert (found is None) == language_equivalent(saturated, "u0", state)
 
     def test_weak_successors_raise_cleanly_on_tau(self):

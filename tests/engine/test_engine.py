@@ -197,7 +197,7 @@ class TestWeakWitnesses:
         assert kobs.verify_witness() is True
 
     def test_failure_witness_is_read_off_the_search(self, engine, pair, monkeypatch):
-        """One kernel per inequivalent failure check: the witness replays nothing."""
+        """No kernel: the search walks the saturated quotients, and the witness replays nothing."""
         built = []
         init = WeakKernel.__init__
 
@@ -208,12 +208,12 @@ class TestWeakWitnesses:
         monkeypatch.setattr(WeakKernel, "__init__", counting)
         verdict = engine.check(*pair, "failure", align=True)
         assert not verdict.equivalent
-        assert len(built) == 1
+        assert built == []
         assert verdict.verify_witness() is True
 
 
 class TestOperandTraffic:
-    """A check reads its operands through the integer kernel, not their successor index."""
+    """A check reads its processes through the integer kernel, not an FSP successor index."""
 
     NOTIONS = (
         ("strong", {}),
@@ -223,7 +223,7 @@ class TestOperandTraffic:
         ("k-observational", {"k": 2}),
     )
 
-    def test_decode_and_check_never_build_an_operand_successor_index(self, monkeypatch):
+    def test_decode_and_check_never_build_a_successor_index(self, monkeypatch):
         base = random_fsp(14, tau_probability=0.3, all_accepting=True, seed=7)
         copy = random_equivalent_copy(base, duplicates=4, seed=3)
         snagged = with_snag(copy, copy.start)
@@ -231,30 +231,37 @@ class TestOperandTraffic:
         documents = [
             serialization.to_dict(fsp.with_alphabet(alphabet)) for fsp in (base, copy, snagged)
         ]
-        # Quotient FSPs built inside a check may use their index; operands may not.
-        operands: list[FSP] = []
-        decoding = [False]
+        # No FSP -- operand or quotient -- may build its index while a
+        # document is decoded or a check runs.
+        busy = [False]
         build = FSP._successor_index
 
         def guarded(fsp):
-            if decoding[0] or any(fsp is operand for operand in operands):
-                raise AssertionError("an operand's successor index was built")
+            if busy[0]:
+                raise AssertionError("a successor index was built")
             return build(fsp)
 
-        def decode(document):
-            decoding[0] = True
-            operands.append(serialization.from_dict(document))
-            decoding[0] = False
-            return operands[-1]
+        def guard(step, *args, **kwargs):
+            busy[0] = True
+            try:
+                return step(*args, **kwargs)
+            finally:
+                busy[0] = False
 
         monkeypatch.setattr(FSP, "_successor_index", guarded)
         verdicts = []
         for other, equivalent in ((1, True), (2, False)):
-            left, right = decode(documents[0]), decode(documents[other])
+            left = guard(serialization.from_dict, documents[0])
+            right = guard(serialization.from_dict, documents[other])
             for notion, params in self.NOTIONS:
-                verdict = Engine().check(left, right, notion, **params)
+                engine = Engine()
+                verdict = guard(engine.check, left, right, notion, **params)
                 assert verdict.equivalent is equivalent, notion
                 assert (verdict.witness is None) is equivalent, notion
+                if notion in ("failure", "k-observational"):
+                    for fsp in (left, right):
+                        summary = engine.process(fsp).artifact_summary()
+                        assert summary["minimized_observational"] == 0, notion
                 verdicts.append(verdict)
         monkeypatch.undo()
         assert all(verdict.equivalent or verdict.verify_witness() for verdict in verdicts)

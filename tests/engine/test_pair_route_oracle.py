@@ -14,6 +14,17 @@ cached beforehand:
   handle;
 * the verdict equals the naive solver's on the FSP disjoint union.
 
+Failure and ``approx_k`` decide on the CSR union of the two cached saturated
+observational quotients, each state closed by its ``=>^epsilon`` arcs.  So
+for ``k = 1, 2, 3``:
+
+* verdicts equal the free functions on the operands' FSP disjoint union,
+  failure strings have the free function's (shortest) length, and every
+  witness verifies;
+* under bounds 1, 2, 3, 5 and 8, a check answers or raises exactly where
+  the route it replaced does: the free function on the disjoint union of
+  the two ``minimized_observational()`` FSPs.
+
 The vector kernel behind ``refine_lts`` runs a bounded number of rounds and
 hands the partition it reached to Kanellakis-Smolka.  With the round budget
 patched to 0, 1 and 2, the answer must equal python Kanellakis-Smolka and the
@@ -38,6 +49,8 @@ from repro.core.lts import LTS
 from repro.core.weak import saturate_lts
 from repro.engine import Engine, Process
 from repro.engine import process as process_module
+from repro.equivalence.failure import failure_distinguishing_string, failure_equivalent
+from repro.equivalence.kobs import k_observational_equivalent
 from repro.equivalence.observational import observationally_equivalent
 from repro.equivalence.strong import strongly_equivalent
 from repro.generators.families import comb, shift_register
@@ -45,6 +58,7 @@ from repro.generators.random_fsp import random_equivalent_copy, random_fsp
 from repro.partition import generalized, vectorized
 from repro.partition.generalized import Solver, refine_lts
 from repro.utils.matrices import HAVE_NUMPY
+from tests.equivalence.test_subset_oracle import BOUNDS, _answer
 from tests.partition.test_branching_oracle import weak_fsp, weak_pair
 from tests.property.strategies import mixed_fsp_strategy
 
@@ -58,6 +72,7 @@ ORACLE_SETTINGS = settings(
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy is not installed")
 
 NOTIONS = ("strong", "observational")
+LEVELS = (1, 2, 3)
 
 
 def quotient_slot(handle: Process, notion: str) -> tuple:
@@ -151,6 +166,64 @@ def test_a_process_checked_against_itself_fills_its_slot_once(monkeypatch, notio
     assert engine.check(process, process, notion).equivalent
     assert len(collapses) == 1
     assert quotient_slot(engine.process(process), notion) == lone_slot(process, notion)
+
+
+# ----------------------------------------------------------------------
+# failure and approx_k on the union of the saturated quotients
+# ----------------------------------------------------------------------
+def starts(left: FSP, right: FSP) -> tuple[FSP, str, str]:
+    """The FSP disjoint union of two processes and the names of their start states."""
+    return left.disjoint_union(right), "L:" + left.start, "R:" + right.start
+
+
+def minimised_route(left: FSP, right: FSP, notion: str, k: int, bound: int) -> bool:
+    """The route the engine replaced: the free function on the minimised FSPs' union."""
+    union, first, second = starts(
+        Process(left).minimized_observational(), Process(right).minimized_observational()
+    )
+    if notion == "failure":
+        return failure_equivalent(union, first, second, max_macro_states=bound)
+    return k_observational_equivalent(union, first, second, k, max_subset_states=bound)
+
+
+@ORACLE_SETTINGS
+@given(pair=weak_pair(all_accepting=True))
+def test_failure_checks_equal_the_free_function(pair):
+    left, right = pair
+    expected = failure_distinguishing_string(*starts(left, right))
+    verdict = Engine().check(left, right, "failure")
+    assert verdict.equivalent == (expected is None)
+    if not verdict.equivalent:
+        assert len(verdict.witness.string) == len(expected)
+        assert verdict.verify_witness() is True
+
+
+@ORACLE_SETTINGS
+@given(pair=PAIRS)
+def test_k_observational_checks_equal_the_free_function(pair):
+    left, right = pair
+    engine = Engine()
+    for k in LEVELS:
+        verdict = engine.check(left, right, "k-observational", k=k)
+        assert verdict.equivalent == k_observational_equivalent(*starts(left, right), k), k
+        if not verdict.equivalent:
+            assert verdict.verify_witness() is True
+
+
+@ORACLE_SETTINGS
+@given(data=st.data(), k=st.sampled_from(LEVELS), bound=st.sampled_from(BOUNDS))
+@pytest.mark.parametrize("notion", ("failure", "k-observational"))
+def test_bounded_checks_raise_exactly_where_the_minimised_route_does(notion, data, k, bound):
+    left, right = data.draw(weak_pair(all_accepting=True) if notion == "failure" else PAIRS)
+    if notion == "failure":
+        params = {"max_macro_states": bound}
+    else:
+        params = {"k": k, "max_subset_states": bound}
+    expected, answered = _answer(minimised_route, left, right, notion, k, bound)
+    verdict, checked = _answer(Engine().check, left, right, notion, witness=False, **params)
+    assert checked == answered
+    if answered:
+        assert verdict.equivalent == expected
 
 
 # ----------------------------------------------------------------------

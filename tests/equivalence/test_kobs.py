@@ -125,9 +125,9 @@ class TestLimits:
         refine = kobs._refine_by_block_languages
         sizes: list[int] = []
 
-        def counting(fsp, *args):
-            sizes.append(len(fsp.states))
-            return refine(fsp, *args)
+        def counting(arcs, *args):
+            sizes.append(arcs.n)
+            return refine(arcs, *args)
 
         monkeypatch.setattr(kobs, "_refine_by_block_languages", counting)
         first, second = pair()

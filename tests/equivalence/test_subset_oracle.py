@@ -9,8 +9,8 @@ rebuilt from the definitions:
 
 * ``k_observational_partition(fsp, k)`` for ``k = 0..3`` equals Theorem
   4.1(b)'s refinement with one determinised language comparison per state
-  pair and block (``language_nfa(fsp, p, accepting=B_i)`` and
-  :func:`~repro.automata.equivalence.nfa_equivalent`), and
+  pair and block (``language_nfa(fsp, p, accepting=B_i)`` and the
+  determinising oracle of ``tests/equivalence/dfa_oracle.py``), and
   :func:`~repro.equivalence.kobs.separation_level`, which runs on the new
   route, is the first level those partitions separate at;
 * failure verdicts equal a breadth-first search over pairs of name-level
@@ -32,7 +32,6 @@ from collections import deque
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.automata.equivalence import nfa_equivalent
 from repro.core.errors import StateSpaceLimitError
 from repro.core.fsp import FSP, TAU, from_transitions
 from repro.core.weak import WeakKernel
@@ -41,6 +40,7 @@ from repro.equivalence.failure import failure_distinguishing_string, maximal_ref
 from repro.equivalence.kobs import k_observational_partition, separation_level
 from repro.equivalence.language import language_nfa
 from repro.partition.partition import Partition
+from tests.equivalence.dfa_oracle import distinguishing_word
 from tests.property.strategies import fsp_strategy, mixed_fsp_strategy
 
 MAX_EXAMPLES = int(os.environ.get("REDUCTION_ORACLE_EXAMPLES", "25"))
@@ -70,11 +70,12 @@ def oracle_k_partition(fsp: FSP, k: int, max_states: int | None = None) -> Parti
 
         def same_languages(first: str, second: str) -> bool:
             return all(
-                nfa_equivalent(
+                distinguishing_word(
                     language_nfa(fsp, first, accepting=block),
                     language_nfa(fsp, second, accepting=block),
                     max_states=max_states,
                 )
+                is None
                 for block in blocks
             )
 
