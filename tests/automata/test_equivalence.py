@@ -54,6 +54,23 @@ def _dfa_ends_with_a_redundant() -> DFA:
     )
 
 
+def _even_as(accepting: str = "even") -> NFA:
+    """Words over {a, b} with an even number of ``a``; accepting ``odd``, the complement."""
+    arcs = [("even", "a", "odd"), ("odd", "a", "even"), ("even", "b", "even"), ("odd", "b", "odd")]
+    return NFA(["even", "odd"], "even", ["a", "b"], arcs, [accepting])
+
+
+def _union(first: NFA, second: NFA) -> NFA:
+    """``L(first) | L(second)``: a fresh start with epsilon moves to the two, renamed apart."""
+    states, arcs, accepting = ["u"], [], []
+    for tag, nfa in (("L:", first), ("R:", second)):
+        states += [tag + state for state in nfa.states]
+        arcs += [(tag + src, symbol, tag + dst) for src, symbol, dst in nfa.transitions]
+        arcs.append(("u", None, tag + nfa.start))
+        accepting += [tag + state for state in nfa.accepting]
+    return NFA(states, "u", first.alphabet | second.alphabet, arcs, accepting)
+
+
 def as_nfa(dfa: DFA) -> NFA:
     """The DFA as an NFA with the same moves."""
     arcs = [
@@ -156,12 +173,42 @@ class TestNfaEquivalence:
         assert not _included(a_star, a_plus)
 
 
+class TestComplements:
+    """A language against its complement and the empty language, without a DFA complement."""
+
+    def test_complements_differ_on_the_empty_word(self):
+        assert _word(_even_as(), _even_as("odd")) == ()
+        assert _word(_even_as("odd"), _even_as()) == ()
+
+    def test_union_of_complements_is_universal(self):
+        assert _universal(_union(_even_as(), _even_as("odd")))
+        assert not _universal(_union(_even_as(), _even_as()))
+
+    def test_a_language_includes_itself_and_not_its_complement(self):
+        assert _included(_even_as(), _even_as())
+        assert not _included(_even_as(), _even_as("odd"))
+        assert not _included(_even_as("odd"), _even_as())
+
+    def test_shortest_words_outside_a_language_and_its_complement(self):
+        assert not _universal(_even_as())
+        assert universality_counterexample(_even_as().to_fsp()) == ("a",)
+        assert not _universal(_even_as("odd"))
+        assert universality_counterexample(_even_as("odd").to_fsp()) == ()
+
+    def test_empty_language(self):
+        empty = NFA(["p"], "p", ["a", "b"], [("p", "a", "p")], [])
+        assert universality_counterexample(empty.to_fsp()) == ()
+        assert _word(empty, NFA(["q"], "q", ["a", "b"], [], [])) is None
+        assert _included(empty, _even_as())
+        assert not _included(_even_as(), empty)
+
+
 class TestUniversality:
-    def test_universalas_nfa(self):
+    def test_universal_nfa(self):
         universal = NFA(["u"], "u", ["a", "b"], [("u", "a", "u"), ("u", "b", "u")], ["u"])
         assert _universal(universal)
 
-    def test_non_universalas_nfa(self):
+    def test_non_universal_nfa(self):
         missing_b = NFA(["u"], "u", ["a", "b"], [("u", "a", "u")], ["u"])
         assert not _universal(missing_b)
         assert universality_counterexample(missing_b.to_fsp()) == ("b",)

@@ -223,7 +223,7 @@ class TestOperandTraffic:
         ("k-observational", {"k": 2}),
     )
 
-    def test_decode_and_check_never_build_a_successor_index(self, monkeypatch):
+    def test_decode_and_check_never_build_an_operand_successor_index(self, monkeypatch):
         base = random_fsp(14, tau_probability=0.3, all_accepting=True, seed=7)
         copy = random_equivalent_copy(base, duplicates=4, seed=3)
         snagged = with_snag(copy, copy.start)
