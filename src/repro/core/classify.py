@@ -100,7 +100,9 @@ def is_restricted(fsp: FSP) -> bool:
     """True for the *restricted* model: standard with every state accepting."""
     if not is_standard(fsp):
         return False
-    return all(fsp.is_accepting(state) for state in fsp.states)
+    # With V a subset of {x}, every pair of E is (q, x): E covers K exactly
+    # when it has one pair per state.
+    return len(fsp.extensions) == fsp.num_states
 
 
 def is_restricted_observable(fsp: FSP) -> bool:

@@ -16,13 +16,18 @@ in the *standard* model ``V = {x}`` and a state is accepting exactly when its
 extension set is ``{x}``.
 
 The class :class:`FSP` below is an immutable value object.  Construction
-validates the sextuple and indexes each state's extension set; the successor
-index behind :meth:`FSP.successors`, :meth:`FSP.transitions_from`,
-:meth:`FSP.enabled_actions` and :meth:`FSP.reachable_states` is built on the
-first query that needs it.  The engine and the partition-refinement
-algorithms run on the integer kernel of :mod:`repro.core.lts` and never ask,
-so a decoded operand pays only for what is read.  Use :class:`FSPBuilder` or
-the convenience constructors for incremental construction.
+validates the sextuple and hashes it, nothing more: the map from each state
+to its extension set, behind :meth:`FSP.extension`, and the successor index
+behind :meth:`FSP.successors`, :meth:`FSP.transitions_from`,
+:meth:`FSP.enabled_actions` and :meth:`FSP.reachable_states` are each built
+on the first query that needs them.  The engine and the
+partition-refinement algorithms run on the integer kernel of
+:mod:`repro.core.lts` and never ask, so a decoded operand pays only for what
+is read.  :func:`repro.utils.serialization.from_dict` checks a wire document
+while it interns it into that kernel, and the FSP it returns carries the
+kernel for :meth:`repro.core.lts.LTS.from_fsp` to hand out.  Use
+:class:`FSPBuilder` or the convenience constructors for incremental
+construction.
 
 Example
 -------
@@ -45,9 +50,12 @@ A freshly decoded process answers its first successor query:
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import InvalidProcessError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.core.lts import LTS
 
 #: The unobservable action of CCS.  It is deliberately *not* a member of the
 #: action alphabet ``Sigma`` of any FSP; the transition relation ranges over
@@ -117,6 +125,7 @@ class FSP:
         "_index",
         "_pred",
         "_ext_map",
+        "_kernel",
         "_hash",
     )
 
@@ -138,17 +147,44 @@ class FSP:
         self._extensions = frozenset((str(state), str(var)) for state, var in extensions)
         self._start = str(start)
         self._validate()
+        self._derive(None)
 
-        # Derived indices.  ``_ext_map`` maps a state to its extension set.
-        # The successor index is built by :meth:`_successor_index` and its
-        # mirror image ``_pred`` by :meth:`predecessors`, each on first use:
-        # the engine and the solvers walk the integer kernel instead.
+    @classmethod
+    def _adopt(
+        cls,
+        states: frozenset[State],
+        start: State,
+        alphabet: frozenset[Action],
+        transitions: frozenset[Transition],
+        variables: frozenset[Variable],
+        extensions: frozenset[tuple[State, Variable]],
+        kernel: LTS,
+    ) -> "FSP":
+        """An FSP over components already checked, carrying their interned kernel.
+
+        The caller vouches for Definition 2.1.1 and for ``kernel`` being
+        ``LTS.from_fsp(fsp, include_tau=True)`` of the result; this is the
+        decoder's exit (:func:`repro.utils.serialization.from_dict`).
+        """
+        fsp = cls.__new__(cls)
+        fsp._states, fsp._start, fsp._alphabet = states, start, alphabet
+        fsp._transitions, fsp._variables, fsp._extensions = transitions, variables, extensions
+        fsp._derive(kernel)
+        return fsp
+
+    def _derive(self, kernel: LTS | None) -> None:
+        """Reset the derived slots and hash the sextuple.
+
+        The extension map (:meth:`_extension_map`), the successor index
+        (:meth:`_successor_index`) and its mirror image ``_pred``
+        (:meth:`predecessors`) are built on first use: the engine and the
+        solvers walk the integer kernel instead, which ``_kernel`` holds
+        when the decoder has already built it.
+        """
         self._index: _SuccessorIndex | None = None
         self._pred: dict[tuple[State, Action], frozenset[State]] | None = None
-        ext_map: dict[State, set[Variable]] = {state: set() for state in self._states}
-        for state, var in self._extensions:
-            ext_map[state].add(var)
-        self._ext_map = {state: frozenset(vs) for state, vs in ext_map.items()}
+        self._ext_map: dict[State, frozenset[Variable]] | None = None
+        self._kernel = kernel
         self._hash = hash(
             (self._states, self._start, self._alphabet, self._transitions, self._extensions)
         )
@@ -273,11 +309,25 @@ class FSP:
             (action, dst) for action in out_actions.get(state, ()) for dst in succ[state, action]
         )
 
+    def _extension_map(self) -> dict[State, frozenset[Variable]]:
+        """Each state's extension set, built on the first query that needs it.
+
+        Filled in a local and published with one assignment, like
+        :meth:`_successor_index`.
+        """
+        ext_map = self._ext_map
+        if ext_map is None:
+            sets: dict[State, set[Variable]] = {state: set() for state in self._states}
+            for state, var in self._extensions:
+                sets[state].add(var)
+            ext_map = self._ext_map = {state: frozenset(vs) for state, vs in sets.items()}
+        return ext_map
+
     def extension(self, state: State) -> frozenset[Variable]:
         """``E(q)`` -- the extension set of ``state``."""
         if state not in self._states:
             raise InvalidProcessError(f"{state!r} is not a state of this FSP")
-        return self._ext_map[state]
+        return self._extension_map()[state]
 
     def enabled_actions(self, state: State) -> frozenset[Action]:
         """The actions (possibly including tau) labelling outgoing transitions."""
@@ -436,6 +486,28 @@ class FSP:
     def __hash__(self) -> int:
         return self._hash
 
+    def __getstate__(self) -> tuple:
+        """Pickle the sextuple alone: derived slots and the kernel rebuild on demand."""
+        return (
+            self._states,
+            self._start,
+            self._alphabet,
+            self._transitions,
+            self._variables,
+            self._extensions,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self._states,
+            self._start,
+            self._alphabet,
+            self._transitions,
+            self._variables,
+            self._extensions,
+        ) = state
+        self._derive(None)
+
     def __repr__(self) -> str:
         return (
             f"FSP(states={self.num_states}, transitions={self.num_transitions}, "
@@ -447,7 +519,7 @@ class FSP:
         lines = [f"FSP with {self.num_states} states over {sorted(self._alphabet)}"]
         lines.append(f"  start: {self._start}")
         for state in sorted(self._states):
-            ext = sorted(self._ext_map[state])
+            ext = sorted(self.extension(state))
             marker = f"  {{{', '.join(ext)}}}" if ext else ""
             lines.append(f"  state {state}{marker}")
             for action, dst in sorted(self.transitions_from(state)):

@@ -78,7 +78,7 @@ def _csr(n: int, edges: Sequence[tuple[int, int, int]]) -> tuple[array, array, a
     for src in sources:
         counts[src + 1] += 1
     return (
-        array(INDEX_TYPECODE, accumulate(counts)),
+        array(INDEX_TYPECODE, list(accumulate(counts))),
         array(INDEX_TYPECODE, actions),
         array(INDEX_TYPECODE, targets),
     )
@@ -179,39 +179,23 @@ class LTS:
         actions likewise; when ``include_tau`` is true and the process has
         tau-moves, tau is interned as one more action.  With
         ``include_tau=False`` the tau-arcs are dropped -- that is the Lemma
-        3.1 reduction for observable processes.  The FSP's transitions are
-        distinct, so the interned triples are sorted once and laid out as
-        CSR arrays without the edge constructor's deduplication.
+        3.1 reduction for observable processes.  An FSP decoded by
+        :func:`repro.utils.serialization.from_dict` already carries this
+        kernel with tau kept, and gets it back without a second intern;
+        every other FSP goes through the one interning routine the decoder
+        uses.
         """
-        from repro.core.fsp import TAU
-
-        state_names = sorted(fsp.states)
-        action_names = sorted(fsp.alphabet)
-        tau = len(action_names)
-        state_index = {name: i for i, name in enumerate(state_names)}
-        action_index = {name: i for i, name in enumerate(action_names)}
-        action_index[TAU] = tau
-        transitions: Iterable[tuple[str, str, str]] = fsp.transitions
-        if not include_tau:
-            transitions = [arc for arc in transitions if arc[1] != TAU]
-        edges = [
-            (state_index[src], action_index[act], state_index[dst])
-            for src, act, dst in transitions
-        ]
-        edges.sort()
-        offsets, actions, targets = _csr(len(state_names), edges)
-        if tau in actions:
-            action_names.append(TAU)
-        return cls.from_csr(
-            state_names,
-            action_names,
-            offsets,
-            actions,
-            targets,
-            start=state_index[fsp.start],
-            ext_sets=list(map(fsp.extension, state_names)),
-            variables=tuple(sorted(fsp.variables)),
-            observable_alphabet=tuple(sorted(fsp.alphabet)),
+        kernel = fsp._kernel
+        if include_tau and kernel is not None:
+            return kernel
+        return _intern(
+            fsp.states,
+            fsp.start,
+            fsp.alphabet,
+            fsp.transitions,
+            fsp.variables,
+            fsp.extensions,
+            include_tau,
         )
 
     @classmethod
@@ -422,6 +406,64 @@ class LTS:
 
     def __repr__(self) -> str:
         return (f"LTS(n={self.n}, m={self.num_transitions}, " f"actions={list(self.action_names)})")
+
+
+def _intern(
+    states: Iterable[str],
+    start: str,
+    alphabet: Iterable[str],
+    transitions: Iterable[tuple[str, str, str]],
+    variables: Iterable[str],
+    extensions: Iterable[tuple[str, str]],
+    include_tau: bool = True,
+) -> LTS:
+    """The CSR kernel of the sextuple ``(K, p0, Sigma, Delta, V, E)``.
+
+    States and observable actions are numbered in sorted order and tau, when
+    an arc keeps it, is one more action after them.  The transitions and
+    extensions must be distinct; the interned triples are sorted once and
+    laid out as CSR arrays without the edge constructor's deduplication.
+    A name outside its table -- a state outside ``states``, an action
+    outside ``alphabet`` and tau, a variable outside ``variables`` --
+    raises :class:`KeyError`, which is how the decoder finds that a
+    document needs the validating constructor.
+    """
+    from repro.core.fsp import TAU
+
+    state_names = sorted(states)
+    action_names = sorted(alphabet)
+    tau = len(action_names)
+    state_index = {name: i for i, name in enumerate(state_names)}
+    action_index = {name: i for i, name in enumerate(action_names)}
+    action_index[TAU] = tau
+    if not include_tau:
+        transitions = [arc for arc in transitions if arc[1] != TAU]
+    edges = [
+        (state_index[src], action_index[act], state_index[dst]) for src, act, dst in transitions
+    ]
+    edges.sort()
+    offsets, actions, targets = _csr(len(state_names), edges)
+    if tau in actions:
+        action_names.append(TAU)
+    # A state's set is shared while it holds one variable, as it does in
+    # the standard model.
+    single = {var: frozenset((var,)) for var in variables}
+    empty: frozenset[str] = frozenset()
+    ext_sets = [empty] * len(state_names)
+    for state, var in extensions:
+        i = state_index[state]
+        ext_sets[i] = ext_sets[i] | single[var] if ext_sets[i] else single[var]
+    return LTS.from_csr(
+        state_names,
+        action_names,
+        offsets,
+        actions,
+        targets,
+        start=state_index[start],
+        ext_sets=ext_sets,
+        variables=tuple(sorted(single)),
+        observable_alphabet=tuple(action_names[:tau]),
+    )
 
 
 def _action_key(name: str) -> tuple[bool, str]:

@@ -117,9 +117,13 @@ def tau_scc(
     state ``s`` and ``sccs[c]`` lists the members of component ``c``.
     Components are numbered in Tarjan emission order, which is *reverse
     topological*: every tau-arc between distinct components goes from a higher
-    id to a strictly lower one.  The implementation is iterative (an explicit
-    ``(state, next-child)`` stack), so deep tau-chains cannot hit the Python
-    recursion limit.
+    id to a strictly lower one.  The implementation is iterative -- each
+    state on the depth-first path keeps an iterator over its successors, and
+    the path lives in a list -- so deep tau-chains cannot hit the Python
+    recursion limit.  A state whose component is emitted gets the index
+    ``n``, above every live one, which stands in for Tarjan's on-stack flag;
+    a state without successors is emitted where it is found, without a
+    frame.
     """
     n = lts.n
     succ = tau_succ if tau_succ is not None else tau_successor_lists(lts)
@@ -127,50 +131,57 @@ def tau_scc(
         return list(range(n)), [[s] for s in range(n)]
     index_of = [-1] * n
     low = [0] * n
-    on_stack = bytearray(n)
     component_stack: list[int] = []
     scc_of = [-1] * n
     sccs: list[list[int]] = []
     counter = 0
     for root in range(n):
-        if index_of[root] != -1:
+        if index_of[root] >= 0:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            state, child = work.pop()
-            if child == 0:
-                index_of[state] = low[state] = counter
-                counter += 1
-                component_stack.append(state)
-                on_stack[state] = 1
-            descended = False
-            children = succ[state]
-            for i in range(child, len(children)):
-                nxt = children[i]
-                if index_of[nxt] == -1:
-                    work.append((state, i + 1))
-                    work.append((nxt, 0))
-                    descended = True
-                    break
-                if on_stack[nxt] and index_of[nxt] < low[state]:
-                    low[state] = index_of[nxt]
-            if descended:
-                continue
-            if low[state] == index_of[state]:
-                members: list[int] = []
-                component = len(sccs)
-                while True:
-                    member = component_stack.pop()
-                    on_stack[member] = 0
-                    scc_of[member] = component
-                    members.append(member)
-                    if member == state:
+        if not succ[root]:
+            index_of[root] = n
+            scc_of[root] = len(sccs)
+            sccs.append([root])
+            continue
+        index_of[root] = low[root] = counter
+        counter += 1
+        component_stack.append(root)
+        path = [root]
+        frames = [iter(succ[root])]
+        while frames:
+            state = path[-1]
+            for nxt in frames[-1]:
+                seen = index_of[nxt]
+                if seen < 0:
+                    if succ[nxt]:
+                        index_of[nxt] = low[nxt] = counter
+                        counter += 1
+                        component_stack.append(nxt)
+                        path.append(nxt)
+                        frames.append(iter(succ[nxt]))
                         break
-                sccs.append(members)
-            if work:
-                parent = work[-1][0]
-                if low[state] < low[parent]:
-                    low[parent] = low[state]
+                    index_of[nxt] = n
+                    scc_of[nxt] = len(sccs)
+                    sccs.append([nxt])
+                elif seen < low[state]:
+                    low[state] = seen
+            else:
+                frames.pop()
+                path.pop()
+                reach = low[state]
+                if reach == index_of[state]:
+                    component = len(sccs)
+                    members: list[int] = []
+                    while True:
+                        member = component_stack.pop()
+                        index_of[member] = n
+                        scc_of[member] = component
+                        members.append(member)
+                        if member == state:
+                            break
+                    sccs.append(members)
+                elif reach < low[path[-1]]:
+                    low[path[-1]] = reach
     return scc_of, sccs
 
 

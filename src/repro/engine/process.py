@@ -9,7 +9,9 @@ and materialises each derived artifact lazily, exactly once:
 =============================  ==================================================
 artifact                       producer
 =============================  ==================================================
-``lts()``                      :meth:`repro.core.lts.LTS.from_fsp` (CSR kernel)
+``lts()``                      :meth:`repro.core.lts.LTS.from_fsp` (CSR kernel);
+                               the decoder's own kernel for an FSP from
+                               :func:`~repro.utils.serialization.from_dict`
 ``weak_kernel()``              :class:`repro.core.weak.WeakKernel`: tau-SCC +
                                bitsets, the weak-transition query API
 ``saturated_lts()``            :func:`repro.core.weak.saturate_lts` (``P_hat``)
@@ -80,11 +82,12 @@ artifacts never go stale.
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.fsp import FSP
-from repro.core.lts import LTS, disjoint_union
+from repro.core.lts import INDEX_TYPECODE, LTS, disjoint_union
 from repro.core.weak import WeakKernel, saturate_lts
 from repro.equivalence.language import MacroMoves
 from repro.equivalence.minimize import quotient
@@ -103,7 +106,11 @@ Quotient = tuple[LTS, list[int]]
 def _collapse(arcs: LTS, blocks: list[int], lifted: list[int], names: tuple[str, ...]) -> Quotient:
     """Collapse ``arcs`` along ``blocks`` into a quotient over the reachable blocks.
 
-    ``blocks`` assigns each state of ``arcs`` its block (any ids); ``lifted``
+    ``blocks`` assigns each state of ``arcs`` its block (any ids) and must
+    be stable: every member of a block has the same ``(action, target
+    block)`` pairs and the same extension set, as in the coarsest stable
+    partition a refinement returns.  So the arcs of each block's first
+    member are the block's arcs, and no other member is read.  ``lifted``
     assigns the same blocks to the states of the handle's own kernel, whose
     sorted ``names`` give each block its ``[min member]`` name.  Blocks
     holding a state reachable from the start in ``arcs`` are numbered first,
@@ -122,12 +129,12 @@ def _collapse(arcs: LTS, blocks: list[int], lifted: list[int], names: tuple[str,
                 seen[t] = 1
                 stack.append(t)
     number = [-1] * (max(blocks, default=-1) + 1)
-    reachable = 0
+    first: list[int] = []
     for s, block in enumerate(blocks):
         if seen[s] and number[block] < 0:
-            number[block] = reachable
-            reachable += 1
-    count = reachable
+            number[block] = len(first)
+            first.append(s)
+    reachable = count = len(first)
     for block in blocks:
         if number[block] < 0:
             number[block] = count
@@ -137,23 +144,28 @@ def _collapse(arcs: LTS, blocks: list[int], lifted: list[int], names: tuple[str,
     for name, block in zip(names, block_of):
         if block < reachable and not label[block]:
             label[block] = f"[{name}]"
-    ext_sets = [frozenset()] * reachable
-    edges = set()
-    for s in range(arcs.n):
-        source = number[blocks[s]]
-        if source < reachable:
-            if arcs.ext_sets is not None:
-                ext_sets[source] = arcs.ext_sets[s]
-            edges.update(
-                (source, arc_actions[i], number[blocks[arc_targets[i]]])
-                for i in range(offsets[s], offsets[s + 1])
-            )
-    quotient = LTS(
+    image = [number[block] for block in blocks]
+    quotient_offsets = array(INDEX_TYPECODE, [0])
+    quotient_actions = array(INDEX_TYPECODE)
+    quotient_targets = array(INDEX_TYPECODE)
+    for s in first:
+        lo, hi = offsets[s], offsets[s + 1]
+        # A move (action, target block) as one int: sorting it sorts by action, then target.
+        moves = sorted(
+            {a * count + image[t] for a, t in zip(arc_actions[lo:hi], arc_targets[lo:hi])}
+        )
+        quotient_actions.extend([move // count for move in moves])
+        quotient_targets.extend([move % count for move in moves])
+        quotient_offsets.append(len(quotient_targets))
+    ext_sets = arcs.ext_sets
+    quotient = LTS.from_csr(
         label,
         arcs.action_names,
-        edges,
-        start=number[blocks[arcs.start]],
-        ext_sets=ext_sets,
+        quotient_offsets,
+        quotient_actions,
+        quotient_targets,
+        start=image[arcs.start],
+        ext_sets=[ext_sets[s] if ext_sets is not None else frozenset() for s in first],
         variables=arcs.variables,
         observable_alphabet=arcs.observable_alphabet,
     )

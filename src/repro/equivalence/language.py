@@ -52,7 +52,7 @@ from repro.automata.dfa import DFA, determinize
 from repro.automata.minimize import hopcroft_minimize
 from repro.automata.nfa import NFA
 from repro.core.errors import InvalidProcessError, StateSpaceLimitError
-from repro.core.fsp import EPSILON, FSP, TAU
+from repro.core.fsp import ACCEPT, EPSILON, FSP, TAU
 from repro.core.lts import LTS
 from repro.core.weak import WeakKernel
 
@@ -168,12 +168,14 @@ class MacroMoves:
         """The language moves of ``fsp``, over ``kernel`` when given.
 
         A macrostate observes whether it meets the accepting states, and
-        macrostate 0 is the start state's closure.
+        macrostate 0 is the start state's closure.  Acceptance is read off
+        the kernel's extension sets, not the FSP's.
         """
         kernel = kernel if kernel is not None else WeakKernel.from_fsp(fsp)
         accepting = 0
-        for state in fsp.accepting_states():
-            accepting |= 1 << kernel.state_index(state)
+        for state, ext in enumerate(kernel.lts.ext_sets):
+            if ACCEPT in ext:
+                accepting |= 1 << state
         moves = cls(
             kernel.lts, kernel.closures(), fsp.alphabet, lambda bits: bool(bits & accepting)
         )

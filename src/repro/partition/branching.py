@@ -21,18 +21,20 @@ arrays of :class:`~repro.core.lts.LTS`:
 2. tau-SCCs are collapsed with :func:`repro.core.weak.tau_scc`, but only over
    tau-arcs between states with the same extension set -- every state of
    such a cycle is branching bisimilar to the others, while a tau-cycle that
-   crosses extension sets contains inequivalent states.  One pass over the
-   CSR arcs sorts each state's arcs into observable arcs, these local
-   tau-arcs and the crossing ones; the condensed graph is read off those
-   three lists;
+   crosses extension sets contains inequivalent states.  Only Tarjan's
+   input, each state's local tau-targets, is built before the SCC pass;
+   the condensed graph is then read straight off the CSR arrays in one
+   pass, without the tau-arcs that stay inside a component;
 3. blocks split by signature until stable.  The signature of a component is
    ``{(a, B(t)) | c -a-> t not inert} ∪ ⋃ {sig(t) | c -tau-> t inert}``,
    where a tau-arc is *inert* when it stays inside one block.  After the
    collapse every inert arc runs from a higher component number to a lower
    one (:func:`~repro.core.weak.tau_scc` numbers children first), so one
-   ascending sweep computes all signatures.  A round recomputes only the
-   components whose signature can have changed: the ones that moved, their
-   predecessors, and everything that reaches those through inert tau-arcs.
+   ascending sweep computes all signatures; a component whose only move is
+   one inert tau-step shares its successor's signature object.  A round
+   recomputes only the components whose signature can have changed: the
+   ones that moved, their predecessors, and everything that reaches those
+   through inert tau-arcs.
 
 A move is matched only through tau-steps that stay inside the block, which
 is the stuttering condition for processes whose states carry labels: a
@@ -56,6 +58,10 @@ after some internal moves, and the tau-steps between them are inert:
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from itertools import chain, compress, repeat
+from operator import sub
 
 from repro.core.lts import LTS
 from repro.core.weak import tau_action_index, tau_scc
@@ -115,45 +121,37 @@ def branching_quotient(lts: LTS) -> tuple[LTS, list[int]]:
     n = lts.n
     tau = tau_action_index(lts)
     ext_of, num_ext = lts.extension_block_ids()
-    offsets, arc_actions, arc_targets = lts.fwd_offsets, lts.fwd_actions, lts.fwd_targets
+    offsets = lts.fwd_offsets.tolist()
+    arc_actions, arc_targets = lts.fwd_actions.tolist(), lts.fwd_targets.tolist()
+    # The source of every arc, in CSR order: state s repeated once per arc.
+    sources = list(chain.from_iterable(map(repeat, range(n), map(sub, offsets[1:], offsets))))
 
-    # One pass over the arcs: each state's observable arcs, its tau-arcs
-    # inside its extension set (the tau-SCC input) and its other tau-arcs.
-    state_observable: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    local_tau: list[list[int]] = [[] for _ in range(n)]
-    crossing_tau: list[list[int]] = [[] for _ in range(n)]
-    for s in range(n):
-        for i in range(offsets[s], offsets[s + 1]):
-            a, t = arc_actions[i], arc_targets[i]
-            if a != tau:
-                state_observable[s].append((a, t))
-            elif ext_of[t] == ext_of[s]:
+    # Tarjan's input: each state's tau-arcs inside its extension set.
+    empty: tuple[int, ...] = ()
+    local_tau: list[Sequence[int]] = [empty] * n
+    for i in compress(range(len(arc_targets)), map(tau.__eq__, arc_actions)):
+        s, t = sources[i], arc_targets[i]
+        if ext_of[t] == ext_of[s]:
+            if local_tau[s]:
                 local_tau[s].append(t)
             else:
-                crossing_tau[s].append(t)
+                local_tau[s] = [t]
     scc_of, sccs = tau_scc(lts, local_tau)
 
-    # The condensed graph, read off those lists: observable arcs, tau-arcs
-    # and predecessors per component.  A crossing tau-arc never stays inside
-    # a component, a local one does when both ends collapsed together.
+    # The condensed graph, read off the CSR arcs: observable arcs, tau-arcs
+    # and predecessors per component.  A tau-arc inside a component is not
+    # a move of it.
     num = len(sccs)
     observable: list[list[tuple[int, int]]] = [[] for _ in range(num)]
     tau_succ: list[list[int]] = [[] for _ in range(num)]
     preds: list[list[int]] = [[] for _ in range(num)]
     tau_preds: list[list[int]] = [[] for _ in range(num)]
-    for s, c in enumerate(scc_of):
-        for a, t in state_observable[s]:
-            d = scc_of[t]
+    for s, a, t in zip(sources, arc_actions, arc_targets):
+        c, d = scc_of[s], scc_of[t]
+        if a != tau:
             observable[c].append((a, d))
             preds[d].append(c)
-        for t in local_tau[s]:
-            d = scc_of[t]
-            if d != c:
-                tau_succ[c].append(d)
-                tau_preds[d].append(c)
-                preds[d].append(c)
-        for t in crossing_tau[s]:
-            d = scc_of[t]
+        elif d != c:
             tau_succ[c].append(d)
             tau_preds[d].append(c)
             preds[d].append(c)
@@ -176,14 +174,22 @@ def branching_quotient(lts: LTS) -> tuple[LTS, list[int]]:
         changed: dict[int, dict[frozenset[int], list[int]]] = {}
         for c in sorted(dirty):
             own = block[c]
-            sig = {block[d] * width + a for a, d in observable[c]}
-            for d in tau_succ[c]:
-                other = block[d]
-                if other == own:
-                    sig |= sigs[d]
-                else:
-                    sig.add(other * width + tau)
-            sigs[c] = frozen = frozenset(sig)
+            arcs, succs = observable[c], tau_succ[c]
+            if not succs:
+                frozen = frozenset([block[d] * width + a for a, d in arcs])
+            elif not arcs and len(succs) == 1 and block[succs[0]] == own:
+                # One inert tau-step and nothing else: the successor's signature.
+                frozen = sigs[succs[0]]
+            else:
+                sig = {block[d] * width + a for a, d in arcs}
+                for d in succs:
+                    other = block[d]
+                    if other == own:
+                        sig |= sigs[d]
+                    else:
+                        sig.add(other * width + tau)
+                frozen = frozenset(sig)
+            sigs[c] = frozen
             if frozen != ref[own]:
                 changed.setdefault(own, {}).setdefault(frozen, []).append(c)
 

@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.errors import InvalidProcessError
-from repro.core.fsp import FSP
+from repro.core.fsp import FSP, TAU
+from repro.core.lts import _intern
 
 #: Version tag embedded in serialised documents so future format changes can
 #: remain backward compatible.
@@ -43,21 +44,79 @@ def to_dict(fsp: FSP) -> dict[str, Any]:
 
 
 def from_dict(document: dict[str, Any]) -> FSP:
-    """Decode an FSP from a dictionary produced by :func:`to_dict`."""
+    """Decode an FSP from a dictionary produced by :func:`to_dict`.
+
+    The wire lists are checked against Definition 2.1.1 while they are
+    interned into the CSR kernel, through the routine
+    :meth:`~repro.core.lts.LTS.from_fsp` uses, and the returned FSP carries
+    that kernel, so the engine does not intern it again.  A document the
+    fast path cannot look up or check -- a name that is not a non-empty
+    string or is missing from its table, an empty state set, tau in the
+    alphabet, variables that meet the actions -- goes to the validating
+    :class:`~repro.core.fsp.FSP` constructor instead, so every error and
+    every ``str()`` coercion is the constructor's.
+    """
     if document.get("format") != "repro-fsp":
         raise InvalidProcessError("document is not a serialised FSP")
     if int(document.get("version", 0)) > FORMAT_VERSION:
         raise InvalidProcessError(
             f"document version {document.get('version')} is newer than supported {FORMAT_VERSION}"
         )
+    states, start = document["states"], document["start"]
+    alphabet = document.get("alphabet", [])
+    transitions = document.get("transitions", [])
+    variables = document.get("variables", ["x"])
+    extensions = document.get("extensions", [])
+    try:
+        return _decode(states, start, alphabet, transitions, variables, extensions)
+    except (KeyError, TypeError, ValueError):
+        pass
     return FSP(
-        states=document["states"],
-        start=document["start"],
-        alphabet=document.get("alphabet", []),
-        transitions=[tuple(t) for t in document.get("transitions", [])],
-        variables=document.get("variables", ["x"]),
-        extensions=[tuple(e) for e in document.get("extensions", [])],
+        states=states,
+        start=start,
+        alphabet=alphabet,
+        transitions=[tuple(t) for t in transitions],
+        variables=variables,
+        extensions=[tuple(e) for e in extensions],
     )
+
+
+def _names(values: frozenset[Any]) -> bool:
+    """Whether every member is a non-empty ``str``."""
+    return "" not in values and set(map(type, values)) <= {str}
+
+
+def _decode(
+    states: Any, start: Any, alphabet: Any, transitions: Any, variables: Any, extensions: Any
+) -> FSP:
+    """The checked FSP of a document's fields, with its kernel, or an exception to fall back on.
+
+    The sets are built as the constructor builds them.  A failed lookup in
+    the intern raises :class:`KeyError`, a malformed field
+    :class:`TypeError` or :class:`ValueError`, and a check that fails here
+    raises :class:`ValueError`; none of these messages reaches the caller.
+    """
+    state_set = frozenset(states)
+    alphabet_set = frozenset(alphabet) if alphabet else frozenset()
+    variable_set = frozenset(variables) if variables else frozenset()
+    if not (state_set and _names(state_set) and _names(alphabet_set) and _names(variable_set)):
+        raise ValueError("names")
+    if TAU in alphabet_set or TAU in variable_set or not variable_set.isdisjoint(alphabet_set):
+        raise ValueError("tables")
+    arcs = frozenset(map(tuple, transitions))
+    pairs = frozenset(map(tuple, extensions))
+    # Lists without repeats are interned in their own order: a document
+    # from to_dict lists states and arcs sorted, so the intern's sorts find
+    # one run.
+    kernel = _intern(
+        states if len(states) == len(state_set) else state_set,
+        start,
+        alphabet_set,
+        transitions if len(transitions) == len(arcs) else arcs,
+        variable_set,
+        pairs,
+    )
+    return FSP._adopt(state_set, start, alphabet_set, arcs, variable_set, pairs, kernel)
 
 
 def canonical_bytes(fsp: FSP) -> bytes:

@@ -14,12 +14,20 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.derivatives import saturate, saturate_reference, tau_closure_reference
 from repro.core.errors import InvalidProcessError
 from repro.core.fsp import EPSILON, TAU, from_transitions
 from repro.core.lts import LTS
-from repro.core.weak import WeakKernel, bits_to_indices, saturate_lts, tau_scc
+from repro.core.weak import (
+    WeakKernel,
+    bits_to_indices,
+    saturate_lts,
+    tau_scc,
+    tau_successor_lists,
+)
 from repro.equivalence.failure import failure_distinguishing_string
 from repro.equivalence.kobs import k_observational_partition, limited_observational_partition
 from repro.equivalence.language import MacroMoves, language_equivalent, subset_search
@@ -36,6 +44,72 @@ def tau_dense(seed: int, num_states: int = 10):
         transition_density=2.0,
         seed=seed,
     )
+
+
+def reference_tau_scc(n: int, succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Tarjan over an explicit ``(state, next child)`` stack: the oracle for :func:`tau_scc`."""
+    if not any(succ):
+        return list(range(n)), [[s] for s in range(n)]
+    index_of = [-1] * n
+    low = [0] * n
+    on_stack = bytearray(n)
+    component_stack: list[int] = []
+    scc_of = [-1] * n
+    sccs: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        work: list[tuple[int, int]] = [(root, 0)]
+        while work:
+            state, child = work.pop()
+            if child == 0:
+                index_of[state] = low[state] = counter
+                counter += 1
+                component_stack.append(state)
+                on_stack[state] = 1
+            descended = False
+            children = succ[state]
+            for i in range(child, len(children)):
+                nxt = children[i]
+                if index_of[nxt] == -1:
+                    work.append((state, i + 1))
+                    work.append((nxt, 0))
+                    descended = True
+                    break
+                if on_stack[nxt] and index_of[nxt] < low[state]:
+                    low[state] = index_of[nxt]
+            if descended:
+                continue
+            if low[state] == index_of[state]:
+                members: list[int] = []
+                component = len(sccs)
+                while True:
+                    member = component_stack.pop()
+                    on_stack[member] = 0
+                    scc_of[member] = component
+                    members.append(member)
+                    if member == state:
+                        break
+                sccs.append(members)
+            if work:
+                parent = work[-1][0]
+                if low[state] < low[parent]:
+                    low[parent] = low[state]
+    return scc_of, sccs
+
+
+def tau_graph(succ: list[list[int]]) -> LTS:
+    """A kernel whose only arcs are the tau-arcs ``s -> t`` for ``t`` in ``succ[s]``."""
+    edges = {(s, 0, t) for s, targets in enumerate(succ) for t in targets}
+    return LTS([f"s{s}" for s in range(len(succ))], [TAU], edges)
+
+
+@st.composite
+def tau_successors(draw) -> list[list[int]]:
+    """Successor lists with self-loops, repeats and cycles, in drawn order."""
+    n = draw(st.integers(1, 12))
+    return draw(st.lists(st.lists(st.integers(0, n - 1), max_size=4), min_size=n, max_size=n))
 
 
 class TestTauScc:
@@ -72,6 +146,27 @@ class TestTauScc:
         scc_of, sccs = tau_scc(lts)
         assert len(scc_of) == lts.n
         assert sum(len(members) for members in sccs) == lts.n
+
+    @pytest.mark.parametrize("closed", (False, True))
+    def test_a_chain_100000_tau_steps_deep_does_not_recurse(self, closed):
+        """Each step is one frame of the explicit path; closed, the chain is one cycle."""
+        depth = 100_000
+        succ = [[s + 1] for s in range(depth)] + [[0] if closed else []]
+        scc_of, sccs = tau_scc(tau_graph(succ), succ)
+        if closed:
+            assert sccs == [list(range(depth, -1, -1))] and set(scc_of) == {0}
+        else:
+            assert scc_of == list(range(depth, -1, -1))
+            assert sccs == [[s] for s in range(depth, -1, -1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(tau_successors())
+    def test_equals_the_explicit_stack_tarjan(self, succ):
+        """Same components, same numbering, same member order as the reference."""
+        lts = tau_graph(succ)
+        expected = reference_tau_scc(len(succ), succ)
+        assert tau_scc(lts, succ) == expected
+        assert tau_scc(lts) == reference_tau_scc(len(succ), tau_successor_lists(lts))
 
 
 class TestClosureAgainstReference:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import lts as lts_module
 from repro.core.errors import ModelClassError, StateSpaceLimitError
 from repro.core.fsp import FSP, TAU, from_transitions
+from repro.core.lts import LTS
 from repro.core.paper_figures import fig2_language_pair
 from repro.core.weak import WeakKernel
 from repro.engine import (
@@ -213,7 +215,7 @@ class TestWeakWitnesses:
 
 
 class TestOperandTraffic:
-    """A check reads its processes through the integer kernel, not an FSP successor index."""
+    """A check reads its processes through the integer kernel, not an FSP index or map."""
 
     NOTIONS = (
         ("strong", {}),
@@ -223,14 +225,19 @@ class TestOperandTraffic:
         ("k-observational", {"k": 2}),
     )
 
-    def test_decode_and_check_never_build_an_operand_successor_index(self, monkeypatch):
+    @staticmethod
+    def documents() -> list[dict]:
+        """Wire documents of a process, an equivalent copy and a snagged copy."""
         base = random_fsp(14, tau_probability=0.3, all_accepting=True, seed=7)
         copy = random_equivalent_copy(base, duplicates=4, seed=3)
         snagged = with_snag(copy, copy.start)
         alphabet = snagged.alphabet | base.alphabet
-        documents = [
+        return [
             serialization.to_dict(fsp.with_alphabet(alphabet)) for fsp in (base, copy, snagged)
         ]
+
+    def test_decode_and_check_never_build_an_operand_successor_index(self, monkeypatch):
+        documents = self.documents()
         # No FSP -- operand or quotient -- may build its index while a
         # document is decoded or a check runs.
         busy = [False]
@@ -264,6 +271,35 @@ class TestOperandTraffic:
                         assert summary["minimized_observational"] == 0, notion
                 verdicts.append(verdict)
         monkeypatch.undo()
+        assert all(verdict.equivalent or verdict.verify_witness() for verdict in verdicts)
+
+    def test_a_check_reuses_the_decoded_kernel_and_maps_no_extensions(self):
+        documents = self.documents()
+        interned = []
+        intern = lts_module._intern
+
+        def counting(*args, **kwargs):
+            interned.append(args)
+            return intern(*args, **kwargs)
+
+        def refuse(fsp):
+            raise AssertionError("an extension map was built")
+
+        verdicts = []
+        for other, equivalent in ((1, True), (2, False)):
+            operands = tuple(serialization.from_dict(documents[i]) for i in (0, other))
+            kernels = [LTS.from_fsp(fsp) for fsp in operands]
+            for notion, params in self.NOTIONS:
+                engine = Engine()
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(lts_module, "_intern", counting)
+                    patch.setattr(FSP, "_extension_map", refuse)
+                    verdict = engine.check(*operands, notion, **params)
+                    for fsp, kernel in zip(operands, kernels):
+                        assert engine.process(fsp).lts() is kernel, notion
+                assert interned == [], notion
+                assert verdict.equivalent is equivalent, notion
+                verdicts.append(verdict)
         assert all(verdict.equivalent or verdict.verify_witness() for verdict in verdicts)
 
 

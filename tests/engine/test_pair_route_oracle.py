@@ -12,6 +12,9 @@ cached beforehand:
 * every slot a pair check fills equals, byte for byte, the slot a lone
   ``strong_quotient()`` or ``observational_quotient()`` fills on a fresh
   handle;
+* every slot equals the collapse that reads the arcs of every member of a
+  block (``_collapse`` reads only the first, which a stable partition
+  allows);
 * the verdict equals the naive solver's on the FSP disjoint union.
 
 Failure and ``approx_k`` decide on the CSR union of the two cached saturated
@@ -148,6 +151,122 @@ def test_a_pair_check_fills_the_slots_a_lone_refinement_fills(notion, cached, pa
         assert verdict.verify_witness() is True
     for fsp in (left, right):
         assert quotient_slot(engine.process(fsp), notion) == lone_slot(fsp, notion)
+
+
+def all_members_collapse(
+    arcs: LTS, blocks: list[int], lifted: list[int], names: tuple[str, ...]
+) -> tuple[LTS, list[int]]:
+    """``_collapse`` reading every member's arcs: the image of all arcs, deduplicated.
+
+    It needs no stability: a block's arcs are the union of its members'.
+    """
+    offsets, arc_actions, arc_targets = arcs.fwd_offsets, arcs.fwd_actions, arcs.fwd_targets
+    seen = bytearray(arcs.n)
+    seen[arcs.start] = 1
+    stack = [arcs.start]
+    while stack:
+        s = stack.pop()
+        for i in range(offsets[s], offsets[s + 1]):
+            t = arc_targets[i]
+            if not seen[t]:
+                seen[t] = 1
+                stack.append(t)
+    number = [-1] * (max(blocks, default=-1) + 1)
+    reachable = 0
+    for s, block in enumerate(blocks):
+        if seen[s] and number[block] < 0:
+            number[block] = reachable
+            reachable += 1
+    count = reachable
+    for block in blocks:
+        if number[block] < 0:
+            number[block] = count
+            count += 1
+    block_of = [number[block] for block in lifted]
+    label = [""] * reachable
+    for name, block in zip(names, block_of):
+        if block < reachable and not label[block]:
+            label[block] = f"[{name}]"
+    ext_sets = [frozenset()] * reachable
+    edges = set()
+    for s in range(arcs.n):
+        source = number[blocks[s]]
+        if source < reachable:
+            if arcs.ext_sets is not None:
+                ext_sets[source] = arcs.ext_sets[s]
+            edges.update(
+                (source, arc_actions[i], number[blocks[arc_targets[i]]])
+                for i in range(offsets[s], offsets[s + 1])
+            )
+    quotient = LTS(
+        label,
+        arcs.action_names,
+        edges,
+        start=number[blocks[arcs.start]],
+        ext_sets=ext_sets,
+        variables=arcs.variables,
+        observable_alphabet=arcs.observable_alphabet,
+    )
+    return quotient, block_of
+
+
+def collapsed(quotient: tuple[LTS, list[int]]) -> tuple:
+    """A collapse's result as bytes and values, like :func:`quotient_slot`."""
+    lts, block_of = quotient
+    return (
+        bytes(lts.fwd_offsets),
+        bytes(lts.fwd_actions),
+        bytes(lts.fwd_targets),
+        lts.action_names,
+        lts.state_names,
+        lts.start,
+        lts.ext_sets,
+        lts.variables,
+        lts.observable_alphabet,
+        tuple(block_of),
+    )
+
+
+def collapse_compared(patch: pytest.MonkeyPatch) -> list[int]:
+    """Patch ``_collapse`` to check each result against the oracle; returns the fills seen."""
+    fills: list[int] = []
+    original = process_module._collapse
+
+    def compared(*args):
+        quotient = original(*args)
+        assert collapsed(quotient) == collapsed(all_members_collapse(*args))
+        fills.append(args[0].n)
+        return quotient
+
+    patch.setattr(process_module, "_collapse", compared)
+    return fills
+
+
+@ORACLE_SETTINGS
+@given(pair=PAIRS)
+@pytest.mark.parametrize("cached", ("nothing", "left"))
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_every_slot_equals_the_all_members_collapse(notion, cached, pair):
+    """A stable partition's first member per block gives every block's arcs."""
+    left, right = pair
+    engine = Engine()
+    with pytest.MonkeyPatch.context() as patch:
+        fills = collapse_compared(patch)
+        if cached == "left":
+            fill_alone(engine.process(left), notion)
+        engine.check(left, right, notion)
+    assert len(fills) == (1 if left == right else 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_duplicated_states_collapse_like_every_member(monkeypatch, notion, seed):
+    """Copies of a state are bisimilar, so a member's arcs into them fold into one arc."""
+    process = random_fsp(10, tau_probability=0.3, seed=seed)
+    copy = random_equivalent_copy(process, duplicates=4, seed=seed)
+    fills = collapse_compared(monkeypatch)
+    assert Engine().check(process, copy, notion).equivalent
+    assert len(fills) == 2
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -277,6 +277,53 @@ def test_a_components_own_tau_arc_is_not_a_tau_step():
     assert len(fast) == 3
 
 
+def assert_prequotient_is_the_definition(fsp: FSP) -> None:
+    assert prequotient_blocks(fsp) == classes(largest_branching_bisimulation(fsp), fsp.states)
+    for backend in BACKENDS:
+        fast = Process(fsp).observational_partition(backend=backend)
+        assert fast == observational_partition(fsp, backend=backend)
+
+
+def test_a_lone_tau_step_into_another_extension_set_is_observed():
+    # p's only move is a tau-step into the accepting q, which is not inert:
+    # p's signature is (tau, [q]), not q's own {(a, [r])}.  Read as q's, it
+    # would equal the signature of p2, which does a itself.
+    fsp = from_transitions(
+        [("p", TAU, "q"), ("q", "a", "r"), ("p2", "a", "r")], start="p", accepting=["q"]
+    )
+    assert_prequotient_is_the_definition(fsp)
+    blocks = prequotient_blocks(fsp)
+    assert frozenset({"p"}) in blocks and frozenset({"p2"}) in blocks
+
+
+def test_a_lone_inert_tau_step_does_not_hide_observable_arcs():
+    # c has a b-move besides its inert tau-step to d, so its signature is not d's.
+    fsp = from_transitions(
+        [("c", TAU, "d"), ("c", "b", "z"), ("d", "a", "z")], start="c", all_accepting=True
+    )
+    assert_prequotient_is_the_definition(fsp)
+    assert frozenset({"c"}) in prequotient_blocks(fsp)
+
+
+def test_a_lone_tau_component_follows_its_successor_after_a_split():
+    # Round 1 puts c, d, d2, g and h in one block: each does a into it.  Then
+    # e (which does b) and e2 split off, so d and d2 change signature in round
+    # 2 while g and h keep theirs: d moves to a new block, and c, whose only
+    # move is the inert tau-step to d, must be recomputed and move with it.
+    arcs = [
+        ("c", TAU, "d"),
+        ("d", "a", "e"),
+        ("e", "b", "f"),
+        ("d2", "a", "e2"),
+        ("g", "a", "h"),
+        ("h", "a", "h"),
+    ]
+    fsp = from_transitions(arcs, start="c", all_accepting=True)
+    assert_prequotient_is_the_definition(fsp)
+    blocks = prequotient_blocks(fsp)
+    assert frozenset({"c", "d"}) in blocks and frozenset({"g", "h"}) in blocks
+
+
 def test_auto_resolves_on_the_prequotient(monkeypatch):
     # tau_ladder(300) has 601 states, over the vector threshold, but its
     # branching quotient has 2: auto must not send that to the vector kernel.
