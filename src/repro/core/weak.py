@@ -261,10 +261,6 @@ def epsilon_closures(saturated: LTS) -> list[int]:
     return closures
 
 
-#: Execution backends understood by :func:`saturate_lts`.
-SATURATION_BACKENDS = ("python", "vector")
-
-
 def _saturation_alphabet(lts: LTS, epsilon_action: str) -> tuple[list[str], list[int], int]:
     """Validate the epsilon marker and build the saturated action table.
 
@@ -301,43 +297,24 @@ def _saturation_alphabet(lts: LTS, epsilon_action: str) -> tuple[list[str], list
     return sat_action_names, action_map, sat_index[epsilon_action]
 
 
-def saturate_lts(lts: LTS, epsilon_action: str = EPSILON, backend: str = "python") -> LTS:
+def saturate_lts(lts: LTS, epsilon_action: str = EPSILON) -> LTS:
     """The saturated kernel ``P_hat`` of Theorem 4.1(a), entirely in CSR form.
 
     The result has the same states (and ``ext_sets`` / ``variables``) as the
     input; its actions are the observable alphabet plus ``epsilon_action``,
     and its arcs are exactly the weak transitions: ``p --a--> q`` iff
     ``p =>^a q`` and ``p --epsilon--> q`` iff ``p =>^epsilon q`` (reflexive,
-    so every state carries an epsilon self-loop).  ``to_fsp()`` of the result
-    equals :func:`repro.core.derivatives.saturate_reference` of the input's
-    FSP -- the property tests pin that down.
-
-    ``backend="python"`` runs the Python-int bitset propagation below;
-    ``backend="vector"`` computes the identical result with packed-``uint64``
-    numpy bitset matrices (one row per tau-SCC) and whole-array emission --
-    see :func:`_saturate_lts_vector`.  ``backend="auto"`` dispatches by
-    state count: vector at or above
-    :data:`repro.partition.generalized.VECTOR_STATE_THRESHOLD` states when
-    numpy is available, python otherwise.
+    so every state carries an epsilon self-loop).  The arcs are laid out in
+    ``(source, action, target)`` order, so the CSR arrays equal those
+    :meth:`~repro.core.lts.LTS.from_fsp` interns from
+    :func:`repro.core.derivatives.saturate_reference` of the input's FSP --
+    the property tests pin that down, byte for byte.
 
     Raises
     ------
     InvalidProcessError
         If ``epsilon_action`` collides with an existing action or tau.
     """
-    if backend == "auto":
-        # Saturation resolves on the state threshold alone; a refinement
-        # also reads the density of what it refines.
-        from repro.partition.generalized import resolve_backend
-
-        backend = resolve_backend(backend, lts.n)
-    if backend not in SATURATION_BACKENDS:
-        raise InvalidProcessError(
-            f"unknown saturation backend {backend!r}; "
-            f"choose from {', '.join(SATURATION_BACKENDS)} or 'auto'"
-        )
-    if backend == "vector":
-        return _saturate_lts_vector(lts, epsilon_action)
     sat_action_names, action_map, epsilon_id = _saturation_alphabet(lts, epsilon_action)
     n = lts.n
     tau = tau_action_index(lts)
@@ -400,174 +377,6 @@ def saturate_lts(lts: LTS, epsilon_action: str = EPSILON, backend: str = "python
         sat_actions.extend(chunk)
     for chunk in sat_targets_chunks:
         sat_targets.extend(chunk)
-
-    return LTS.from_csr(
-        lts.state_names,
-        sat_action_names,
-        sat_offsets,
-        sat_actions,
-        sat_targets,
-        start=lts.start,
-        ext_sets=lts.ext_sets,
-        variables=lts.variables,
-        observable_alphabet=tuple(sat_action_names),
-    )
-
-
-def _propagate_packed(np, matrix, scc_succs) -> None:
-    """In-place children-first OR-propagation over a packed bitset matrix.
-
-    ``matrix`` holds one ``uint64`` row per tau-SCC (bit ``i`` = state ``i``),
-    pre-seeded; components are walked in :func:`tau_scc` emission order, so
-    every successor row is final when OR-ed in -- the packed twin of
-    :func:`_propagate`, with each union a word-parallel numpy row OR instead
-    of a Python big-int ``|``.
-    """
-    for component, succs in enumerate(scc_succs):
-        if not succs:
-            continue
-        row = matrix[component]
-        for other in succs:
-            np.bitwise_or(row, matrix[other], out=row)
-
-
-def _row_targets(np, row, n: int):
-    """The set bit positions of one packed row, ascending, as ``int64``."""
-    bits = np.unpackbits(row.view(np.uint8), count=n, bitorder="little")
-    return np.flatnonzero(bits).astype(np.int64)
-
-
-def _emit_action_arcs(np, n: int, scc_of, per_comp_targets):
-    """Flatten per-SCC target lists into per-state ``(sources, targets)`` arcs.
-
-    Every state emits its component's target list; the expansion is pure
-    array work: per-state counts gathered through ``scc_of``, then one
-    ``arange``-minus-``repeat`` pass builds the gather index into the
-    concatenated per-component targets.
-    """
-    lengths = np.array([len(t) for t in per_comp_targets], dtype=np.int64)
-    if not lengths.sum():
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    flat = np.concatenate(per_comp_targets)
-    comp_starts = np.zeros(len(lengths), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=comp_starts[1:])
-    counts = lengths[scc_of]
-    total = int(counts.sum())
-    starts = np.repeat(comp_starts[scc_of], counts)
-    run_starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(counts[:-1], out=run_starts[1:])
-    within = np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
-    sources = np.repeat(np.arange(n, dtype=np.int64), counts)
-    return sources, flat[starts + within]
-
-
-def _saturate_lts_vector(lts: LTS, epsilon_action: str = EPSILON) -> LTS:
-    """Packed-bitset twin of :func:`saturate_lts` (``backend="vector"``).
-
-    Same tau-SCC condensation (the iterative Tarjan pass stays Python --
-    it is ``O(n + m_tau)`` and sequential by nature), but the closure and
-    per-action weak relations live in ``(num_sccs, ceil(n/64))`` ``uint64``
-    matrices: seeding, the children-first DP and the arc emission are all
-    whole-array numpy passes, so the ``O((n + m) * n / w)`` bitset words of
-    the closure run at machine width with no per-bit Python cost.
-    """
-    from repro.utils.matrices import require_numpy
-
-    np = require_numpy()
-    sat_action_names, action_map, epsilon_id = _saturation_alphabet(lts, epsilon_action)
-    n = lts.n
-    tau_succ = tau_successor_lists(lts)
-    scc_of_list, sccs = tau_scc(lts, tau_succ)
-    scc_succs = _scc_successors(scc_of_list, sccs, tau_succ)
-    num_sccs = max(len(sccs), 1)
-    scc_of = np.asarray(scc_of_list, dtype=np.int64) if n else np.zeros(0, dtype=np.int64)
-    words = max((n + 63) // 64, 1)
-
-    # Closure matrix, identity-seeded: bit s of row scc_of[s] for every state.
-    closure = np.zeros((num_sccs, words), dtype=np.uint64)
-    if n:
-        states = np.arange(n, dtype=np.int64)
-        one = np.uint64(1)
-        np.bitwise_or.at(
-            closure,
-            (scc_of, states >> 6),
-            np.left_shift(one, (states & 63).astype(np.uint64)),
-        )
-    _propagate_packed(np, closure, scc_succs)
-
-    # Arc columns (int64 views over the CSR arrays).
-    m = lts.num_transitions
-    if m:
-        arc_sources = np.repeat(
-            np.arange(n, dtype=np.int64),
-            np.diff(np.frombuffer(lts.fwd_offsets, dtype=np.int64)),
-        )
-        arc_actions = np.frombuffer(lts.fwd_actions, dtype=np.int64)
-        arc_targets = np.frombuffer(lts.fwd_targets, dtype=np.int64)
-    else:
-        arc_sources = arc_actions = arc_targets = np.zeros(0, dtype=np.int64)
-
-    # Weak matrices per observable action: seed W_a rows with
-    # step_a = OR of closure(scc(target)) over that action's arcs, grouped by
-    # source component (sort + bitwise_or.reduceat), then the same DP.
-    action_map_np = np.asarray(action_map, dtype=np.int64) if action_map else np.zeros(
-        0, dtype=np.int64
-    )
-    weak: dict[int, object] = {}
-    if m:
-        sat_acts = action_map_np[arc_actions]
-        observable_mask = sat_acts >= 0
-        obs_acts = sat_acts[observable_mask]
-        obs_comps = scc_of[arc_sources[observable_mask]]
-        obs_rows = closure[scc_of[arc_targets[observable_mask]]]
-        for act_id in np.unique(obs_acts):
-            in_act = obs_acts == act_id
-            comps = obs_comps[in_act]
-            rows = obs_rows[in_act]
-            order = np.argsort(comps, kind="stable")
-            comps = comps[order]
-            rows = rows[order]
-            run_starts = np.ones(len(comps), dtype=bool)
-            run_starts[1:] = comps[1:] != comps[:-1]
-            starts = np.flatnonzero(run_starts)
-            matrix = np.zeros((num_sccs, words), dtype=np.uint64)
-            matrix[comps[starts]] = np.bitwise_or.reduceat(rows, starts, axis=0)
-            _propagate_packed(np, matrix, scc_succs)
-            weak[int(act_id)] = matrix
-
-    # Emission: per (action, SCC) target lists via unpackbits, expanded to
-    # per-state arcs, then one global (source, action, target) sort.
-    src_parts, act_parts, dst_parts = [], [], []
-    for act_id in range(len(sat_action_names)):
-        matrix = closure if act_id == epsilon_id else weak.get(act_id)
-        if matrix is None:
-            continue
-        per_comp = [_row_targets(np, matrix[c], n) for c in range(len(sccs))]
-        sources, targets = _emit_action_arcs(np, n, scc_of, per_comp)
-        if len(sources):
-            src_parts.append(sources)
-            act_parts.append(np.full(len(sources), act_id, dtype=np.int64))
-            dst_parts.append(targets)
-    if src_parts:
-        sat_src = np.concatenate(src_parts)
-        sat_act = np.concatenate(act_parts)
-        sat_dst = np.concatenate(dst_parts)
-        order = np.lexsort((sat_dst, sat_act, sat_src))
-        sat_src, sat_act, sat_dst = sat_src[order], sat_act[order], sat_dst[order]
-    else:
-        sat_src = sat_act = sat_dst = np.zeros(0, dtype=np.int64)
-
-    sat_offsets = array(INDEX_TYPECODE, bytes(array(INDEX_TYPECODE).itemsize * (n + 1)))
-    if len(sat_src):
-        offsets_np = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(sat_src, minlength=n), out=offsets_np[1:])
-        sat_offsets = array(INDEX_TYPECODE)
-        sat_offsets.frombytes(offsets_np.tobytes())
-    sat_actions = array(INDEX_TYPECODE)
-    sat_actions.frombytes(sat_act.tobytes())
-    sat_targets = array(INDEX_TYPECODE)
-    sat_targets.frombytes(sat_dst.tobytes())
 
     return LTS.from_csr(
         lts.state_names,

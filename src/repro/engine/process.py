@@ -15,7 +15,8 @@ artifact                       producer
 ``weak_kernel()``              :class:`repro.core.weak.WeakKernel`: tau-SCC +
                                bitsets, the weak-transition query API
 ``saturated_lts()``            :func:`repro.core.weak.saturate_lts` (``P_hat``)
-                               of the whole process; not on the engine's path
+                               of the whole process, whatever ``backend``
+                               says; not on the engine's path
 (branching pre-quotient)       :func:`repro.partition.branching.branching_quotient`
                                of :meth:`lts`, private, one per handle
 ``strong_quotient()``          ``(LTS, block_of)``: Lemma 3.1 refinement of
@@ -59,8 +60,9 @@ Each artifact has one cache slot per notion.  The coarsest stable
 refinement is unique (Section 3), so the solver ``method`` and the
 ``backend`` only choose how a missing artifact is computed; a cached one
 answers every later call, whatever they say.  The default solver is
-Kanellakis-Smolka (Theorem 3.1), the fastest on the measured cells, and
-``backend="auto"`` resolves on what gets refined
+Kanellakis-Smolka (Theorem 3.1), the fastest on the measured cells.
+``backend`` selects only the refinement's kernel -- saturation has one
+implementation -- and ``backend="auto"`` resolves on what gets refined
 (:func:`~repro.partition.generalized.resolve_backend`).
 
 Every weak notion the engine decides (observational, failure,
@@ -186,7 +188,7 @@ def decide_pair(
     sides = []
     for handle in (left, right):
         cached = handle._quotients.get(notion)
-        sides.append(cached[0] if cached is not None else handle._refinement_arcs(notion, backend))
+        sides.append(cached[0] if cached is not None else handle._refinement_arcs(notion))
     union = disjoint_union(*sides)
     blocks = refine_lts(union, method, backend)
     split = sides[0].n
@@ -275,13 +277,13 @@ class Process:
 
         This saturates the *whole* process, as the paper's direct route does;
         :meth:`observational_quotient` saturates only the branching
-        pre-quotient and does not use it.  Both backends produce
-        byte-identical CSR arrays, so there is one slot: ``backend`` applies
-        only when the kernel is first computed.
+        pre-quotient and does not use it.  Saturation has one
+        implementation: ``backend`` is only validated, and only when the
+        kernel is first computed.
         """
         if self._saturated_lts is None:
-            backend = resolve_backend(backend, self.fsp.num_states)
-            self._saturated_lts = saturate_lts(self.lts(), backend=backend)
+            resolve_backend(backend, self.fsp.num_states)
+            self._saturated_lts = saturate_lts(self.lts())
         return self._saturated_lts
 
     def _branching_quotient(self) -> Quotient:
@@ -310,9 +312,8 @@ class Process:
         and refined strongly, and the saturated arcs are collapsed, so the
         quotient's arcs are the weak moves ``=>^a`` and ``=>^epsilon``.
         ``method`` and ``backend`` apply only when the quotient is first
-        computed; ``backend="auto"`` resolves saturation on the size of the
-        pre-quotient and refinement on the states and arcs of its
-        saturation, which is what each one works on.
+        computed, and only to the refinement; ``backend="auto"`` resolves on
+        the states and arcs of the saturation, which is what gets refined.
         """
         return self._quotient("observational", method, backend)
 
@@ -320,15 +321,15 @@ class Process:
         """The cached strong or observational quotient, computed on a miss."""
         cached = self._quotients.get(notion)
         if cached is None:
-            arcs = self._refinement_arcs(notion, backend)
+            arcs = self._refinement_arcs(notion)
             cached = self._fill(notion, arcs, refine_lts(arcs, method, backend))
         return cached
 
-    def _refinement_arcs(self, notion: str, backend: str) -> LTS:
+    def _refinement_arcs(self, notion: str) -> LTS:
         """The arcs a ``notion`` refinement starts from: the kernel or saturated pre-quotient."""
         if notion == "strong":
             return self.lts()
-        return saturate_lts(self._branching_quotient()[0], backend=backend)
+        return saturate_lts(self._branching_quotient()[0])
 
     def _fill(self, notion: str, arcs: LTS, blocks: list[int]) -> Quotient:
         """Collapse ``arcs`` along their coarsest stable ``blocks`` into the ``notion`` slot."""

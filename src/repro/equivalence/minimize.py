@@ -82,8 +82,8 @@ def minimize_observational(
 ) -> FSP:
     """The quotient of a process by observational equivalence.
 
-    With ``backend="vector"`` both the tau-closure saturation and the
-    refinement run on the numpy kernel (see
+    With ``backend="vector"`` the refinement of the saturated process runs
+    on the numpy kernel (see
     :func:`repro.equivalence.observational.observational_partition`).
     """
     return quotient(fsp, observational_partition(fsp, method=method, backend=backend))

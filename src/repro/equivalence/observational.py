@@ -42,12 +42,11 @@ def observational_partition(
     ``FSP -> LTS -> saturated LTS -> RefinablePartition`` -- via
     :func:`repro.core.weak.saturate_lts` and
     :meth:`~repro.partition.generalized.GeneralizedPartitioningInstance.from_lts`;
-    no dict-of-frozensets saturated FSP is ever materialised.  With
-    ``backend="vector"`` both stages vectorize: the tau-closure runs on packed
-    bitset matrices (:func:`repro.core.weak.saturate_lts` with
-    ``backend="vector"``) and the refinement on the numpy kernel.
+    no dict-of-frozensets saturated FSP is ever materialised.  ``backend``
+    selects the refinement's kernel; ``"vector"`` refines on numpy, and the
+    saturation is the same either way.
     """
-    saturated = saturate_lts(LTS.from_fsp(fsp, include_tau=True), backend=backend)
+    saturated = saturate_lts(LTS.from_fsp(fsp, include_tau=True))
     return solve(
         GeneralizedPartitioningInstance.from_lts(saturated), method=method, backend=backend
     )

@@ -334,8 +334,8 @@ BACKENDS = ("python", "vector")
 AUTO_BACKEND = "auto"
 
 #: At or above this many states, ``backend="auto"`` may pick the vector
-#: kernel (when numpy is importable).  Saturation resolves ``auto`` on this
-#: size alone; a refinement also needs the density cut below.
+#: kernel for a refinement (when numpy is importable and the density cut
+#: below holds).
 VECTOR_STATE_THRESHOLD = 512
 
 #: At most this many arcs per state, ``backend="auto"`` may pick the vector
@@ -356,7 +356,8 @@ def resolve_backend(backend: str, num_states: int, num_arcs: int | None = None) 
     whole-array kernel's setup cost only amortises on large instances, and
     its per-round cost on dense ones does not amortise at all.  Concrete
     names pass through validated, so every caller funnels its error message
-    here.
+    here.  The backend only ever selects a refinement: saturation has one
+    implementation (:func:`repro.core.weak.saturate_lts`).
     """
     if backend == AUTO_BACKEND:
         from repro.utils.matrices import HAVE_NUMPY

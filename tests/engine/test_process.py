@@ -11,7 +11,7 @@ from repro.equivalence.minimize import minimize_observational, minimize_strong
 from repro.equivalence.observational import observational_partition
 from repro.equivalence.strong import strong_bisimulation_partition
 from repro.partition.branching import branching_quotient
-from repro.partition.generalized import Solver
+from repro.partition.generalized import GeneralizedPartitioningError, Solver
 from repro.utils import serialization
 
 
@@ -55,6 +55,8 @@ class TestArtifactCaching:
         assert handle.strong_partition("kanellakis-smolka", "vector") is by_pt
         assert handle.artifact_summary()["strong_partitions"] == 1
         assert handle.saturated_lts("python") is handle.saturated_lts("vector")
+        with pytest.raises(GeneralizedPartitioningError):
+            Process(bloated).saturated_lts("bogus")
 
     def test_branching_prequotient_computed_once_per_handle(self, bloated, monkeypatch):
         calls = []

@@ -1,12 +1,12 @@
 """The ``auto`` backend: size and density dispatch, and python/vector agreement.
 
 ``resolve_backend("auto", n, m)`` is the one choke point every caller funnels
-through (solve, saturation, the engine's process handles, the notion
-defaults), so these tests pin its dispatch rule -- vector iff numpy is
-available, the state count reaches ``VECTOR_STATE_THRESHOLD`` and, for a
-refinement, the arcs per state stay within ``VECTOR_DENSITY_CUT`` -- and
-then check end-to-end that an ``auto`` answer equals the ``python`` answer
-on instances that take the vector path.
+through (solve, the engine's process handles, the notion defaults), so these
+tests pin its dispatch rule -- vector iff numpy is available, the state count
+reaches ``VECTOR_STATE_THRESHOLD`` and, for a refinement, the arcs per state
+stay within ``VECTOR_DENSITY_CUT`` -- and then check end-to-end that an
+``auto`` answer equals the ``python`` answer on instances that take the
+vector path.
 """
 
 from __future__ import annotations
@@ -119,18 +119,6 @@ def test_auto_solve_agrees_with_python_above_the_threshold(monkeypatch, vector_c
     python = solve(instance, backend="python")
     assert auto.as_frozen() == python.as_frozen()
     assert vector_calls == [16]
-
-
-@needs_numpy
-def test_auto_saturation_agrees_with_python(monkeypatch):
-    monkeypatch.setattr(generalized, "VECTOR_STATE_THRESHOLD", 4)
-    process = tau_ladder(12)
-    lts = LTS.from_fsp(process, include_tau=True)
-    auto = saturate_lts(lts, backend="auto")
-    python = saturate_lts(lts, backend="python")
-    assert auto.fwd_offsets == python.fwd_offsets
-    assert auto.fwd_actions == python.fwd_actions
-    assert auto.fwd_targets == python.fwd_targets
 
 
 @needs_numpy

@@ -4,9 +4,9 @@ The coarsest stable refinement is unique, so the numpy kernel
 (:mod:`repro.partition.vectorized`) must produce exactly the partition the
 pure-Python solvers compute -- up to block renumbering -- on every instance:
 random FSPs, the structured scaling families, and hypothesis-generated
-processes, for the strong notion and (through the packed-bitset saturation
-backend) the observational one.  The memory-mapped CSR store must behave
-byte-for-byte like the in-memory arrays.
+processes, for the strong notion and (refining the one saturation) the
+observational one.  The memory-mapped CSR store must behave byte-for-byte
+like the in-memory arrays.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from hypothesis import given, settings
 
 np = pytest.importorskip("numpy")
 
-from repro.core.lts import LTS  # noqa: E402
-from repro.core.weak import saturate_lts  # noqa: E402
 from repro.equivalence.observational import observational_partition  # noqa: E402
 from repro.equivalence.strong import strong_bisimulation_partition  # noqa: E402
 from repro.generators.families import (  # noqa: E402
@@ -116,19 +114,6 @@ def test_observational_backends_agree(builder):
     python = observational_partition(process)
     vector = observational_partition(process, backend="vector")
     assert vector.as_frozen() == python.as_frozen()
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_vector_saturation_is_byte_identical(seed):
-    """The packed-uint64 closure emits exactly the python saturation's CSR."""
-    process = random_fsp(15, tau_probability=0.4, seed=seed)
-    lts = LTS.from_fsp(process, include_tau=True)
-    python = saturate_lts(lts)
-    vector = saturate_lts(lts, backend="vector")
-    assert vector.fwd_offsets == python.fwd_offsets
-    assert vector.fwd_actions == python.fwd_actions
-    assert vector.fwd_targets == python.fwd_targets
-    assert vector.action_names == python.action_names
 
 
 def test_unknown_backend_rejected():
